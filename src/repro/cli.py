@@ -1377,8 +1377,9 @@ def build_parser() -> argparse.ArgumentParser:
         "-k",
         default="native",
         help=(
-            "batch kernel pinned by every third system-fuzz job "
-            "(default: native; 'dict' plans a dict-only slate)"
+            "batch kernel pinned by every third system-fuzz job and "
+            "every other shared one (default: native; 'dict' plans a "
+            "dict-only slate)"
         ),
     )
     verify_parser.add_argument(

@@ -63,8 +63,7 @@ MC_ACCESSES = 1 << 14
 MC_QUICK_ACCESSES = 1 << 12
 
 #: the data-sharing multicore bench: the 8-core producer/consumer mix
-#: replayed with sharer tracking + shared-claimant arbitration -- the
-#: generic (listener-carrying) batch path shared replays always take.
+#: replayed with sharer tracking + shared-claimant arbitration.
 SHARED_MC_MIX = "mix8s01_prodcons"
 SHARED_MC_CORES = 8
 
@@ -336,10 +335,11 @@ def run_shared_multicore_bench(
     """Time the 8-core data-sharing mix on the shared-LLC system.
 
     Global-address traces install a sharer directory (access + eviction
-    listeners) on the LLC, which routes the replay through the generic
-    batch path and declines every kernel -- so this row times the
-    sharing hot path itself: listener dispatch, directory updates, and
-    rwp-core's shared-claimant victim scan.  Results are keyed
+    listeners) on the LLC, so this row times the sharing hot path:
+    directory updates and rwp-core's shared-claimant sampling and victim
+    scan.  On the dict driver the listeners force the generic batch
+    path; the native kernel keeps the directory as per-line columns and
+    replays the whole interleave in C.  Results are keyed
     ``multicore8shared:<policy>``; a requested kernel's recorded
     fallback reason is logged, never swallowed.
     """

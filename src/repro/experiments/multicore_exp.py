@@ -27,8 +27,20 @@ from repro.multicore.metrics import (
     weighted_speedup,
 )
 from repro.multicore.shared import SharedRunResult
-from repro.sim import SimulationSpec, simulate, simulate_cached
 from repro.trace.mixes import get_mix
+
+#: Re-exported from :mod:`repro.sim`, which is imported on first use:
+#: ``repro.sim`` imports this package while it initializes, so a
+#: module-level import here would be circular.
+_SIM_NAMES = ("SimulationSpec", "simulate", "simulate_cached")
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        import repro.sim
+
+        return getattr(repro.sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: baseline LRU + state-of-the-art comparators + RWP (global + core-aware)
 MULTICORE_POLICIES = ("lru", "dip", "tadrrip", "ucp", "pipp", "rwp", "rwp-core")
@@ -91,6 +103,8 @@ def _alone_ipc(
     memory backend matches the shared run's, so the weighted-speedup
     denominators see the same write costs.
     """
+    from repro.sim import SimulationSpec, simulate_cached
+
     spec = SimulationSpec(
         benchmark,
         "lru",
@@ -126,6 +140,7 @@ def run_mix(
     shared = _shared_scale(per_core, num_cores)
     from repro.kernels.spec import KernelSpec
     from repro.mem.spec import BackendSpec
+    from repro.sim import SimulationSpec, simulate
 
     memory_spec = BackendSpec.coerce(memory)
     kernel_spec = KernelSpec.coerce(kernel)

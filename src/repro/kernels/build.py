@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 _SOURCE = Path(__file__).resolve().parent / "native_src.c"
 
@@ -43,6 +43,7 @@ _uint8 = ctypes.c_uint8
 _double = ctypes.c_double
 _p_int64 = ctypes.POINTER(ctypes.c_int64)
 _p_uint8 = ctypes.POINTER(ctypes.c_uint8)
+_p_uint64 = ctypes.POINTER(ctypes.c_uint64)
 _p_double = ctypes.POINTER(ctypes.c_double)
 
 #: the ``on_epoch`` trampoline: C -> Python at epoch boundaries; a
@@ -65,6 +66,8 @@ class CacheCtx(ctypes.Structure):
         ("write_seen", _p_uint8),
         ("filled", _p_int64),
         ("dirty_lines", _p_int64),
+        ("sharers", _p_uint64),
+        ("last_writer", _p_int64),
         ("victim_kind", _int64),
         ("target_clean", _int64),
         ("policy_cores", _int64),
@@ -74,6 +77,7 @@ class CacheCtx(ctypes.Structure):
         ("sample_stride", _int64),
         ("sampler_route_mod", _int64),
         ("shadow_slots", _int64),
+        ("shared_sampler", _int64),
         ("sh_tags", _p_int64),
         ("sh_len", _p_int64),
         ("sh_touched", _p_uint8),
@@ -91,6 +95,13 @@ class CacheCtx(ctypes.Structure):
         ("evicted_ro", _int64),
         ("evicted_wo", _int64),
         ("evicted_rw", _int64),
+        ("tracked", _int64),
+        ("peak_tracked", _int64),
+        ("shared_lines", _int64),
+        ("shared_accesses", _int64),
+        ("shared_writes", _int64),
+        ("write_migrations", _int64),
+        ("shared_evictions", _int64),
         ("status", _int64),
     ]
 

@@ -12,6 +12,12 @@
  *   rw_lru_filter  <->  SetAssociativeCache.run_lru_filter
  *   rw_multicore   <->  SharedLLCSystem.run over _session_stamped
  *
+ * With the sharer columns bound (CacheCtx.sharers != NULL), rw_run_trace
+ * and rw_multicore also keep the multicore SharerDirectory inline, in
+ * the order its observe/on_evict listeners fire on the scalar walk, and
+ * rwp-core routes shared lines to its shared claimant.  The flag is read
+ * once per call: untracked replays run the loop compiled without it.
+ *
  * Floating point: additions and subtractions only, in source order.
  * Build flags must keep IEEE semantics (-ffp-contract=off, no
  * -ffast-math); nextafter() matches Python's math.nextafter.
@@ -24,12 +30,13 @@
 #include <math.h>
 #include <stdint.h>
 
-#define RW_KERNEL_ABI 1
+#define RW_KERNEL_ABI 2
 
 /* victim kinds */
 #define VICTIM_MIN_STAMP 0
 #define VICTIM_RWP 1
 #define VICTIM_CORE_RWP 2
+#define VICTIM_CORE_RWP_SHARED 3 /* rwp-core plus the shared-line group */
 
 /* run status */
 #define STATUS_OK 0
@@ -54,17 +61,22 @@ typedef struct {
     /* per-set state [num_sets] */
     int64_t *filled;
     int64_t *dirty_lines;
+    /* sharer directory columns [num_sets * ways]; sharers == NULL: off.
+     * A zero mask is an untracked line (its last_writer reads -1). */
+    uint64_t *sharers;
+    int64_t *last_writer;
     /* policy */
     int64_t victim_kind;
     int64_t target_clean;   /* RWP; the epoch callback refreshes it */
     int64_t policy_cores;   /* rwp-core: owner group = owner % policy_cores */
     int64_t *clean_targets; /* [policy_cores] */
-    int64_t *dirty_targets; /* [policy_cores] */
+    int64_t *dirty_targets; /* [policy_cores (+1 shared group)] */
     int64_t clock;          /* RecencyStampMixin._clock */
     /* shadow sampler (sample_stride == 0: none) */
     int64_t sample_stride;
     int64_t sampler_route_mod; /* 0: single sampler; else core % mod */
     int64_t shadow_slots;      /* slots per sampler = ceil(num_sets/stride) */
+    int64_t shared_sampler;    /* shared lines' sampler (>= 1); 0: none */
     int64_t *sh_tags;          /* [samplers][slots][2][ways], 0=clean 1=dirty */
     int64_t *sh_len;           /* [samplers][slots][2] */
     uint8_t *sh_touched;       /* [samplers][slots] */
@@ -77,6 +89,9 @@ typedef struct {
     int64_t read_hits, write_hits, read_misses, write_misses;
     int64_t evictions, dirty_evictions, writebacks;
     int64_t evicted_ro, evicted_wo, evicted_rw;
+    /* SharerDirectory counters (tracked == len(table)) */
+    int64_t tracked, peak_tracked, shared_lines, shared_accesses;
+    int64_t shared_writes, write_migrations, shared_evictions;
     int64_t status;
 } CacheCtx;
 
@@ -146,8 +161,16 @@ typedef struct {
 
 int64_t rw_abi_version(void) { return RW_KERNEL_ABI; }
 
+/* The lane loop is compiled twice, with and without sharer tracking;
+ * forcing its helpers inline keeps both copies the shape of the one
+ * loop the untracked replays have always run. */
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* Two or more bits set: a line two cores touched in one residency. */
+#define MULTI_SHARER(mask) (((mask) & ((mask) - 1)) != 0)
+
 /* ReadWriteSampler.observe, ported stack-for-stack. */
-static void sampler_observe(
+ALWAYS_INLINE void sampler_observe(
     CacheCtx *c, int64_t core, int64_t si, int64_t tag, int w
 ) {
     int64_t ways = c->ways;
@@ -202,6 +225,59 @@ static void sampler_observe(
     }
 }
 
+static int64_t min_stamp_way(const int64_t *stamp, int64_t ways) {
+    int64_t wy, best = 0, best_stamp = stamp[0];
+    for (wy = 1; wy < ways; wy++) {
+        if (stamp[wy] < best_stamp) {
+            best = wy;
+            best_stamp = stamp[wy];
+        }
+    }
+    return best;
+}
+
+/* CoreAwareRWPPolicy.victim (shared == 0) and ._victim_shared
+ * (shared == 1, num_cores + 1 groups: a line with two or more sharers
+ * belongs to group num_cores, whoever filled it). */
+ALWAYS_INLINE int64_t core_rwp_victim(
+    const CacheCtx *c, int64_t base, const int shared
+) {
+    int64_t ways = c->ways;
+    int64_t cores = c->policy_cores;
+    const int64_t *stamp = c->stamp + base;
+    const uint8_t *dirty = c->dirty + base;
+    const int64_t *owner = c->owner + base;
+    const uint64_t *sharers = shared ? c->sharers + base : 0;
+    int64_t clean_occ[MAX_POLICY_CORES + 1] = {0};
+    int64_t dirty_occ[MAX_POLICY_CORES + 1] = {0};
+    int64_t wy, best, best_stamp;
+    /* owner % cores, skipping the division for the usual owner < cores */
+#define GROUP_OF(wy)                                                   \
+    (shared && MULTI_SHARER(sharers[wy]) ? cores                       \
+     : owner[wy] < cores ? owner[wy] : owner[wy] % cores)
+    for (wy = 0; wy < ways; wy++) {
+        int64_t who = GROUP_OF(wy);
+        if (dirty[wy]) dirty_occ[who]++;
+        else clean_occ[who]++;
+    }
+    best = -1;
+    best_stamp = 0;
+    for (wy = 0; wy < ways; wy++) {
+        int64_t who = GROUP_OF(wy);
+        int over = dirty[wy]
+            ? dirty_occ[who] >= c->dirty_targets[who]
+            : clean_occ[who] >= c->clean_targets[who];
+        if (over && (best < 0 || stamp[wy] < best_stamp)) {
+            best = wy;
+            best_stamp = stamp[wy];
+        }
+    }
+#undef GROUP_OF
+    if (best >= 0) return best;
+    /* every occupied group under budget: whole-set LRU */
+    return min_stamp_way(stamp, ways);
+}
+
 /* Victim way for a full set.  Stamps are unique per policy clock, so a
  * strict-min scan picks the same line as the reference drivers' dict
  * iteration / min() calls. */
@@ -232,44 +308,15 @@ static int64_t select_victim(
         }
         /* chosen partition empty: whole-set LRU below */
     } else if (c->victim_kind == VICTIM_CORE_RWP) {
-        int64_t cores = c->policy_cores;
-        int64_t clean_occ[MAX_POLICY_CORES] = {0};
-        int64_t dirty_occ[MAX_POLICY_CORES] = {0};
-        const int64_t *owner = c->owner + base;
-        for (wy = 0; wy < ways; wy++) {
-            int64_t who = owner[wy] % cores;
-            if (dirty[wy]) dirty_occ[who]++;
-            else clean_occ[who]++;
-        }
-        best = -1;
-        best_stamp = 0;
-        for (wy = 0; wy < ways; wy++) {
-            int64_t who = owner[wy] % cores;
-            int over = dirty[wy]
-                ? dirty_occ[who] >= c->dirty_targets[who]
-                : clean_occ[who] >= c->clean_targets[who];
-            if (over && (best < 0 || stamp[wy] < best_stamp)) {
-                best = wy;
-                best_stamp = stamp[wy];
-            }
-        }
-        if (best >= 0) return best;
-        /* every occupied group under budget: whole-set LRU below */
+        return core_rwp_victim(c, base, 0);
+    } else if (c->victim_kind == VICTIM_CORE_RWP_SHARED) {
+        return core_rwp_victim(c, base, 1);
     }
-
-    best = 0;
-    best_stamp = stamp[0];
-    for (wy = 1; wy < ways; wy++) {
-        if (stamp[wy] < best_stamp) {
-            best = wy;
-            best_stamp = stamp[wy];
-        }
-    }
-    return best;
+    return min_stamp_way(stamp, ways);
 }
 
 /* Inlined WriteBufferModel.issue(cycles): same arithmetic, same order. */
-static void wb_issue(LaneCtx *l, double *cycles, double *write_stall) {
+ALWAYS_INLINE void wb_issue(LaneCtx *l, double *cycles, double *write_stall) {
     while (l->wb_len && l->wb_ring[l->wb_head] <= *cycles) {
         l->wb_head = (l->wb_head + 1) % l->wb_cap;
         l->wb_len--;
@@ -290,10 +337,26 @@ static void wb_issue(LaneCtx *l, double *cycles, double *write_stall) {
     l->wb_writes++;
 }
 
+/* Way holding ``tag`` in the set at ``base``, or -1. */
+ALWAYS_INLINE int64_t find_way(
+    const uint8_t *valid, const int64_t *tags, int64_t base, int64_t ways,
+    int64_t tag
+) {
+    int64_t wy;
+    for (wy = 0; wy < ways; wy++) {
+        if (valid[base + wy] && tags[base + wy] == tag) return base + wy;
+    }
+    return -1;
+}
+
 /* One bounded replay of lane accesses [start, stop): the shared inner
  * loop of rw_run_trace and rw_multicore.  Mirrors _run_trace_stamped /
- * _session_stamped access-for-access. */
-static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
+ * _session_stamped access-for-access; with ``track`` (a compile-time
+ * constant) it also runs SharerDirectory.observe before the sampler and
+ * SharerDirectory.on_evict on every eviction, as the scalar walk does. */
+ALWAYS_INLINE int64_t lane_loop(
+    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop, const int track
+) {
     const int64_t *set_stream = l->set_stream;
     const int64_t *tag_stream = l->tag_stream;
     const uint8_t *write_stream = l->write_stream;
@@ -337,19 +400,68 @@ static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
     const int64_t *origin_stream = l->origin_stream;
     int64_t *levels = l->levels;
     int attrib = levels != 0;
+    /* sharer directory (track only) */
+    uint64_t *sharers_a = c->sharers;
+    int64_t *writer_a = c->last_writer;
+    uint64_t bit = (uint64_t)1 << (core & 63);
+    int64_t shared_sampler = c->shared_sampler;
+    int64_t tracked = c->tracked, peak_tracked = c->peak_tracked;
+    int64_t shared_lines = c->shared_lines;
+    int64_t shared_accesses = c->shared_accesses;
+    int64_t shared_writes = c->shared_writes;
+    int64_t write_migrations = c->write_migrations;
+    int64_t shared_evictions = c->shared_evictions;
     int64_t ran = 0;
     int64_t i;
 
     for (i = start; i < stop; i++) {
         int64_t si, tag, base, li, wy;
         int w;
+        uint64_t mask = 0;
+        int64_t writer = -1;
         if ((ran || !first_unconditional) && cycles >= limit) break;
         ran++;
         if (timed) cycles += cycle_stream[i];
         si = set_stream[i];
         tag = tag_stream[i];
         w = write_stream[i];
-        if (stride && si % stride == 0) sampler_observe(c, core, si, tag, w);
+        base = si * ways;
+        if (track) {
+            /* SharerDirectory.observe: the lookup moves ahead of the
+             * sampler and epoch hooks, which never touch line state.  A
+             * miss, or a resident but untracked line, opens a fresh
+             * entry; a miss keeps it in mask/writer until the fill. */
+            li = find_way(valid_a, tag_a, base, ways, tag);
+            if (li >= 0 && sharers_a[li]) {
+                mask = sharers_a[li];
+                writer = writer_a[li];
+            } else if (++tracked > peak_tracked) {
+                peak_tracked = tracked;
+            }
+            if (!(mask & bit)) {
+                if (mask && !MULTI_SHARER(mask)) shared_lines++;
+                mask |= bit;
+            }
+            if (MULTI_SHARER(mask)) {
+                shared_accesses++;
+                if (w) shared_writes++;
+            }
+            if (w) {
+                if (writer != -1 && writer != core) write_migrations++;
+                writer = core;
+            }
+            if (li >= 0) {
+                sharers_a[li] = mask;
+                writer_a[li] = writer;
+            }
+        }
+        if (stride && si % stride == 0) {
+            /* CoreAwareRWPPolicy._sample: shared lines feed the shared
+             * claimant's sampler instead of the issuing core's */
+            int64_t who = track && shared_sampler && MULTI_SHARER(mask)
+                ? shared_sampler : core;
+            sampler_observe(c, who, si, tag, w);
+        }
         if (period) {
             if (--c->epoch_left == 0) {
                 c->epoch_left = period;
@@ -359,15 +471,7 @@ static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
                 }
             }
         }
-        base = si * ways;
-        li = -1;
-        for (wy = 0; wy < ways; wy++) {
-            int64_t slot = base + wy;
-            if (valid_a[slot] && tag_a[slot] == tag) {
-                li = slot;
-                break;
-            }
-        }
+        if (!track) li = find_way(valid_a, tag_a, base, ways, tag);
         if (li >= 0) {
             if (w) {
                 write_hits++;
@@ -429,6 +533,11 @@ static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
                     writebacks++;
                     wb_block = (tag_a[li] << index_bits) | si;
                 }
+                if (track && sharers_a[li]) {
+                    /* SharerDirectory.on_evict: the generation ends */
+                    tracked--;
+                    if (MULTI_SHARER(sharers_a[li])) shared_evictions++;
+                }
             }
             /* inlined CacheLine.reset_for_fill + recency stamp */
             tag_a[li] = tag;
@@ -440,6 +549,10 @@ static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
             if (w) dl_a[si]++;
             clock++;
             stamp_a[li] = clock;
+            if (track) {
+                sharers_a[li] = mask;
+                writer_a[li] = writer;
+            }
             if (attrib) {
                 int64_t origin = origin_stream[i];
                 if (wb_block >= 0) {
@@ -469,6 +582,15 @@ static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
     c->evicted_ro = evicted_ro;
     c->evicted_wo = evicted_wo;
     c->evicted_rw = evicted_rw;
+    if (track) {
+        c->tracked = tracked;
+        c->peak_tracked = peak_tracked;
+        c->shared_lines = shared_lines;
+        c->shared_accesses = shared_accesses;
+        c->shared_writes = shared_writes;
+        c->write_migrations = write_migrations;
+        c->shared_evictions = shared_evictions;
+    }
     if (timed) {
         int64_t instr = 0;
         int64_t j;
@@ -481,9 +603,21 @@ static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
     return ran;
 }
 
+static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
+    return lane_loop(c, l, start, stop, 0);
+}
+
+static int64_t run_lane_tracked(
+    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop
+) {
+    return lane_loop(c, l, start, stop, 1);
+}
+
 int64_t rw_run_trace(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
     c->status = STATUS_OK;
-    return run_lane(c, l, start, stop);
+    return c->sharers
+        ? run_lane_tracked(c, l, start, stop)
+        : run_lane(c, l, start, stop);
 }
 
 /* SetAssociativeCache.run_lru_filter ported slot-for-slot (pure LRU,
@@ -624,6 +758,8 @@ static double selection_limit(double bound_lo, double bound_hi, double penalty) 
  * 0 on completion, nonzero when the epoch callback aborted. */
 int64_t rw_multicore(CacheCtx *c, MultiCtx *m) {
     int64_t num_cores = m->num_cores;
+    int64_t (*lane_fn)(CacheCtx *, LaneCtx *, int64_t, int64_t) =
+        c->sharers ? run_lane_tracked : run_lane;
 
     c->status = STATUS_OK;
     while (m->remaining) {
@@ -681,7 +817,7 @@ int64_t rw_multicore(CacheCtx *c, MultiCtx *m) {
         }
         lane->first_unconditional = 1;
 
-        ran = run_lane(c, lane, wrapped, wrapped + segment);
+        ran = lane_fn(c, lane, wrapped, wrapped + segment);
         if (c->status != STATUS_OK) return c->status;
 
         cycles = lane->cycles;

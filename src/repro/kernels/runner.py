@@ -14,13 +14,20 @@ verify fuzzers hold that equivalence.
 Supported configurations (the ``native`` backend):
 
 * recency-stamped plans (``plan.stamp_policy``) with no full observer,
-  no bypass, no evict training, no eviction listener, no prefetches in
-  flight, and no PC consumers -- the exact ``_run_trace_stamped`` gate;
+  no bypass, no evict training, no prefetches in flight, and no PC
+  consumers -- the ``_run_trace_stamped`` gate;
+* no access/eviction listeners, except the
+  :class:`~repro.multicore.shared.SharerDirectory` pair a data-sharing
+  ``SharedLLCSystem`` run installs: the directory then travels as two
+  per-line columns (sharer mask, last writer) and the kernel updates it
+  inline, so shared-LLC replays run entirely in ``rw_multicore``;
 * victim selection: plain min-stamp (LRU), the RWP partitioned
-  min-stamp, or the core-aware RWP scan (``<= 64`` policy cores);
-* sampling via ``ReadWriteSampler`` / ``CoreReadWriteSampler``, epochs
-  via the RWP repartition hooks (the repartition itself still runs in
-  Python through a callback at every epoch boundary);
+  min-stamp, or the core-aware RWP scan (``<= 64`` policy cores), with
+  or without the shared-line group (blend arbitration stays dict-only);
+* sampling via ``ReadWriteSampler`` / ``CoreReadWriteSampler`` or
+  rwp-core's shared-claimant router, epochs via the RWP repartition
+  hooks (the repartition itself still runs in Python through a
+  callback at every epoch boundary);
 * timing via the flat :class:`~repro.cpu.timing.TimingModel` (no
   request-level memory backend).
 
@@ -51,15 +58,18 @@ from repro.kernels.build import (
     load_native,
 )
 from repro.kernels.spec import KernelSpec
+from repro.multicore.shared import SharerDirectory
 
 #: victim kinds, matching the defines in native_src.c
 _VICTIM_MIN_STAMP = 0
 _VICTIM_RWP = 1
 _VICTIM_CORE_RWP = 2
+_VICTIM_CORE_RWP_SHARED = 3
 
 _STATUS_CALLBACK_ABORT = 2
 
-#: clean_occ/dirty_occ in the C victim scan are fixed-size stack arrays
+#: clean_occ/dirty_occ in the C victim scan are fixed-size stack arrays,
+#: and a sharer mask is one uint64
 _MAX_POLICY_CORES = 64
 
 #: epoch hooks the native kernel may drive through the callback: they
@@ -82,10 +92,14 @@ class _CacheBinding:
         "stride",
         "target_arrays",
         "epoch_cb",
+        "directory",
+        "dimage",
         "errors",
     )
 
     def __init__(self) -> None:
+        self.directory = None
+        self.dimage = None
         self.samplers = None
         self.simage = None
         self.stride = 0
@@ -94,7 +108,25 @@ class _CacheBinding:
         self.errors: List[BaseException] = []
 
 
-def _victim_kind(cache) -> Optional[int]:
+def _directory_of(cache) -> Optional[SharerDirectory]:
+    """The directory whose observe/on_evict pair ``cache`` calls, or None.
+
+    The class methods are looked up at call time, so a wrapper installed
+    on the class (a profiler's) still matches.
+    """
+    observe = cache.access_listener
+    on_evict = cache.eviction_listener
+    directory = getattr(observe, "__self__", None)
+    if (
+        getattr(observe, "__func__", None) is SharerDirectory.observe
+        and getattr(on_evict, "__func__", None) is SharerDirectory.on_evict
+        and on_evict.__self__ is directory
+    ):
+        return directory
+    return None
+
+
+def _victim_kind(cache, directory) -> Optional[int]:
     plan = cache.plan
     if plan.min_stamp_victim:
         return _VICTIM_MIN_STAMP
@@ -103,15 +135,18 @@ def _victim_kind(cache) -> Optional[int]:
     victim_func = getattr(cache._victim, "__func__", None)
     if victim_func is CoreAwareRWPPolicy.victim:
         policy = cache.policy
-        # The C scan enforces plain per-core budgets; the blend's
-        # global-mode delegation and the shared-claimant classification
-        # both dispatch per-eviction in Python, so they stay dict-only.
+        # The C scan enforces plain per-core budgets, plus the shared
+        # group when the policy classifies through the directory the
+        # kernel maintains; the blend's global-mode delegation
+        # dispatches per eviction in Python, so it stays dict-only.
         if getattr(policy, "blend", False):
             return None
-        if getattr(policy, "directory", None) is not None:
+        if not 1 <= policy.num_cores <= _MAX_POLICY_CORES:
             return None
-        if 1 <= policy.num_cores <= _MAX_POLICY_CORES:
+        if policy.directory is None:
             return _VICTIM_CORE_RWP
+        if policy.directory is directory:
+            return _VICTIM_CORE_RWP_SHARED
     return None
 
 
@@ -122,8 +157,11 @@ def _victim_block_reason(cache) -> str:
         policy = cache.policy
         if getattr(policy, "blend", False):
             return "rwp-core blend arbitration is dict-only"
-        if getattr(policy, "directory", None) is not None:
-            return "rwp-core shared-claimant arbitration is dict-only"
+        if 1 <= policy.num_cores <= _MAX_POLICY_CORES:
+            return (
+                "rwp-core classifies shared lines through a directory "
+                "the cache's listeners do not update"
+            )
         return f"rwp-core with more than {_MAX_POLICY_CORES} cores"
     return (
         f"victim selection of {type(cache.policy).__name__} "
@@ -131,11 +169,12 @@ def _victim_block_reason(cache) -> str:
     )
 
 
-def _plan_block_reason(cache) -> Optional[str]:
-    """Why the ``_run_trace_stamped`` gate declines, or None if it won't.
+def _plan_block_reason(cache, directory) -> Optional[str]:
+    """Why the kernel's plan gate declines, or None if it won't.
 
-    The checks mirror the gate in :func:`_plan_eligible` one-for-one;
-    the strings feed :attr:`KernelRuntime.fallback_reason`.
+    ``_run_trace_stamped``'s gate, except that the sharer directory's
+    listener pair (``directory``, None to refuse it) is allowed; the
+    strings feed :attr:`KernelRuntime.fallback_reason`.
     """
     if cache.plan.stamp_policy is None:
         return "policy is outside the stamped fast path"
@@ -145,29 +184,18 @@ def _plan_block_reason(cache) -> Optional[str]:
         return "policy installs a bypass hook"
     if cache._on_evict is not None:
         return "policy trains on evictions"
-    if cache.access_listener is not None:
-        return "sharer tracking is active (access listener attached)"
-    if cache.eviction_listener is not None:
-        return "an eviction listener is attached"
+    if directory is None:
+        if cache.access_listener is not None:
+            return "an access listener is attached"
+        if cache.eviction_listener is not None:
+            return "an eviction listener is attached"
+    elif directory.num_cores > _MAX_POLICY_CORES:
+        return f"sharer directory tracks more than {_MAX_POLICY_CORES} cores"
     if cache._prefetch_active:
         return "prefetching is active"
     if cache._needs_pc:
         return "policy needs per-access PCs"
     return None
-
-
-def _plan_eligible(cache) -> bool:
-    """The ``_run_trace_stamped`` eligibility gate, verbatim."""
-    return (
-        cache.plan.stamp_policy is not None
-        and cache._observe is None
-        and cache._should_bypass is None
-        and cache._on_evict is None
-        and cache.eviction_listener is None
-        and cache.access_listener is None
-        and not cache._prefetch_active
-        and not cache._needs_pc
-    )
 
 
 def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBinding]:
@@ -184,10 +212,11 @@ def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBin
 
     if np is None:
         return decline("numpy is unavailable")
-    blocked = _plan_block_reason(cache)
+    directory = _directory_of(cache)
+    blocked = _plan_block_reason(cache, directory)
     if blocked is not None:
         return decline(blocked)
-    kind = _victim_kind(cache)
+    kind = _victim_kind(cache, directory)
     if kind is None:
         return decline(_victim_block_reason(cache))
     plan = cache.plan
@@ -203,16 +232,34 @@ def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBin
     on_sample = cache._on_sample
     stride = cache._sample_stride
     route_mod = 0
+    shared_sampler = 0
     if on_sample is not None:
         if stride <= 0:
             return decline("sample hook installed without a stride")
         observe_func = getattr(on_sample, "__func__", None)
+        owner = getattr(on_sample, "__self__", None)
         if observe_func is ReadWriteSampler.observe:
-            samplers = [on_sample.__self__]
+            samplers = [owner]
         elif observe_func is CoreReadWriteSampler.observe:
-            router = on_sample.__self__
-            samplers = list(router.samplers)
-            route_mod = router.num_cores
+            samplers = list(owner.samplers)
+            route_mod = owner.num_cores
+        elif (
+            observe_func is CoreAwareRWPPolicy._sample
+            and owner is policy
+            and not policy.blend
+        ):
+            # The shared-claimant router: by core, except that lines the
+            # kernel's directory columns mark shared go to the extra
+            # claimant's sampler (index num_cores).
+            samplers = list(policy.sampler.samplers)
+            route_mod = policy.sampler.num_cores
+            if policy.directory is not None:
+                if policy.directory is not directory:
+                    return decline(
+                        "rwp-core samples through a directory the cache's "
+                        "listeners do not update"
+                    )
+                shared_sampler = policy.num_cores
         else:
             return decline("sample hook is not a recognized shadow sampler")
         simage = soa.gather_sampler(
@@ -240,6 +287,25 @@ def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBin
         return decline("cache line state not SoA-representable")
     binding.image = image
 
+    # -- sharer directory -------------------------------------------------
+    if directory is not None:
+        if (
+            directory.index_bits != cache._index_bits
+            or directory.offset_bits != cache._offset_bits
+        ):
+            return decline("sharer directory geometry differs from the cache's")
+        dimage = soa.gather_directory(cache, directory)
+        if dimage is None:
+            return decline("sharer directory state not SoA-representable")
+        stray = len(directory.table) - dimage.tracked
+        if stray:
+            return decline(
+                f"sharer directory tracks {stray} line(s) not resident in "
+                "the cache"
+            )
+        binding.directory = directory
+        binding.dimage = dimage
+
     ctx = CacheCtx()
     try:
         ctx.num_sets = len(cache.sets)
@@ -258,9 +324,12 @@ def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBin
         ctx.victim_kind = kind
         if kind == _VICTIM_RWP:
             ctx.target_clean = stamp.target_clean
-        elif kind == _VICTIM_CORE_RWP:
+        elif kind in (_VICTIM_CORE_RWP, _VICTIM_CORE_RWP_SHARED):
+            groups = policy.num_cores + (kind == _VICTIM_CORE_RWP_SHARED)
             clean_arr = np.array(policy.clean_targets, dtype=np.int64)
             dirty_arr = np.array(policy.dirty_targets, dtype=np.int64)
+            if min(len(clean_arr), len(dirty_arr)) < groups:
+                return decline("rwp-core way budgets miss a claimant group")
             binding.target_arrays = (clean_arr, dirty_arr)
             ctx.policy_cores = policy.num_cores
             ctx.clean_targets = soa.ptr_int64(clean_arr)
@@ -270,11 +339,16 @@ def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBin
             simage = binding.simage
             ctx.sample_stride = stride
             ctx.sampler_route_mod = route_mod
+            ctx.shared_sampler = shared_sampler
             ctx.shadow_slots = simage.slots
             ctx.sh_tags = soa.ptr_int64(simage.sh_tags)
             ctx.sh_len = soa.ptr_int64(simage.sh_len)
             ctx.sh_touched = soa.ptr_uint8(simage.sh_touched)
             ctx.hist = soa.ptr_int64(simage.hist)
+        if binding.directory is not None:
+            ctx.sharers = soa.ptr_uint64(binding.dimage.sharers)
+            ctx.last_writer = soa.ptr_int64(binding.dimage.last_writer)
+            soa.load_directory_counters(ctx, directory)
         ctx.epoch_period = period
         ctx.epoch_left = cache._epoch_left
         soa.load_stats(ctx, cache)
@@ -304,7 +378,7 @@ def _make_epoch_cb(binding: _CacheBinding, on_epoch):
             ctx = binding.ctx
             if binding.kind == _VICTIM_RWP:
                 ctx.target_clean = binding.stamp.target_clean
-            elif binding.kind == _VICTIM_CORE_RWP:
+            elif binding.kind in (_VICTIM_CORE_RWP, _VICTIM_CORE_RWP_SHARED):
                 policy = binding.cache.policy
                 clean_arr, dirty_arr = binding.target_arrays
                 clean_arr[:] = policy.clean_targets
@@ -331,6 +405,10 @@ def scatter_cache(binding: _CacheBinding) -> None:
     cache._epoch_left = ctx.epoch_left
     if binding.samplers is not None:
         soa.scatter_sampler(binding.samplers, binding.simage, binding.stride)
+    if binding.directory is not None:
+        soa.scatter_directory(
+            binding.directory, binding.dimage, binding.image, cache.ways, ctx
+        )
 
 
 def _finish(binding: _CacheBinding) -> None:
@@ -431,6 +509,8 @@ class KernelRuntime:
         binding = self._bind(cache)
         if binding is None:
             return None
+        if binding.directory is not None and not 0 <= core < _MAX_POLICY_CORES:
+            return self._fallback(f"core {core} does not fit a sharer mask")
         set_arr, tag_arr, write_arr, gap_arr = streams
 
         lane = LaneCtx()
@@ -846,7 +926,7 @@ class KernelRuntime:
             return self._fallback("no compiled kernel backend available")
         if timing is not None:
             return self._fallback("numba backend is untimed")
-        blocked = _plan_block_reason(cache)
+        blocked = _plan_block_reason(cache, None)
         if blocked is not None:
             return self._fallback(blocked)
         if not cache.plan.min_stamp_victim:

@@ -15,6 +15,12 @@ order and re-arms the cache's ``_lookup_ordered`` invariant, so a
 follow-up dict-driven batch run starts from the same recency-ordered
 dicts the stamped driver itself would have maintained.
 
+A shared LLC's :class:`~repro.multicore.shared.SharerDirectory` folds
+into two more per-line columns: the sharer bitmask (0 = untracked) and
+the last writer (-1 = never written).  That works because every
+directory entry belongs to a resident line -- entries open on a line's
+first touch and close on its eviction -- which the gather checks.
+
 Everything here returns ``None`` for state the SoA image cannot
 represent (tags beyond int64, foreign sampler shapes); callers treat
 that as "unsupported" and fall back to the dict driver.
@@ -38,6 +44,7 @@ _BY_STAMP = attrgetter("stamp")
 
 _p_int64 = ctypes.POINTER(ctypes.c_int64)
 _p_uint8 = ctypes.POINTER(ctypes.c_uint8)
+_p_uint64 = ctypes.POINTER(ctypes.c_uint64)
 _p_double = ctypes.POINTER(ctypes.c_double)
 
 
@@ -47,6 +54,10 @@ def ptr_int64(array) -> "ctypes._Pointer":
 
 def ptr_uint8(array) -> "ctypes._Pointer":
     return array.ctypes.data_as(_p_uint8)
+
+
+def ptr_uint64(array) -> "ctypes._Pointer":
+    return array.ctypes.data_as(_p_uint64)
 
 
 def ptr_double(array) -> "ctypes._Pointer":
@@ -138,6 +149,91 @@ def scatter_lines(cache, image: LineImage) -> None:
         lookups[set_index] = lookup
         getters[set_index] = lookup.get
     cache._lookup_ordered = True
+
+
+# -- sharer directory ------------------------------------------------------
+#: SharerDirectory counter attributes, in CacheCtx field order.
+_DIRECTORY_COUNTERS = (
+    "peak_tracked",
+    "shared_lines",
+    "shared_accesses",
+    "shared_writes",
+    "write_migrations",
+    "shared_evictions",
+)
+
+
+@dataclass
+class DirectoryImage:
+    """The sharer-directory columns of one cache's SoA image."""
+
+    sharers: "np.ndarray"  # uint64 core bitmask per line, 0 = untracked
+    last_writer: "np.ndarray"  # int64 per line, -1 = never written
+    tracked: int  # directory entries that matched a resident line
+
+
+def gather_directory(cache, directory) -> Optional[DirectoryImage]:
+    """Fold ``directory.table`` into per-line columns; None if foreign.
+
+    Entries of lines not resident in ``cache`` have no column to live
+    in; they are left out of the image and of ``tracked``, so the caller
+    compares ``tracked`` with ``len(directory.table)``.
+    """
+    count = len(cache.sets) * cache.ways
+    sharers = np.zeros(count, dtype=np.uint64)
+    last_writer = np.full(count, -1, dtype=np.int64)
+    tracked = 0
+    table = directory.table
+    if table:
+        index_bits = directory.index_bits
+        slot = 0
+        try:
+            for set_index, cache_set in enumerate(cache.sets):
+                for line in cache_set.lines:
+                    entry = (
+                        table.get((line.tag << index_bits) | set_index)
+                        if line.valid
+                        else None
+                    )
+                    if entry is not None:
+                        mask, writer = entry
+                        if mask <= 0:
+                            return None
+                        sharers[slot] = mask
+                        last_writer[slot] = writer
+                        tracked += 1
+                    slot += 1
+        except (OverflowError, TypeError, ValueError):
+            return None
+    return DirectoryImage(
+        sharers=sharers, last_writer=last_writer, tracked=tracked
+    )
+
+
+def load_directory_counters(ctx, directory) -> None:
+    ctx.tracked = len(directory.table)
+    for name in _DIRECTORY_COUNTERS:
+        setattr(ctx, name, getattr(directory, name))
+
+
+def scatter_directory(
+    directory, image: DirectoryImage, lines: LineImage, ways: int, ctx
+) -> None:
+    """Rebuild ``directory.table`` and its counters from the columns."""
+    slots = np.flatnonzero(image.sharers).tolist()
+    sharers = image.sharers.tolist()
+    writers = image.last_writer.tolist()
+    tags = lines.tag.tolist()
+    index_bits = directory.index_bits
+    directory.table = {
+        (tags[slot] << index_bits) | (slot // ways): [
+            sharers[slot],
+            writers[slot],
+        ]
+        for slot in slots
+    }
+    for name in _DIRECTORY_COUNTERS:
+        setattr(directory, name, getattr(ctx, name))
 
 
 # -- statistics ------------------------------------------------------------

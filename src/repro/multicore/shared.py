@@ -51,9 +51,13 @@ class SharerDirectory:
     system installs this directory on the LLC as its access/eviction
     listener pair.  ``observe`` fires before every demand access and
     ``on_evict`` on every eviction -- in both the scalar walk and the
-    batched drivers (the listener hooks force the generic,
+    dict batch drivers (the listener hooks force the generic,
     per-access-identical batch paths), so directory state is
-    bit-identical between the two by construction.
+    bit-identical between the two by construction.  The native kernel
+    recognizes this pair and keeps the same state as two per-line
+    columns of its SoA image, updated inline in the same order (see
+    :mod:`repro.kernels.soa`); this class stays the reference it is
+    checked against.
 
     Each tracked line carries a sharer bitmask (bit per core) and the
     last writing core.  An entry lives from a line's first touch to its
@@ -62,7 +66,10 @@ class SharerDirectory:
 
     Invariants (pinned by the Hypothesis tests): every resident line
     is tracked with a non-empty sharer mask (the filling core observed
-    first), and a dirty line's last writer is in its sharer mask.
+    first), a dirty line's last writer is in its sharer mask, and under
+    a non-bypassing policy only resident lines are tracked.  A run that
+    starts with lines already resident (a second run on one system)
+    starts them untracked; their next touch opens a fresh entry.
     """
 
     __slots__ = (
@@ -295,11 +302,13 @@ class SharedLLCSystem:
     def _bind_directory(self) -> SharerDirectory:
         """Fresh sharer tracking for one global-address run.
 
-        The listener hooks deliberately disqualify the LLC from the
-        stamped batch fast paths and the SoA kernels: the generic
-        paths they force call every hook per access in scalar order,
-        which is what makes batch==scalar hold for sharing runs by
-        construction.
+        The listener hooks disqualify the LLC from the dict driver's
+        stamped fast paths: the generic paths they force call every
+        hook per access in scalar order, which is what makes
+        batch==scalar hold for sharing runs by construction.  The
+        native kernel accepts exactly this listener pair (and the
+        policy's shared-claimant sampling), keeping the directory as
+        per-line columns so the whole run stays in C.
         """
         directory = SharerDirectory(self.config.llc, self.num_cores)
         self.sharer_directory = directory
@@ -336,8 +345,9 @@ class SharedLLCSystem:
 
         Global-address (data-sharing) traces replay without per-core
         offsets and with a fresh :class:`SharerDirectory` installed on
-        the LLC; its listener hooks route the replay through the
-        generic (scalar-identical) batch paths.
+        the LLC; its listener hooks route a dict-driver replay through
+        the generic (scalar-identical) batch paths, while an attached
+        native kernel runs it with the directory in its SoA image.
         """
         shared = self._check_traces(traces, warmup)
         if self.backends is not None:

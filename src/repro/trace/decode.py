@@ -158,13 +158,20 @@ class DecodedTrace:
         """Memoized float64 per-access cycle-cost array (timed kernels).
 
         Element ``i`` is the identical IEEE double ``cycle_gaps`` holds
-        at ``i``; this is just the unboxed array form.
+        at ``i``: the same int64-times-double product, left unboxed, so
+        a kernel-only replay never materializes the float list.
         """
         if np is None:
             return None
         cached = self._np_cycles.get(base_cpi)
         if cached is None:
-            cached = np.asarray(self.cycle_gaps(base_cpi), dtype=np.float64)
+            try:
+                gaps = np.asarray(self.instr_gaps, dtype=np.int64)
+                cached = gaps * float(base_cpi)
+            except (OverflowError, TypeError, ValueError):
+                cached = np.asarray(
+                    self.cycle_gaps(base_cpi), dtype=np.float64
+                )
             self._np_cycles[base_cpi] = cached
         return cached
 

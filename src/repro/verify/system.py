@@ -60,6 +60,15 @@ MULTICORE_VERIFY_POLICIES = (
     "pipp",
 )
 
+#: shared-mix (global-address) policy rotation: the kernel-supported
+#: policies first, so a 48-job slate runs each of them shared on both
+#: the dict driver and the kernel, then the rest of the multicore menu.
+SHARED_VERIFY_POLICIES = ("lru", "rwp", "rwp-core") + tuple(
+    policy
+    for policy in MULTICORE_VERIFY_POLICIES
+    if policy not in ("lru", "rwp", "rwp-core")
+)
+
 #: (l1 sets/ways, l2 sets/ways, llc sets/ways) menu for hierarchy jobs.
 #: Tiny upper levels keep miss+writeback substreams dense; the LLC is
 #: always the largest, as in every shipped config.
@@ -517,7 +526,9 @@ def plan_system_jobs(
     ``kernel="dict"`` to plan a dict-only slate.  Every fourth
     multicore job runs a *shared* (global-address) mix pinned to the
     8-core shared geometry row, so sharer-directory tracking and the
-    shared-claimant arbitration paths are fuzzed by default.
+    shared-claimant arbitration paths are fuzzed by default.  Shared
+    jobs rotate through :data:`SHARED_VERIFY_POLICIES`, each policy
+    twice in a row: once on the dict driver, once pinned to ``kernel``.
     """
     jobs: List[SystemFuzzJob] = []
     private_rows = SHARED_GEOMETRY_INDEX  # rotation excludes the shared row
@@ -544,12 +555,21 @@ def plan_system_jobs(
             h += 1
         else:
             shared = m % 4 == 3
+            if shared:
+                slot = m // 4
+                policy = SHARED_VERIFY_POLICIES[
+                    (slot // 2) % len(SHARED_VERIFY_POLICIES)
+                ]
+                if kernel != "dict":
+                    job_kernel = kernel if slot % 2 else "dict"
+            else:
+                policy = MULTICORE_VERIFY_POLICIES[
+                    m % len(MULTICORE_VERIFY_POLICIES)
+                ]
             jobs.append(
                 SystemFuzzJob(
                     target="multicore",
-                    policy=MULTICORE_VERIFY_POLICIES[
-                        m % len(MULTICORE_VERIFY_POLICIES)
-                    ],
+                    policy=policy,
                     scenario=SCENARIOS[
                         (m // len(MULTICORE_VERIFY_POLICIES)) % len(SCENARIOS)
                     ],

@@ -24,9 +24,13 @@ import repro.experiments  # noqa: F401  pre-imports the experiments package
 # (repro.sim and repro.experiments import each other; importing the
 # package first resolves the cycle the same way the CLI does)
 
-from repro.common.config import CacheConfig
+from repro.common.config import CacheConfig, default_hierarchy
 from repro.engine.jobs import RunJob
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import (
+    ExperimentScale,
+    cached_shared_mix,
+    make_llc_policy,
+)
 from repro.kernels import (
     KernelSpec,
     attach_kernel,
@@ -36,8 +40,10 @@ from repro.kernels import (
     shard_eligible,
     sharded_replay,
 )
+from repro.multicore.shared import SharedLLCSystem
 from repro.sim.spec import SimulationSpec, simulate
 from repro.trace.access import Trace
+from repro.trace.generator import LINE_SIZE
 from repro.verify.differ import COMPARED_STATS, make_sut_cache
 from repro.verify.fuzzer import FUZZ_GEOMETRIES, fuzz_trace
 
@@ -336,6 +342,171 @@ class TestSystemKernels:
             )
             is None
         )
+
+
+#: one data-sharing mix per core count the shared conformance covers
+SHARED_KERNEL_MIXES = (
+    "mix2s01_prodcons",
+    "mix4s03_migratory",
+    "mix8s01_prodcons",
+    "mix16s01_prodcons",
+)
+
+
+def _shared_policy(policy: str, lines: int, num_cores: int):
+    # Short epochs and dense sampling put the shared-claimant sampler
+    # routing and the repartition callback on many accesses.
+    if policy != "lru" and ":" not in policy:
+        policy = f"{policy}:epoch=64:sampling=1"
+    return make_llc_policy(policy, lines, num_cores)
+
+
+def _global_traces(per_core_ops):
+    """One global-address trace per core from ``(line, is_write)`` ops."""
+    return [
+        Trace(
+            [line * LINE_SIZE for line, _ in ops],
+            [w for _, w in ops],
+            [0x400 + 4 * (line % 8) for line, _ in ops],
+            [1] * len(ops),
+            name=f"fuzz-c{core}",
+            address_space="global",
+        )
+        for core, ops in enumerate(per_core_ops)
+    ]
+
+
+def _shared_outcomes(policy, traces, config, warmup, runs=1):
+    """(kernel, dict, scalar) outcomes of the same shared run(s).
+
+    Each outcome is everything a shared run leaves behind: the result
+    (``shared.*`` included), every LLC line, the full directory table,
+    the LLC statistics, tick and policy clock.  ``runs`` > 1 replays the
+    traces again on the same system, so later runs start with resident
+    lines the fresh directory does not track.
+    """
+    num_cores = len(traces)
+    lines = config.llc.num_sets * config.llc.ways
+    outcomes = []
+    fallbacks = []
+    for driver in ("kernel", "dict", "scalar"):
+        system = SharedLLCSystem(
+            config, num_cores, _shared_policy(policy, lines, num_cores)
+        )
+        if driver == "kernel":
+            attach_kernel(system, "native")
+        run = system.run_scalar if driver == "scalar" else system.run
+        results = [run(traces, warmup=warmup) for _ in range(runs)]
+        llc = system.llc
+        outcomes.append(
+            (
+                results,
+                _full_line_state(llc),
+                system.sharer_directory.table,
+                llc.snapshot(),
+                llc.tick,
+                _clock(llc),
+            )
+        )
+        if driver == "kernel":
+            fallbacks.append(llc.kernel.fallback_reason)
+    return outcomes, fallbacks[0]
+
+
+def assert_shared_identical(outcomes):
+    kern, ref, scalar = outcomes
+    assert kern[0][-1].shared is not None
+    for got, want in ((kern, scalar), (ref, scalar)):
+        for field, (g, w) in enumerate(zip(got, want)):
+            assert g == w, field
+
+
+class TestSharedKernels:
+    """Shared-LLC replays with sharer tracking run on the kernel."""
+
+    @needs_native
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    @pytest.mark.parametrize("mix", SHARED_KERNEL_MIXES)
+    def test_shared_mixes_served(self, policy, mix):
+        traces = cached_shared_mix(mix, 64, 1024, 7)
+        num_cores = len(traces)
+        config = default_hierarchy(
+            llc_size=64 * num_cores * LINE_SIZE, llc_ways=16
+        )
+        outcomes, fallback = _shared_outcomes(policy, traces, config, 128)
+        assert fallback is None
+        assert_shared_identical(outcomes)
+
+    @needs_native
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    def test_second_run_meets_untracked_lines(self, policy):
+        traces = cached_shared_mix("mix4s01_prodcons", 64, 768, 3)
+        config = default_hierarchy(llc_size=256 * LINE_SIZE, llc_ways=8)
+        outcomes, fallback = _shared_outcomes(
+            policy, traces, config, 96, runs=2
+        )
+        assert fallback is None
+        assert_shared_identical(outcomes)
+
+    if HAVE_HYPOTHESIS:
+
+        @needs_native
+        @settings(deadline=None)
+        @given(
+            policy=st.sampled_from(KERNEL_POLICIES),
+            num_cores=st.sampled_from((2, 4, 8)),
+            data=st.data(),
+        )
+        def test_random_shared_streams(self, policy, num_cores, data):
+            ops = st.lists(
+                st.tuples(st.integers(0, 47), st.booleans()),
+                min_size=1,
+                max_size=120,
+            )
+            per_core = [
+                data.draw(ops, label=f"core{core}")
+                for core in range(num_cores)
+            ]
+            # 4 sets x 8 ways = 32 lines for 48 distinct line addresses.
+            config = default_hierarchy(llc_size=32 * LINE_SIZE, llc_ways=8)
+            outcomes, fallback = _shared_outcomes(
+                policy, _global_traces(per_core), config, 0
+            )
+            assert fallback is None
+            assert_shared_identical(outcomes)
+
+    @needs_native
+    def test_blend_still_declines(self):
+        traces = cached_shared_mix("mix4s01_prodcons", 64, 512, 5)
+        config = default_hierarchy(llc_size=256 * LINE_SIZE, llc_ways=8)
+        outcomes, fallback = _shared_outcomes(
+            "rwp-core:blend=true", traces, config, 64
+        )
+        assert fallback == "rwp-core blend arbitration is dict-only"
+        assert_shared_identical(outcomes)
+
+    @needs_native
+    def test_stray_directory_entry_declines(self, monkeypatch):
+        # An entry for a line the LLC does not hold has no column to
+        # live in: the kernel must decline, naming why, and the dict
+        # driver must still match the scalar walk.
+        stray = (1 << 40, [0b11, 1])
+        original = SharedLLCSystem._bind_directory
+
+        def planted(self):
+            directory = original(self)
+            directory.table[stray[0]] = list(stray[1])
+            return directory
+
+        monkeypatch.setattr(SharedLLCSystem, "_bind_directory", planted)
+        traces = cached_shared_mix("mix2s01_prodcons", 64, 512, 9)
+        config = default_hierarchy(llc_size=128 * LINE_SIZE, llc_ways=8)
+        outcomes, fallback = _shared_outcomes("rwp-core", traces, config, 64)
+        assert fallback == (
+            "sharer directory tracks 1 line(s) not resident in the cache"
+        )
+        assert_shared_identical(outcomes)
+        assert outcomes[0][2][stray[0]] == stray[1]
 
 
 class TestShardedReplay:

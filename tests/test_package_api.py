@@ -1,10 +1,17 @@
 """The top-level package API: everything advertised must exist and work."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+#: the directory holding the ``repro`` package, for child interpreters
+_SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestPublicSurface:
@@ -35,6 +42,26 @@ class TestPublicSurface:
             "repro.trace",
         ):
             importlib.import_module(module)
+
+    @pytest.mark.parametrize(
+        "module", ("repro.sim", "repro.multicore", "repro.kernels", "repro.engine")
+    )
+    def test_imports_in_fresh_interpreter(self, module):
+        # In-process imports hide circular-import bugs once any test has
+        # loaded the other side of the cycle, so each module gets its
+        # own interpreter.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (_SRC, env.get("PYTHONPATH")) if path
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_benchmark_names_count(self):
         assert len(repro.benchmark_names()) == 29

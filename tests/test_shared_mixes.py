@@ -211,7 +211,9 @@ class TestSharerInvariants:
                 if line.dirty:
                     assert last_writer >= 0
                     assert mask & (1 << last_writer)
-        assert resident <= len(directory.table)
+        # ...and, no policy here bypassing, only resident lines are
+        # tracked: the kernel's per-line directory columns rely on it.
+        assert resident == len(directory.table)
 
     @settings(max_examples=30, deadline=None)
     @given(ops_strategy, ops_strategy)
@@ -224,13 +226,17 @@ class TestSharerInvariants:
     @given(ops_strategy, ops_strategy)
     def test_batch_matches_scalar_with_directory(self, ops0, ops1):
         traces = _global_traces([ops0, ops1])
-        batched = self._small_system("rwp-core")
-        scalar = self._small_system("rwp-core")
-        got = batched.run(traces)
-        want = scalar.run_scalar(traces)
-        assert got == want
-        assert batched.sharer_directory.table == scalar.sharer_directory.table
-        self._check_invariants(batched)
+        for policy in ("rwp", "rwp-core"):
+            batched = self._small_system(policy)
+            scalar = self._small_system(policy)
+            got = batched.run(traces)
+            want = scalar.run_scalar(traces)
+            assert got == want, policy
+            assert (
+                batched.sharer_directory.table
+                == scalar.sharer_directory.table
+            ), policy
+            self._check_invariants(batched)
 
     def test_directory_cleared_for_private_runs(self):
         system = self._small_system()
@@ -336,6 +342,12 @@ class TestVerifySharedLegs:
         assert shared
         assert all(j.geometry == SHARED_GEOMETRY_INDEX for j in shared)
         assert all(":shared" in j.label for j in shared)
+        # Each kernel-supported policy runs shared on the dict driver
+        # and pinned to the kernel.
+        legs = {(j.policy, j.kernel) for j in shared}
+        for policy in ("lru", "rwp", "rwp-core"):
+            assert (policy, "dict") in legs, policy
+            assert (policy, "native") in legs, policy
 
     def test_private_payload_omits_shared_key(self):
         from repro.verify.system import plan_system_jobs
