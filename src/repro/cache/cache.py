@@ -147,13 +147,12 @@ class SetAssociativeCache:
         #: skip the per-hit ``line.prefetched`` check for demand-only runs.
         self._prefetch_active = False
         #: True while every set's lookup dict is known to be in recency
-        #: (stamp) order -- the invariant `_run_trace_stamped` maintains.
-        #: When it holds across calls, the per-call stamp-sorted rebuild
-        #: is skipped, which is what makes many small batched runs (the
-        #: multicore epoch driver) as cheap per access as one big run.
+        #: (stamp) order -- the invariant `run_lru_filter` maintains and
+        #: the kernel scatter re-arms.  When it holds across calls, the
+        #: filter's stamp-sorted rebuild is skipped.
         self._lookup_ordered = False
         # Cached [set.lookup] / [set.lookup.get] tables for the batch
-        # drivers; dict objects are only ever replaced by the stamped
+        # drivers; dict objects are only ever replaced by a stamp-sorted
         # rebuild, which updates these lists in place.
         self._lookups: List[Dict[int, CacheLine]] | None = None
         self._getters: list | None = None
@@ -416,22 +415,8 @@ class SetAssociativeCache:
             )
             if ran is not None:
                 return ran
-        if (
-            timing is not None
-            and self.plan.stamp_policy is not None
-            and self._observe is None
-            and self._should_bypass is None
-            and self._on_evict is None
-            and self.eviction_listener is None
-            and self.access_listener is None
-            and not self._prefetch_active
-            and not self._needs_pc
-        ):
-            return self._run_trace_stamped(
-                decoded, start, stop, timing, core, cycle_limit
-            )
-        # The generic loop's hits bump stamps without moving dict
-        # entries, so the stamped loop's recency-order invariant dies.
+        # Hits bump stamps without moving dict entries, so the
+        # recency-order invariant of the lookup dicts dies.
         self._lookup_ordered = False
 
         # Hoist every per-access attribute chase into locals.  The miss
@@ -713,288 +698,6 @@ class SetAssociativeCache:
             write_buffer.total_writes = wb_writes
         return ran
 
-    def _run_trace_stamped(
-        self,
-        decoded,
-        start: int,
-        stop: int,
-        timing,
-        core: int,
-        cycle_limit: float | None = None,
-    ) -> int:
-        """Batch loop specialized for recency-stamped demand-only replay.
-
-        Taken when the plan proves the common bench/sweep shape: a
-        :class:`~repro.cache.policy.RecencyStampMixin` policy (LRU, RWP)
-        with no full observe, no bypass, no evict training, no eviction
-        listener, no prefetches in flight, and no PC consumers.  Every
-        branch the generic loop re-checks per access is dead here, and
-        the stamp clock and statistics live in locals.
-
-        For ``victim_is_min_stamp`` / ``victim_is_partition_min_stamp``
-        policies the per-set lookup dict is additionally kept in
-        recency (= stamp) order: it is rebuilt stamp-sorted once at
-        entry, every hit moves its line to the dict tail, and every
-        fill inserts at the tail with a fresh maximal stamp.  The LRU
-        line is then always the *first* dict entry, so victim selection
-        is O(1) for LRU and an early-exit partition probe for RWP
-        instead of a full way scan.  Stamps stay authoritative (the
-        scalar path still scans them), and stamps are unique per
-        policy clock, so dict order and stamp order cannot disagree.
-        Operation order matches the generic loop exactly -- the
-        batch-equivalence property tests hold the two together.
-        """
-        sets = self.sets
-        # Pre-bound dict.get per set: the hit path pays one subscript +
-        # call instead of subscript + attribute load + call.  Both
-        # tables are cached on the cache object: small bounded runs
-        # (the multicore epoch driver issues thousands of them) must
-        # not pay an O(num_sets) rebuild per call.
-        lookups, getters = self._lookup_tables()
-        stats = self.stats
-        plan = self.plan
-        stamp = plan.stamp_policy
-        clock = stamp._clock
-        on_sample = self._on_sample
-        stride = self._sample_stride
-        period = self._epoch_period
-        victim = self._victim
-        min_stamp_victim = plan.min_stamp_victim
-        partition_victim = plan.partition_min_stamp_victim
-        reorder = min_stamp_victim or partition_victim
-        if reorder and not self._lookup_ordered:
-            # Establish the recency-order invariant: rebuild each
-            # set's lookup sorted by stamp (unique per policy clock,
-            # so the order is total).  The loop below maintains it,
-            # and `_lookup_ordered` keeps it across back-to-back
-            # batched runs until a scalar-path access breaks it.
-            for i, lookup in enumerate(lookups):
-                if len(lookup) > 1:
-                    ordered = dict(
-                        sorted(lookup.items(), key=lambda kv: kv[1].stamp)
-                    )
-                    sets[i].lookup = ordered
-                    lookups[i] = ordered
-                    getters[i] = ordered.get
-        ways = self.ways
-        index_bits = self._index_bits
-        offset_bits = self._offset_bits
-        epoch_left = self._epoch_left
-        read_hits = stats.read_hits
-        write_hits = stats.write_hits
-        read_misses = stats.read_misses
-        write_misses = stats.write_misses
-        evictions = stats.evictions
-        dirty_evictions = stats.dirty_evictions
-        writebacks = stats.writebacks
-        evicted_ro = stats.evicted_read_only
-        evicted_wo = stats.evicted_write_only
-        evicted_rw = stats.evicted_read_write
-
-        set_stream = decoded.set_indices
-        tag_stream = decoded.tags
-        write_stream = decoded.is_write
-        # Per-access derived quantities that never feed back into the
-        # loop are precomputed (cycle_gaps) or summed at flush time
-        # (gap_total, tick) instead of being accumulated per access.
-        cycle_stream = decoded.cycle_gaps(timing.core.base_cpi)
-        mlp = timing.core.mlp
-        hit_stall = timing.llc_hit_latency / mlp
-        miss_stall = timing.memory.latency / mlp
-        cycles = timing.cycles
-        read_stall = timing.read_stall_cycles
-        write_stall = timing.write_stall_cycles
-        write_buffer = timing.write_buffer
-        wb_completions = write_buffer._completions
-        wb_pop = wb_completions.popleft
-        wb_append = wb_completions.append
-        wb_entries = write_buffer.entries
-        wb_drain = write_buffer.drain_cycles
-        wb_server_free = write_buffer._server_free
-        wb_stall_cycles = write_buffer.stall_cycles
-        wb_writes = write_buffer.total_writes
-
-        limit = inf if cycle_limit is None else cycle_limit
-        ran = 0
-        pos = start
-        while pos < stop:
-            if pos == 0 and stop == len(set_stream):
-                # Full-range replay: zip the streams directly instead of
-                # paying four list copies per chunk.
-                end = stop
-                chunk = zip(set_stream, tag_stream, write_stream, cycle_stream)
-            else:
-                end = min(pos + RUN_TRACE_CHUNK, stop)
-                chunk = zip(
-                    set_stream[pos:end],
-                    tag_stream[pos:end],
-                    write_stream[pos:end],
-                    cycle_stream[pos:end],
-                )
-            pos = end
-            for si, tag, w, cgap in chunk:
-                if cycles >= limit:
-                    break
-                ran += 1
-                cycles += cgap
-                if stride and not si % stride:
-                    on_sample(si, tag, w, 0, core)
-                if period:
-                    epoch_left -= 1
-                    if not epoch_left:
-                        epoch_left = period
-                        self._on_epoch()
-                line = getters[si](tag)
-                if line is not None:
-                    if reorder:
-                        # move-to-end keeps dict order == stamp order
-                        lookup = lookups[si]
-                        del lookup[tag]
-                        lookup[tag] = line
-                    if w:
-                        write_hits += 1
-                        if not line.dirty:
-                            sets[si].dirty_lines += 1
-                        line.dirty = True
-                        line.write_seen = True
-                        clock += 1
-                        line.stamp = clock
-                    else:
-                        read_hits += 1
-                        line.read_seen = True
-                        clock += 1
-                        line.stamp = clock
-                        read_stall += hit_stall
-                        cycles += hit_stall
-                    continue
-
-                # Miss (never bypassed here): fill an invalid way or evict.
-                if w:
-                    write_misses += 1
-                else:
-                    read_misses += 1
-                cache_set = sets[si]
-                lookup = lookups[si]
-                wb = -1
-                if cache_set.filled < ways:
-                    for line in cache_set.lines:
-                        if not line.valid:
-                            break
-                    cache_set.filled += 1
-                else:
-                    if min_stamp_victim:
-                        # recency-ordered dict: the first entry IS the
-                        # LRU (minimal-stamp) line.
-                        line = next(iter(lookup.values()))
-                    elif partition_victim:
-                        # inlined RWP victim (victim_is_partition_min_stamp
-                        # promises this exact selection): partition choice
-                        # from the maintained dirty count, then the first
-                        # dict entry in that partition -- dict order is
-                        # stamp order, so that is the partition's LRU
-                        # line (first entry overall when the chosen
-                        # partition is empty).
-                        dc = cache_set.dirty_lines
-                        td = ways - stamp.target_clean
-                        if dc > td:
-                            evict_dirty = True
-                        elif dc < td:
-                            evict_dirty = False
-                        else:
-                            evict_dirty = w
-                        values = iter(lookup.values())
-                        if evict_dirty:
-                            if not dc:
-                                line = next(values)
-                            else:
-                                for line in values:
-                                    if line.dirty:
-                                        break
-                        elif dc == ways:
-                            line = next(values)
-                        else:
-                            for line in values:
-                                if not line.dirty:
-                                    break
-                    else:
-                        line = victim(cache_set, si, w, 0, core)
-                    evictions += 1
-                    dirty = line.dirty
-                    if dirty:
-                        dirty_evictions += 1
-                        cache_set.dirty_lines -= 1
-                    # No prefetched lines can exist on this path.
-                    if line.read_seen:
-                        if line.write_seen:
-                            evicted_rw += 1
-                        else:
-                            evicted_ro += 1
-                    else:
-                        evicted_wo += 1
-                    del lookup[line.tag]
-                    if dirty:
-                        writebacks += 1
-                        wb = ((line.tag << index_bits) | si) << offset_bits
-                # inlined CacheLine.reset_for_fill + recency stamp
-                line.tag = tag
-                line.valid = True
-                line.dirty = w
-                line.rrpv = 0
-                line.signature = 0
-                line.outcome = 0
-                line.owner = core
-                line.read_seen = not w
-                line.write_seen = w
-                line.prefetched = False
-                if w:
-                    cache_set.dirty_lines += 1
-                clock += 1
-                line.stamp = clock
-                lookup[tag] = line
-                if not w:
-                    read_stall += miss_stall
-                    cycles += miss_stall
-                if wb >= 0:
-                    # inlined WriteBufferModel.issue(cycles)
-                    while wb_completions and wb_completions[0] <= cycles:
-                        wb_pop()
-                    if len(wb_completions) >= wb_entries:
-                        stall = wb_pop() - cycles
-                        wb_stall_cycles += stall
-                        write_stall += stall
-                        cycles += stall
-                    wb_server_free = (
-                        cycles if cycles > wb_server_free else wb_server_free
-                    ) + wb_drain
-                    wb_append(wb_server_free)
-                    wb_writes += 1
-            else:
-                continue
-            break  # cycle_limit reached mid-chunk
-
-        self.tick += ran
-        stamp._clock = clock
-        self._lookup_ordered = bool(reorder)
-        self._epoch_left = epoch_left
-        stats.read_hits = read_hits
-        stats.write_hits = write_hits
-        stats.read_misses = read_misses
-        stats.write_misses = write_misses
-        stats.evictions = evictions
-        stats.dirty_evictions = dirty_evictions
-        stats.writebacks = writebacks
-        stats.evicted_read_only = evicted_ro
-        stats.evicted_write_only = evicted_wo
-        stats.evicted_read_write = evicted_rw
-        timing.cycles = cycles
-        timing.instructions += decoded.gap_total(start, start + ran)
-        timing.read_stall_cycles = read_stall
-        timing.write_stall_cycles = write_stall
-        write_buffer._server_free = wb_server_free
-        write_buffer.stall_cycles = wb_stall_cycles
-        write_buffer.total_writes = wb_writes
-        return ran
-
     def _run_trace_step(
         self,
         decoded,
@@ -1048,22 +751,18 @@ class SetAssociativeCache:
         scalar interleave which always issues for the core it picked --
         so ``ran >= 1`` whenever ``start < stop``.  A true ``reset``
         runs ``timing.reset()`` before the epoch (the multicore warmup
-        boundary).  ``send(None)`` runs nothing, flushes
-        ``timing.cycles`` / ``timing.instructions``, and yields the
+        boundary).  ``send(None)`` runs nothing and yields the
         session's cumulative per-core ``(read_hits, read_misses,
-        write_hits, write_misses)`` tallies.  ``close()`` flushes
-        everything; until a sync the cache-wide statistics, ``tick``
-        and the ``timing`` attributes lag by this session's deltas
-        (each epoch's cycle count comes back through the yield), while
-        cache *state* (lines, stamps, policy) is always current.
-        Per-access semantics and operation order are exactly
-        :meth:`run_trace`'s.
+        write_hits, write_misses)`` tallies.  Cache state, statistics,
+        ``tick`` and the ``timing`` attributes are current after every
+        epoch.  Per-access semantics and operation order are exactly
+        :meth:`access`'s.
 
         The point is amortization: the multicore epoch driver issues
         tens of thousands of 1-2 access epochs, and a :meth:`run_trace`
-        call per epoch would pay the full hoist/flush prologue every
-        time.  A session pays it once and keeps the loop state alive in
-        generator locals between epochs.
+        call per epoch would pay the full validation and hoisting
+        prologue every time.  A session pays it once and keeps the loop
+        state alive in generator locals between epochs.
         """
         if timing is None:
             raise ValueError("run_trace_session requires a timing model")
@@ -1073,278 +772,12 @@ class SetAssociativeCache:
                 f"match cache geometry ({self.config.offset_bits}, "
                 f"{self.config.index_bits})"
             )
-        if (
-            self.plan.stamp_policy is not None
-            and self._observe is None
-            and self._should_bypass is None
-            and self._on_evict is None
-            and self.eviction_listener is None
-            and self.access_listener is None
-            and not self._prefetch_active
-            and not self._needs_pc
-        ):
-            session = self._session_stamped(decoded, timing, core)
-        else:
-            session = self._session_generic(decoded, timing, core)
+        session = self._session_generic(decoded, timing, core)
         next(session)
         return session
 
-    def _session_stamped(self, decoded, timing, core: int):
-        """Session loop specialized exactly like ``_run_trace_stamped``.
-
-        Same eligibility gate, same inlined hit/miss/timing bodies, but
-        indexed access into the streams (epochs are too small for chunk
-        slicing to pay) and all flushable counters buffered in locals
-        until ``close()``.  Cross-session shared state -- the policy
-        stamp clock and the sampler epoch countdown -- is re-read at
-        every epoch and written back at every yield, so N interleaved
-        per-core sessions observe each other exactly like consecutive
-        scalar accesses would.
-        """
-        sets = self.sets
-        lookups, getters = self._lookup_tables()
-        stats = self.stats
-        plan = self.plan
-        stamp = plan.stamp_policy
-        on_sample = self._on_sample
-        stride = self._sample_stride
-        period = self._epoch_period
-        victim = self._victim
-        min_stamp_victim = plan.min_stamp_victim
-        partition_victim = plan.partition_min_stamp_victim
-        reorder = min_stamp_victim or partition_victim
-        if reorder and not self._lookup_ordered:
-            for i, lookup in enumerate(lookups):
-                if len(lookup) > 1:
-                    ordered = dict(
-                        sorted(lookup.items(), key=lambda kv: kv[1].stamp)
-                    )
-                    sets[i].lookup = ordered
-                    lookups[i] = ordered
-                    getters[i] = ordered.get
-        if reorder:
-            # Every live session maintains move-to-end, so the invariant
-            # holds across the whole interleaved run.
-            self._lookup_ordered = True
-        ways = self.ways
-        index_bits = self._index_bits
-        offset_bits = self._offset_bits
-
-        # Per-core tallies and buffered cache-wide deltas (flushed on
-        # close; addition commutes across sessions).
-        rh = rm = wh = wm = 0
-        ticks = 0
-        evictions = dirty_evictions = writebacks = 0
-        evicted_ro = evicted_wo = evicted_rw = 0
-
-        set_stream = decoded.set_indices
-        tag_stream = decoded.tags
-        write_stream = decoded.is_write
-        cycle_stream = decoded.cycle_gaps(timing.core.base_cpi)
-        gap_cumsum = decoded.gap_cumsum()
-        instructions = timing.instructions
-        mlp = timing.core.mlp
-        hit_stall = timing.llc_hit_latency / mlp
-        miss_stall = timing.memory.latency / mlp
-        cycles = timing.cycles
-        read_stall = timing.read_stall_cycles
-        write_stall = timing.write_stall_cycles
-        write_buffer = timing.write_buffer
-        wb_completions = write_buffer._completions
-        wb_pop = wb_completions.popleft
-        wb_append = wb_completions.append
-        wb_entries = write_buffer.entries
-        wb_drain = write_buffer.drain_cycles
-        wb_server_free = write_buffer._server_free
-        wb_stall_cycles = write_buffer.stall_cycles
-        wb_writes = write_buffer.total_writes
-
-        try:
-            request = yield None
-            while True:
-                if request is None:
-                    timing.cycles = cycles
-                    timing.instructions = instructions
-                    request = yield (rh, rm, wh, wm)
-                    continue
-                start, stop, limit, reset = request
-                if reset:
-                    timing.reset()
-                    cycles = 0.0
-                    read_stall = 0.0
-                    write_stall = 0.0
-                    instructions = 0
-                    write_buffer = timing.write_buffer
-                    wb_completions = write_buffer._completions
-                    wb_pop = wb_completions.popleft
-                    wb_append = wb_completions.append
-                    wb_server_free = write_buffer._server_free
-                    wb_stall_cycles = 0.0
-                    wb_writes = 0
-                clock = stamp._clock
-                epoch_left = self._epoch_left
-                ran = 0
-                for i in range(start, stop):
-                    # The first access is unconditional: the caller's
-                    # selection already committed it (scalar semantics).
-                    if ran and cycles >= limit:
-                        break
-                    ran += 1
-                    cycles += cycle_stream[i]
-                    si = set_stream[i]
-                    tag = tag_stream[i]
-                    w = write_stream[i]
-                    if stride and not si % stride:
-                        on_sample(si, tag, w, 0, core)
-                    if period:
-                        epoch_left -= 1
-                        if not epoch_left:
-                            epoch_left = period
-                            self._on_epoch()
-                    line = getters[si](tag)
-                    if line is not None:
-                        if reorder:
-                            lookup = lookups[si]
-                            del lookup[tag]
-                            lookup[tag] = line
-                        if w:
-                            wh += 1
-                            if not line.dirty:
-                                sets[si].dirty_lines += 1
-                            line.dirty = True
-                            line.write_seen = True
-                            clock += 1
-                            line.stamp = clock
-                        else:
-                            rh += 1
-                            line.read_seen = True
-                            clock += 1
-                            line.stamp = clock
-                            read_stall += hit_stall
-                            cycles += hit_stall
-                        continue
-
-                    if w:
-                        wm += 1
-                    else:
-                        rm += 1
-                    cache_set = sets[si]
-                    lookup = lookups[si]
-                    wb = -1
-                    if cache_set.filled < ways:
-                        for line in cache_set.lines:
-                            if not line.valid:
-                                break
-                        cache_set.filled += 1
-                    else:
-                        if min_stamp_victim:
-                            line = next(iter(lookup.values()))
-                        elif partition_victim:
-                            dc = cache_set.dirty_lines
-                            td = ways - stamp.target_clean
-                            if dc > td:
-                                evict_dirty = True
-                            elif dc < td:
-                                evict_dirty = False
-                            else:
-                                evict_dirty = w
-                            values = iter(lookup.values())
-                            if evict_dirty:
-                                if not dc:
-                                    line = next(values)
-                                else:
-                                    for line in values:
-                                        if line.dirty:
-                                            break
-                            elif dc == ways:
-                                line = next(values)
-                            else:
-                                for line in values:
-                                    if not line.dirty:
-                                        break
-                        else:
-                            line = victim(cache_set, si, w, 0, core)
-                        evictions += 1
-                        dirty = line.dirty
-                        if dirty:
-                            dirty_evictions += 1
-                            cache_set.dirty_lines -= 1
-                        if line.read_seen:
-                            if line.write_seen:
-                                evicted_rw += 1
-                            else:
-                                evicted_ro += 1
-                        else:
-                            evicted_wo += 1
-                        del lookup[line.tag]
-                        if dirty:
-                            writebacks += 1
-                            wb = ((line.tag << index_bits) | si) << offset_bits
-                    line.tag = tag
-                    line.valid = True
-                    line.dirty = w
-                    line.rrpv = 0
-                    line.signature = 0
-                    line.outcome = 0
-                    line.owner = core
-                    line.read_seen = not w
-                    line.write_seen = w
-                    line.prefetched = False
-                    if w:
-                        cache_set.dirty_lines += 1
-                    clock += 1
-                    line.stamp = clock
-                    lookup[tag] = line
-                    if not w:
-                        read_stall += miss_stall
-                        cycles += miss_stall
-                    if wb >= 0:
-                        while wb_completions and wb_completions[0] <= cycles:
-                            wb_pop()
-                        if len(wb_completions) >= wb_entries:
-                            stall = wb_pop() - cycles
-                            wb_stall_cycles += stall
-                            write_stall += stall
-                            cycles += stall
-                        wb_server_free = (
-                            cycles
-                            if cycles > wb_server_free
-                            else wb_server_free
-                        ) + wb_drain
-                        wb_append(wb_server_free)
-                        wb_writes += 1
-
-                stamp._clock = clock
-                if period:
-                    self._epoch_left = epoch_left
-                ticks += ran
-                if ran:
-                    base = gap_cumsum[start - 1] if start else 0
-                    instructions += gap_cumsum[start + ran - 1] - base
-                request = yield (ran, cycles)
-        finally:
-            self.tick += ticks
-            self._lookup_ordered = bool(reorder)
-            stats.read_hits += rh
-            stats.write_hits += wh
-            stats.read_misses += rm
-            stats.write_misses += wm
-            stats.evictions += evictions
-            stats.dirty_evictions += dirty_evictions
-            stats.writebacks += writebacks
-            stats.evicted_read_only += evicted_ro
-            stats.evicted_write_only += evicted_wo
-            stats.evicted_read_write += evicted_rw
-            timing.cycles = cycles
-            timing.instructions = instructions
-            timing.read_stall_cycles = read_stall
-            timing.write_stall_cycles = write_stall
-            write_buffer._server_free = wb_server_free
-            write_buffer.stall_cycles = wb_stall_cycles
-            write_buffer.total_writes = wb_writes
-
     def _session_generic(self, decoded, timing, core: int):
-        """Session loop for plans the stamped specialization rejects.
+        """The session loop behind :meth:`run_trace_session`.
 
         Every access goes through ``_access_decoded`` and the public
         timing methods -- the scalar semantics by construction, with

@@ -43,10 +43,10 @@ main-memory backends via ``--memory``: ``dram`` (default),
 ``pcm:write_mult=4`` (asymmetric writes, partition-level parallelism),
 or ``nvm:write_mult=4`` (simple fixed asymmetry) -- see
 :class:`~repro.mem.spec.BackendSpec`.  ``--kernel`` selects the
-batch-replay driver the same way: ``dict`` (default, the reference
-dict driver), ``native`` (compiled SoA kernel), ``numba``, or ``auto``
--- all bit-identical, falling back per replay on unsupported shapes
-(see :class:`~repro.kernels.spec.KernelSpec`).
+batch-replay driver: ``native`` (default, the compiled SoA kernel,
+falling back per replay on unsupported shapes) or ``dict`` (the
+dict-driven drivers) -- bit-identical, so the choice never changes a
+store key (see :class:`~repro.kernels.spec.KernelSpec`).
 """
 
 from __future__ import annotations
@@ -147,16 +147,27 @@ def _add_memory_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _kernel_arg(text: str) -> str:
+    """Validate a ``--kernel`` value at parse time (exit 2 if bad)."""
+    from repro.kernels import KernelSpec
+
+    try:
+        return KernelSpec.parse(text).key()
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
         "-k",
-        default="dict",
+        type=_kernel_arg,
+        default="native",
         help=(
-            "batch-replay kernel name or KernelSpec string: 'dict' "
-            "(default, the reference driver), 'native', 'numba', or "
-            "'auto'.  Non-default kernels are bit-identical and fall "
-            "back per replay on unsupported shapes"
+            "batch-replay kernel: 'native' (default, the compiled "
+            "kernel; falls back to the dict driver per replay on "
+            "unsupported shapes or without a C compiler) or 'dict'.  "
+            "Both are bit-identical and share store entries"
         ),
     )
 
@@ -799,6 +810,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.kernels import KernelSpec
 
     kernel = KernelSpec.coerce(args.kernel)
+    timed_kernel = kernel.name != "dict"
     # Dict rows first, then the same rows under the kernel backend
     # (``kernel:*``), all in one invocation so the pair is captured
     # interleaved on one machine and the rates actually compare.
@@ -810,7 +822,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repeats=repeats,
         seed=args.seed,
     )
-    if not kernel.is_default:
+    if timed_kernel:
         results = results + run_bench(
             policies,
             benchmark=args.benchmark,
@@ -827,7 +839,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             repeats=args.repeats or None,
             seed=args.seed,
         )
-        if not kernel.is_default:
+        if timed_kernel:
             results = results + run_system_bench(
                 policies,
                 quick=args.quick,
@@ -1260,6 +1272,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--kernel",
         "-k",
+        type=_kernel_arg,
         default="native",
         help=(
             "also time every row under this kernel backend, keyed "
@@ -1375,6 +1388,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument(
         "--kernel",
         "-k",
+        type=_kernel_arg,
         default="native",
         help=(
             "batch kernel pinned by every third system-fuzz job and "

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Union
 
 from repro.cache.policyspec import PolicySpec
 from repro.engine.keys import job_key, scale_payload
-from repro.kernels.spec import KernelSpec
+from repro.kernels.spec import DEFAULT_KERNEL, KernelSpec
 from repro.mem.spec import BackendSpec
 from repro.trace.workload import WorkloadSpec
 
@@ -55,12 +55,12 @@ def _memory_is_default(memory: Union[str, BackendSpec]) -> bool:
 
 
 def _kernel_key(kernel: Union[str, KernelSpec]) -> str:
-    """Canonical batch-kernel string for payloads/labels."""
+    """Canonical batch-kernel string for the wire format.
+
+    Never part of a payload or label: kernels are bit-identical, so a
+    result is the same whichever one computed it.
+    """
     return KernelSpec.coerce(kernel).key()
-
-
-def _kernel_is_default(kernel: Union[str, KernelSpec]) -> bool:
-    return KernelSpec.coerce(kernel).is_default
 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,7 +75,8 @@ class RunJob:
 
     ``mode`` selects the simulation front-end mode: ``"llc"`` (default)
     or ``"hierarchy"`` (full L1/L2/LLC stack).  Multicore mixes are
-    :class:`MixJob`'s business.
+    :class:`MixJob`'s business.  ``kernel`` picks the batch driver that
+    executes the job; it is not part of the job's identity.
     """
 
     benchmark: Union[str, WorkloadSpec]
@@ -85,7 +86,7 @@ class RunJob:
     ways: Optional[int] = None
     mode: str = "llc"
     memory: Union[str, BackendSpec] = "dram"
-    kernel: Union[str, KernelSpec] = "dict"
+    kernel: Union[str, KernelSpec] = DEFAULT_KERNEL
 
     kind: ClassVar[str] = "run"
 
@@ -104,8 +105,6 @@ class RunJob:
             base = f"{self.mode}:{base}"
         if not _memory_is_default(self.memory):
             base = f"{base}+{_memory_key(self.memory)}"
-        if not _kernel_is_default(self.kernel):
-            base = f"{base}~{_kernel_key(self.kernel)}"
         if self.llc_lines is None and self.ways is None:
             return base
         return f"{base}@{self.geometry_lines}x{self.geometry_ways}"
@@ -128,8 +127,6 @@ class RunJob:
             payload["mode"] = self.mode
         if not _memory_is_default(self.memory):
             payload["memory"] = _memory_key(self.memory)
-        if not _kernel_is_default(self.kernel):
-            payload["kernel"] = _kernel_key(self.kernel)
         # File-backed workloads key by content: editing the trace file
         # misses the store instead of serving a stale parse.
         if workload.is_file:
@@ -197,7 +194,7 @@ class RunJob:
             ways=data.get("ways"),
             mode=data.get("mode", "llc"),
             memory=data.get("memory", "dram"),
-            kernel=data.get("kernel", "dict"),
+            kernel=data.get("kernel", DEFAULT_KERNEL),
         )
 
 
@@ -210,7 +207,7 @@ class MixJob:
     per_core: "ExperimentScale"
     num_cores: int = 4
     memory: Union[str, BackendSpec] = "dram"
-    kernel: Union[str, KernelSpec] = "dict"
+    kernel: Union[str, KernelSpec] = DEFAULT_KERNEL
 
     kind: ClassVar[str] = "mix"
 
@@ -219,8 +216,6 @@ class MixJob:
         base = f"{self.mix}/{_policy_key(self.policy)}"
         if not _memory_is_default(self.memory):
             base = f"{base}+{_memory_key(self.memory)}"
-        if not _kernel_is_default(self.kernel):
-            base = f"{base}~{_kernel_key(self.kernel)}"
         return base
 
     def payload(self) -> Dict[str, object]:
@@ -231,13 +226,10 @@ class MixJob:
             "per_core": scale_payload(self.per_core),
             "num_cores": self.num_cores,
         }
-        # Default backend/kernel are omitted so pre-existing store
-        # entries stay warm (and a kernel run can reuse a dict-driver
-        # result only when the kernel is the bit-identical default).
+        # The default backend is omitted so pre-existing store entries
+        # stay warm.
         if not _memory_is_default(self.memory):
             payload["memory"] = _memory_key(self.memory)
-        if not _kernel_is_default(self.kernel):
-            payload["kernel"] = _kernel_key(self.kernel)
         return payload
 
     def key(self) -> str:
@@ -288,7 +280,7 @@ class MixJob:
             per_core=ExperimentScale(**data["per_core"]),
             num_cores=data.get("num_cores", 4),
             memory=data.get("memory", "dram"),
-            kernel=data.get("kernel", "dict"),
+            kernel=data.get("kernel", DEFAULT_KERNEL),
         )
 
 

@@ -11,8 +11,10 @@ and the unit a :class:`~repro.service.queue.JobQueue` transports.
 Identity: :meth:`journal_payload` reproduces, byte for byte, the
 payload the pre-SweepSpec CLI built inline, so :meth:`sweep_id` (and
 therefore every existing journal filename) is unchanged -- an
-interrupted legacy sweep resumes under the new API.  The payload is
-pinned by ``tests/data/spec_fixture.json``.
+interrupted legacy sweep resumes under the new API.  The batch kernel
+is an execution choice, not part of the identity: the same grid under
+``native`` and ``dict`` has one sweep id.  The payload is pinned by
+``tests/data/spec_fixture.json``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 from repro.engine.jobs import MixJob, RunJob
 from repro.engine.keys import job_key, scale_payload
+from repro.kernels.spec import DEFAULT_KERNEL, KernelSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ExperimentScale
@@ -46,7 +49,7 @@ class SweepSpec:
     policies: Tuple[str, ...] = ()
     scale: "ExperimentScale" = field(default_factory=_default_scale)
     memory: str = "dram"
-    kernel: str = "dict"
+    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         if self.mode not in SWEEP_MODES:
@@ -78,7 +81,6 @@ class SweepSpec:
         # Validate the spec strings early (they travel as raw strings so
         # journal payloads stay byte-identical to the legacy CLI).
         from repro.cache.policyspec import PolicySpec
-        from repro.kernels.spec import KernelSpec
         from repro.mem.spec import BackendSpec
         from repro.trace.workload import WorkloadSpec
 
@@ -125,8 +127,9 @@ class SweepSpec:
 
         Single mode keys under ``"benchmarks"`` and multicore under
         ``"mixes"`` + kind ``"sweep-multicore"``; the default memory
-        backend and kernel are omitted -- exactly what ``cmd_sweep``
-        used to assemble inline, so old journal ids keep resolving.
+        backend is omitted -- exactly what ``cmd_sweep`` used to
+        assemble inline, so old journal ids keep resolving -- and the
+        kernel never appears.
         """
         if self.mode == "single":
             payload: Dict[str, object] = {
@@ -144,8 +147,6 @@ class SweepSpec:
             }
         if self.memory != "dram":
             payload["memory"] = self.memory
-        if self.kernel != "dict":
-            payload["kernel"] = self.kernel
         return payload
 
     def sweep_id(self) -> str:
@@ -191,7 +192,7 @@ class SweepSpec:
             policies=tuple(payload.get("policies", ())),
             scale=scale,
             memory=payload.get("memory", "dram"),
-            kernel=payload.get("kernel", "dict"),
+            kernel=payload.get("kernel", DEFAULT_KERNEL),
         )
 
     # -- reporting ---------------------------------------------------------

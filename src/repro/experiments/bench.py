@@ -96,12 +96,13 @@ class BenchResult:
 def _kernel_row(kernel: "str | KernelSpec") -> tuple:
     """(row prefix, KernelSpec-or-None) for a bench kernel selection.
 
-    The default dict driver keeps the historical bare row keys; any
-    other kernel prefixes its rows ``kernel:`` so dict and kernel rates
-    coexist in one baseline file without colliding.
+    The dict driver keeps the historical bare row keys (the bench times
+    it by default); any other kernel prefixes its rows ``kernel:`` so
+    dict and kernel rates coexist in one baseline file without
+    colliding.
     """
     spec = KernelSpec.coerce(kernel)
-    if spec.is_default:
+    if spec.name == "dict":
         return "", None
     return "kernel:", spec
 

@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.cache.policyspec import PolicySpec
 from repro.experiments.runner import ExperimentScale
+from repro.kernels.spec import DEFAULT_KERNEL
 from repro.multicore.metrics import (
     fairness,
     harmonic_speedup,
@@ -94,7 +95,7 @@ def _alone_ipc(
     per_core: ExperimentScale,
     shared_llc_lines: int,
     memory: str = "dram",
-    kernel: str = "dict",
+    kernel: str = DEFAULT_KERNEL,
 ) -> float:
     """IPC of one benchmark alone on the full shared LLC under LRU.
 
@@ -123,7 +124,7 @@ def run_mix(
     per_core: ExperimentScale | None = None,
     num_cores: int | None = None,
     memory: str = "dram",
-    kernel: str = "dict",
+    kernel: str = DEFAULT_KERNEL,
 ) -> MixResult:
     """Run one named mix under one policy and compute all metrics.
 
@@ -183,7 +184,7 @@ def run_mix_grid(
     journal=None,
     timeout: float | None = None,
     memory: str = "dram",
-    kernel: str = "dict",
+    kernel: str = DEFAULT_KERNEL,
 ) -> Dict[Tuple[str, str], MixResult]:
     """Every (mix, policy) pair, fanned out through the engine.
 

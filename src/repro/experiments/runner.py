@@ -24,6 +24,7 @@ from repro.cache.policyspec import PolicySpec
 from repro.common.config import CacheConfig, HierarchyConfig, default_hierarchy
 from repro.core.rwp import RWPPolicy
 from repro.cpu.core import RunResult
+from repro.kernels.spec import DEFAULT_KERNEL
 from repro.trace.access import Trace
 from repro.trace.generator import LINE_SIZE
 from repro.trace.spec import make_model
@@ -182,7 +183,7 @@ def _run_benchmark_cached(
     scale: ExperimentScale,
     mode: str = "llc",
     memory: str = "dram",
-    kernel: str = "dict",
+    kernel: str = DEFAULT_KERNEL,
 ) -> RunResult:
     from repro.sim import SimulationSpec, simulate
 
@@ -201,16 +202,17 @@ def run_benchmark(
     store=None,
     mode: str = "llc",
     memory: str = "dram",
-    kernel: str = "dict",
+    kernel: str = DEFAULT_KERNEL,
 ) -> RunResult:
     """Run one benchmark under one policy at the given scale.
 
     ``mode`` selects LLC-level replay (default) or the full
     ``"hierarchy"`` stack; ``memory`` names the main-memory backend
     (``"dram"`` default, ``"pcm:..."``/``"nvm:..."`` for asymmetric
-    writes); ``kernel`` the batch-replay driver (``"dict"`` default,
-    ``"native"``/``"numba"``/``"auto"`` for the SoA kernels); all go
-    through the :class:`~repro.sim.SimulationSpec` front-end.  Runs are deterministic, so results are memoized:
+    writes); ``kernel`` the batch-replay driver (``"native"`` default,
+    ``"dict"`` for the dict-driven drivers); all go through the
+    :class:`~repro.sim.SimulationSpec` front-end.  Runs are
+    deterministic, so results are memoized:
     harnesses that share a baseline (every figure normalizes to LRU)
     never re-simulate it.  With a ``store`` (a
     :class:`~repro.engine.store.ResultStore` or a path), results also
@@ -277,7 +279,7 @@ def run_grid(
     timeout: float | None = None,
     mode: str = "llc",
     memory: str = "dram",
-    kernel: str = "dict",
+    kernel: str = DEFAULT_KERNEL,
 ) -> ResultGrid:
     """Run every (benchmark, policy) pair; identical traces per benchmark.
 

@@ -1,16 +1,15 @@
 /* Struct-of-arrays batch kernels for the RWP cache simulator.
  *
  * Compiled on demand by repro.kernels.build with the system C compiler
- * and bound via ctypes.  Every loop here is a line-for-line port of a
- * Python batch driver in repro/cache/cache.py (same operation order,
- * same IEEE-754 double arithmetic), so results are bit-identical to the
- * dict-driven reference paths:
+ * and bound via ctypes.  Every loop here replays exactly what a Python
+ * batch driver in repro/cache/cache.py does (same operation order, same
+ * IEEE-754 double arithmetic), so results are bit-identical to the
+ * dict-driven paths and the scalar access() walk:
  *
- *   rw_run_trace   <->  SetAssociativeCache._run_trace_stamped (timed)
- *                       and the stamped subset of the generic run_trace
- *                       loop (untimed)
+ *   rw_run_trace   <->  SetAssociativeCache.run_trace, recency-stamped
+ *                       plans (timed or untimed)
  *   rw_lru_filter  <->  SetAssociativeCache.run_lru_filter
- *   rw_multicore   <->  SharedLLCSystem.run over _session_stamped
+ *   rw_multicore   <->  SharedLLCSystem.run over run_trace_session
  *
  * With the sharer columns bound (CacheCtx.sharers != NULL), rw_run_trace
  * and rw_multicore also keep the multicore SharerDirectory inline, in
@@ -350,8 +349,8 @@ ALWAYS_INLINE int64_t find_way(
 }
 
 /* One bounded replay of lane accesses [start, stop): the shared inner
- * loop of rw_run_trace and rw_multicore.  Mirrors _run_trace_stamped /
- * _session_stamped access-for-access; with ``track`` (a compile-time
+ * loop of rw_run_trace and rw_multicore.  Mirrors run_trace /
+ * run_trace_session access-for-access; with ``track`` (a compile-time
  * constant) it also runs SharerDirectory.observe before the sampler and
  * SharerDirectory.on_evict on every eviction, as the scalar walk does. */
 ALWAYS_INLINE int64_t lane_loop(

@@ -1,4 +1,4 @@
-"""Kernel runtime: gate, gather, run native/numba kernels, scatter back.
+"""Kernel runtime: gate, gather, run the native kernel, scatter back.
 
 A :class:`KernelRuntime` is attached to a
 :class:`~repro.cache.cache.SetAssociativeCache` as its ``kernel``
@@ -15,7 +15,7 @@ Supported configurations (the ``native`` backend):
 
 * recency-stamped plans (``plan.stamp_policy``) with no full observer,
   no bypass, no evict training, no prefetches in flight, and no PC
-  consumers -- the ``_run_trace_stamped`` gate;
+  consumers;
 * no access/eviction listeners, except the
   :class:`~repro.multicore.shared.SharerDirectory` pair a data-sharing
   ``SharedLLCSystem`` run installs: the directory then travels as two
@@ -30,9 +30,6 @@ Supported configurations (the ``native`` backend):
   callback at every epoch boundary);
 * timing via the flat :class:`~repro.cpu.timing.TimingModel` (no
   request-level memory backend).
-
-The ``numba`` backend covers the untimed pure-LRU subset only (see
-:mod:`repro.kernels.pyloop`); anything else falls back.
 """
 
 from __future__ import annotations
@@ -172,9 +169,9 @@ def _victim_block_reason(cache) -> str:
 def _plan_block_reason(cache, directory) -> Optional[str]:
     """Why the kernel's plan gate declines, or None if it won't.
 
-    ``_run_trace_stamped``'s gate, except that the sharer directory's
-    listener pair (``directory``, None to refuse it) is allowed; the
-    strings feed :attr:`KernelRuntime.fallback_reason`.
+    The sharer directory's listener pair (``directory``, None to refuse
+    it) is the one listener shape allowed; the strings feed
+    :attr:`KernelRuntime.fallback_reason`.
     """
     if cache.plan.stamp_policy is None:
         return "policy is outside the stamped fast path"
@@ -443,13 +440,9 @@ def _flush_lane_timing(timing, lane: LaneCtx, ring) -> None:
 
 
 class KernelRuntime:
-    """Dispatches eligible batch replays to a compiled kernel backend."""
+    """Dispatches eligible batch replays to the native kernel."""
 
-    def __init__(self, spec: KernelSpec) -> None:
-        self.spec = spec
-        self._resolved = False
-        self._native = None
-        self._numba = None
+    def __init__(self) -> None:
         #: why the most recent ``try_*`` dispatch fell back to the dict
         #: driver (None while every dispatch ran on a kernel).  Surfaced
         #: by ``repro run`` and logged by the bench harness, so a
@@ -469,27 +462,10 @@ class KernelRuntime:
             self._fallback(reasons[0] if reasons else "kernel binding declined")
         return binding
 
-    def _resolve(self):
-        if not self._resolved:
-            self._resolved = True
-            name = self.spec.name
-            if name in ("native", "auto"):
-                self._native = load_native()
-            if name == "numba" or (name == "auto" and self._native is None):
-                from repro.kernels import numba_backend
-
-                self._numba = numba_backend.load()
-        return self._native
-
     @property
     def active_backend(self) -> Optional[str]:
-        """Which backend actually runs: 'native', 'numba', or None."""
-        self._resolve()
-        if self._native is not None:
-            return "native"
-        if self._numba is not None:
-            return "numba"
-        return None
+        """Which backend actually runs: 'native', or None."""
+        return "native" if load_native() is not None else None
 
     # -- single-cache replay ----------------------------------------------
     def try_run_trace(
@@ -498,19 +474,21 @@ class KernelRuntime:
         """Kernel counterpart of ``run_trace``; None -> dict fallback."""
         if start >= stop:
             return None
-        lib = self._resolve()
+        lib = load_native()
         if lib is None:
-            return self._try_pyloop(cache, decoded, start, stop, timing, core)
+            return self._fallback("no native kernel library available")
         if timing is not None and getattr(timing, "backend", None) is not None:
             return self._fallback("memory timing backend is active")
-        streams = soa.stream_arrays(decoded)
-        if streams is None:
-            return self._fallback("decoded trace is not array-backed")
+        # Bind before building the stream arrays: a declined dispatch
+        # must not leave int64 streams memoized on the decode.
         binding = self._bind(cache)
         if binding is None:
             return None
         if binding.directory is not None and not 0 <= core < _MAX_POLICY_CORES:
             return self._fallback(f"core {core} does not fit a sharer mask")
+        streams = soa.stream_arrays(decoded)
+        if streams is None:
+            return self._fallback("decoded trace is not array-backed")
         set_arr, tag_arr, write_arr, gap_arr = streams
 
         lane = LaneCtx()
@@ -561,7 +539,7 @@ class KernelRuntime:
         """
         if start >= stop:
             return None
-        lib = self._resolve()
+        lib = load_native()
         if lib is None or np is None:
             return self._fallback("no native kernel library available")
         try:
@@ -633,16 +611,14 @@ class KernelRuntime:
         the kernel matrix (the caller falls through to the per-stage
         dispatch, which can still accelerate stages individually).
         """
-        lib = self._resolve()
+        lib = load_native()
         if lib is None or np is None or start >= stop:
             return None
         if not (l1.lru_filter_eligible() and l2.lru_filter_eligible()):
             return None
-        streams = soa.stream_arrays(decoded)
-        if streams is None:
-            return None
         # Bind all three levels up front: binding only reads, so a
-        # failure here leaves every cache untouched for the fallback.
+        # failure here leaves every cache untouched for the fallback
+        # (and builds no stream arrays).
         b1 = bind_cache(l1)
         if b1 is None:
             return None
@@ -651,6 +627,9 @@ class KernelRuntime:
             return None
         b3 = bind_cache(llc)
         if b3 is None:
+            return None
+        streams = soa.stream_arrays(decoded)
+        if streams is None:
             return None
         set_arr, tag_arr, write_arr, _ = streams
         span = stop - start
@@ -780,7 +759,7 @@ class KernelRuntime:
         counters (and ``write_log``, when armed) exactly as the scalar
         walk does; None -> fallback.
         """
-        lib = self._resolve()
+        lib = load_native()
         if lib is None or np is None:
             return self._fallback("no native kernel library available")
         count = len(set_stream)
@@ -834,7 +813,7 @@ class KernelRuntime:
         Runs the whole progress-driven interleave in C over one gathered
         LLC image; returns a :class:`SharedRunResult` or None.
         """
-        lib = self._resolve()
+        lib = load_native()
         if lib is None or np is None:
             return self._fallback("no native kernel library available")
         llc = system.llc
@@ -843,12 +822,12 @@ class KernelRuntime:
         for timing in timings:
             if getattr(timing, "backend", None) is not None:
                 return self._fallback("memory timing backend is active")
-        stream_sets = [soa.stream_arrays(view) for view in views]
-        if any(streams is None for streams in stream_sets):
-            return self._fallback("decoded views are not array-backed")
         binding = self._bind(llc)
         if binding is None:
             return None
+        stream_sets = [soa.stream_arrays(view) for view in views]
+        if any(streams is None for streams in stream_sets):
+            return self._fallback("decoded views are not array-backed")
 
         lanes = (LaneCtx * num_cores)()
         rings = []
@@ -917,86 +896,6 @@ class KernelRuntime:
         ]
         return system._collect(traces, counts, frozen)
 
-    # -- numba fallback ----------------------------------------------------
-    def _try_pyloop(
-        self, cache, decoded, start, stop, timing, core
-    ) -> Optional[int]:
-        """The numba backend: untimed pure-LRU replay only."""
-        if self._numba is None or np is None:
-            return self._fallback("no compiled kernel backend available")
-        if timing is not None:
-            return self._fallback("numba backend is untimed")
-        blocked = _plan_block_reason(cache, None)
-        if blocked is not None:
-            return self._fallback(blocked)
-        if not cache.plan.min_stamp_victim:
-            return self._fallback("numba backend supports plain LRU only")
-        if cache._on_sample is not None or cache._epoch_period:
-            return self._fallback("numba backend supports plain LRU only")
-        streams = soa.stream_arrays(decoded)
-        if streams is None:
-            return self._fallback("decoded trace is not array-backed")
-        image = soa.gather_lines(cache)
-        if image is None:
-            return self._fallback("cache line state not SoA-representable")
-        set_arr, tag_arr, write_arr, _ = streams
-        try:
-            stats_arr = np.array(
-                [
-                    cache.stats.read_hits,
-                    cache.stats.write_hits,
-                    cache.stats.read_misses,
-                    cache.stats.write_misses,
-                    cache.stats.evictions,
-                    cache.stats.dirty_evictions,
-                    cache.stats.writebacks,
-                    cache.stats.evicted_read_only,
-                    cache.stats.evicted_write_only,
-                    cache.stats.evicted_read_write,
-                ],
-                dtype=np.int64,
-            )
-            clock = self._numba(
-                set_arr,
-                tag_arr,
-                write_arr,
-                start,
-                stop,
-                cache.ways,
-                core,
-                cache.plan.stamp_policy._clock,
-                image.tag,
-                image.stamp,
-                image.owner,
-                image.valid,
-                image.dirty,
-                image.read_seen,
-                image.write_seen,
-                image.filled,
-                image.dirty_lines,
-                stats_arr,
-            )
-        except OverflowError:
-            return self._fallback("cache state overflows the int64 kernel ABI")
-        soa.scatter_lines(cache, image)
-        stats = cache.stats
-        values = stats_arr.tolist()
-        (
-            stats.read_hits,
-            stats.write_hits,
-            stats.read_misses,
-            stats.write_misses,
-            stats.evictions,
-            stats.dirty_evictions,
-            stats.writebacks,
-            stats.evicted_read_only,
-            stats.evicted_write_only,
-            stats.evicted_read_write,
-        ) = values
-        cache.plan.stamp_policy._clock = int(clock)
-        cache.tick += stop - start
-        return stop - start
-
 
 def attach_kernel(target, spec: "KernelSpec | str") -> None:
     """Install a :class:`KernelRuntime` on every cache ``target`` owns.
@@ -1004,11 +903,11 @@ def attach_kernel(target, spec: "KernelSpec | str") -> None:
     Accepts a bare :class:`SetAssociativeCache`, a ``MemoryHierarchy``
     (every private level plus the LLC gets the runtime -- the filter
     stages dispatch independently), or a ``SharedLLCSystem``.  ``spec``
-    may be a :class:`KernelSpec` or its string form.  The default
-    ``dict`` spec detaches instead, restoring pure reference behaviour.
+    may be a :class:`KernelSpec` or its string form.  The ``dict`` spec
+    detaches instead, restoring the dict-driven batch drivers.
     """
     spec = KernelSpec.coerce(spec)
-    runtime = None if spec.is_default else KernelRuntime(spec)
+    runtime = None if spec.name == "dict" else KernelRuntime()
     for cache in _owned_caches(target):
         cache.kernel = runtime
 

@@ -12,8 +12,8 @@ iterate.
 
 Scatter also rebuilds every per-set lookup dict in ascending stamp
 order and re-arms the cache's ``_lookup_ordered`` invariant, so a
-follow-up dict-driven batch run starts from the same recency-ordered
-dicts the stamped driver itself would have maintained.
+follow-up ``run_lru_filter`` starts from the recency-ordered dicts it
+maintains itself.
 
 A shared LLC's :class:`~repro.multicore.shared.SharerDirectory` folds
 into two more per-line columns: the sharer bitmask (0 = untracked) and
@@ -113,7 +113,7 @@ def scatter_lines(cache, image: LineImage) -> None:
 
     Rebuilds every set's lookup dict sorted by stamp and re-arms the
     recency-order invariant; the cached ``_lookups``/``_getters`` tables
-    are updated in place, mirroring what the stamped driver's rebuild
+    are updated in place, mirroring what ``run_lru_filter``'s rebuild
     does.
     """
     tags = image.tag.tolist()

@@ -1,11 +1,10 @@
-"""Typed batch-kernel specification: a name plus validated kwargs.
+"""Typed batch-kernel specification.
 
 Everywhere the simulator accepts a batch-kernel backend it takes a
-:class:`KernelSpec` -- or the spec's canonical string form
-``"name:key=value:key=value"`` -- sharing the
-:class:`~repro.common.spec.Spec` grammar with
+:class:`KernelSpec` -- or its canonical string form, the bare name --
+sharing the :class:`~repro.common.spec.Spec` grammar with
 :class:`~repro.cache.policyspec.PolicySpec` and
-:class:`~repro.mem.spec.BackendSpec` exactly:
+:class:`~repro.mem.spec.BackendSpec`:
 
 >>> KernelSpec.parse("native")
 KernelSpec(name='native', kwargs=())
@@ -14,24 +13,18 @@ KernelSpec(name='native', kwargs=())
 
 Kernel names:
 
-``dict``    the reference dict-driven batch drivers from PRs 3-4
-            (``_run_trace_stamped`` and friends).  The default; every
-            other kernel must be bit-identical to it.
 ``native``  struct-of-arrays state replayed by a small C kernel,
             compiled on demand with the system compiler and bound via
-            ctypes (see :mod:`repro.kernels.build`).  Falls back to
-            ``dict`` per run when the config is unsupported or no
-            compiler is available.
-``numba``   the pure-Python SoA loop (:mod:`repro.kernels.pyloop`)
-            JIT-compiled by numba when importable; otherwise falls
-            back like ``native``.
-``auto``    ``native`` if it can build, else ``numba``, else ``dict``.
+            ctypes (see :mod:`repro.kernels.build`).  The default.
+            Falls back to ``dict`` per run when the config is
+            unsupported or no compiler is available.
+``dict``    the generic dict-driven batch drivers
+            (``SetAssociativeCache.run_trace`` and friends), the
+            fallback on hosts without a compiler.
 
-The spec is frozen and hashable, so it can key ``lru_cache``/store
-entries.  The default kernel keys as plain ``"dict"`` and is
-deliberately *omitted* from job payloads and labels, so every result
-stored before kernels existed stays warm (the same convention
-``BackendSpec`` uses for ``dram``).
+Both are bit-identical to the scalar ``access()`` reference, so the
+kernel is an execution choice only: it is in no store key, label or
+sweep id.  A kernel takes no parameters.
 """
 
 from __future__ import annotations
@@ -41,17 +34,16 @@ from typing import Any, ClassVar, Tuple
 
 from repro.common.spec import Spec
 
-#: the kernel every simulation uses unless told otherwise: the
-#: dict-driven reference batch drivers.
-DEFAULT_KERNEL = "dict"
+#: the kernel every simulation uses unless told otherwise.
+DEFAULT_KERNEL = "native"
 
 #: every selectable kernel backend name.
-KERNEL_NAMES = ("dict", "native", "numba", "auto")
+KERNEL_NAMES = ("dict", "native")
 
 
 @dataclass(frozen=True)
 class KernelSpec(Spec):
-    """One batch-kernel backend plus its overrides."""
+    """One batch-kernel backend (kwargs are always empty)."""
 
     name: str
     kwargs: Tuple[Tuple[str, Any], ...] = ()
@@ -59,11 +51,9 @@ class KernelSpec(Spec):
     spec_noun: ClassVar[str] = "kernel"
     known_names: ClassVar[Tuple[str, ...]] = KERNEL_NAMES
 
-    @property
-    def is_default(self) -> bool:
-        """True for the plain dict-driven reference kernel (no kwargs).
-
-        The default keeps the existing batch drivers and the old store
-        keys; anything else routes through :mod:`repro.kernels.runner`.
-        """
-        return self.name == DEFAULT_KERNEL and not self.kwargs
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.kwargs:
+            raise ValueError(
+                f"kernel {self.name!r} takes no parameters, got {str(self)!r}"
+            )

@@ -302,13 +302,12 @@ class SharedLLCSystem:
     def _bind_directory(self) -> SharerDirectory:
         """Fresh sharer tracking for one global-address run.
 
-        The listener hooks disqualify the LLC from the dict driver's
-        stamped fast paths: the generic paths they force call every
-        hook per access in scalar order, which is what makes
-        batch==scalar hold for sharing runs by construction.  The
-        native kernel accepts exactly this listener pair (and the
-        policy's shared-claimant sampling), keeping the directory as
-        per-line columns so the whole run stays in C.
+        The dict driver calls the listener hooks per access in scalar
+        order, which is what makes batch==scalar hold for sharing runs
+        by construction.  The native kernel accepts exactly this
+        listener pair (and the policy's shared-claimant sampling),
+        keeping the directory as per-line columns so the whole run
+        stays in C.
         """
         directory = SharerDirectory(self.config.llc, self.num_cores)
         self.sharer_directory = directory
@@ -345,9 +344,9 @@ class SharedLLCSystem:
 
         Global-address (data-sharing) traces replay without per-core
         offsets and with a fresh :class:`SharerDirectory` installed on
-        the LLC; its listener hooks route a dict-driver replay through
-        the generic (scalar-identical) batch paths, while an attached
-        native kernel runs it with the directory in its SoA image.
+        the LLC; a dict-driver replay calls its listener hooks per
+        access, while an attached native kernel runs it with the
+        directory in its SoA image.
         """
         shared = self._check_traces(traces, warmup)
         if self.backends is not None:
@@ -393,7 +392,7 @@ class SharedLLCSystem:
         done = [False] * num_cores
         # Effective cycles per core (raw + 1.0 done-penalty), kept as a
         # plain float list so the argmin scan never touches the timing
-        # objects (sessions flush cycles at every yield anyway).
+        # objects.
         effective = [0.0] * num_cores
         # Measured-window bookkeeping: per-core tallies are synced from
         # the sessions only at the two window boundaries (warmup open,
@@ -501,8 +500,6 @@ class SharedLLCSystem:
                     done[core] = True
                     effective[core] = cycles + 1.0
                     b = baseline[core]
-                    # The tally sync also flushes the timing counters,
-                    # so it must precede the frozen snapshot.
                     rh, rm, wh, wm = sends[core](None)
                     timing = timings[core]
                     frozen[core] = (timing.instructions, timing.cycles)

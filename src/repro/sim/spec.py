@@ -42,7 +42,8 @@ from repro.experiments.runner import (
     cached_trace,
     make_llc_policy,
 )
-from repro.kernels.spec import KernelSpec
+from repro.kernels import attach_kernel
+from repro.kernels.spec import DEFAULT_KERNEL, KernelSpec
 from repro.mem.spec import BackendSpec
 from repro.trace.generator import LINE_SIZE
 from repro.trace.workload import WorkloadSpec
@@ -74,10 +75,10 @@ class SimulationSpec:
     :class:`~repro.mem.spec.BackendSpec`; the default ``"dram"`` keeps
     the flat-latency fast paths and is bit-identical to having no
     backend at all.  ``kernel`` selects the batch-replay driver the same
-    way (see :class:`~repro.kernels.spec.KernelSpec`); the default
-    ``"dict"`` is the reference dict driver, and any other choice is
-    bit-identical by construction (kernels fall back per-replay on
-    unsupported shapes).
+    way (see :class:`~repro.kernels.spec.KernelSpec`): the default
+    ``"native"`` kernel falls back per replay to the ``"dict"`` driver
+    on unsupported shapes, and both are bit-identical, so the kernel is
+    an execution choice that stays out of :attr:`label`.
     """
 
     workload: Union[str, WorkloadSpec]
@@ -88,7 +89,7 @@ class SimulationSpec:
     ways: Optional[int] = None
     num_cores: Optional[int] = None  # multicore mode; None = mix's count
     memory: Union[str, BackendSpec] = "dram"
-    kernel: Union[str, KernelSpec] = "dict"
+    kernel: Union[str, KernelSpec] = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         if self.mode not in SIMULATION_MODES:
@@ -169,16 +170,10 @@ class SimulationSpec:
         return self.kernel_spec.key()
 
     @property
-    def uses_default_kernel(self) -> bool:
-        return self.kernel_spec.is_default
-
-    @property
     def label(self) -> str:
         base = f"{self.mode}:{self.workload_key}/{self.policy_key}"
         if not self.uses_default_memory:
             base = f"{base}+{self.memory_key}"
-        if not self.uses_default_kernel:
-            base = f"{base}~{self.kernel_key}"
         if self.llc_lines is None and self.ways is None:
             return base
         return f"{base}@{self.geometry_lines}x{self.geometry_ways}"
@@ -227,21 +222,17 @@ def simulate(spec: SimulationSpec):
 
         runner = LLCRunner(config, policy, backend=backend)
         target = runner.llc
-    if not spec.uses_default_kernel:
-        from repro.kernels import attach_kernel
-
-        attach_kernel(target, spec.kernel_spec)
+    attach_kernel(target, spec.kernel_spec)
     result = runner.run(trace, warmup=scale.warmup)
-    if not spec.uses_default_kernel:
-        _record_kernel(target, spec)
+    _record_kernel(target, spec)
     return result
 
 
-#: Kernel disposition of the most recent non-default-kernel
-#: :func:`simulate` in this process (``None`` after a default-kernel
-#: run).  A reporting side channel for the CLI -- deliberately NOT part
-#: of the result objects, so kernel runs stay bit-comparable to dict
-#: runs (the conformance contract above).
+#: Kernel disposition of the most recent kernel-backed :func:`simulate`
+#: in this process (``None`` after a ``dict`` run).  A reporting side
+#: channel for the CLI -- deliberately NOT part of the result objects,
+#: so kernel runs stay bit-comparable to dict runs (the conformance
+#: contract above).
 _LAST_KERNEL_INFO: Optional[dict] = None
 
 
@@ -251,7 +242,7 @@ def last_kernel_info() -> Optional[dict]:
     ``{"requested": <kernel key>, "backend": <active backend>}`` plus a
     ``"fallback"`` reason when the runtime declined the run and the dict
     driver served it instead; ``None`` when the last run used the
-    default dict kernel.  Lets ``repro run`` report a requested kernel
+    ``dict`` kernel.  Lets ``repro run`` report a requested kernel
     that silently fell back, without polluting result equality.
     """
     return _LAST_KERNEL_INFO
@@ -325,13 +316,9 @@ def _simulate_multicore(spec: SimulationSpec):
         make_llc_policy(spec.policy, spec.geometry_lines, num_cores),
         backends=backends,
     )
-    if not spec.uses_default_kernel:
-        from repro.kernels import attach_kernel
-
-        attach_kernel(system, spec.kernel_spec)
+    attach_kernel(system, spec.kernel_spec)
     result = system.run(traces, warmup=scale.warmup)
-    if not spec.uses_default_kernel:
-        _record_kernel(system, spec)
+    _record_kernel(system, spec)
     return result
 
 

@@ -44,7 +44,6 @@ class DecodedTrace:
         "offset_bits",
         "index_bits",
         "name",
-        "_cycle_gaps",
         "_gap_cumsum",
         "_np_streams",
         "_np_cycles",
@@ -69,7 +68,6 @@ class DecodedTrace:
         self.offset_bits = offset_bits
         self.index_bits = index_bits
         self.name = name
-        self._cycle_gaps: dict = {}
         self._gap_cumsum = None
         self._np_streams = None
         self._np_cycles: dict = {}
@@ -78,26 +76,18 @@ class DecodedTrace:
         return len(self.set_indices)
 
     def cycle_gaps(self, base_cpi: float) -> List[float]:
-        """Memoized ``gap * base_cpi`` stream (cycle cost per access).
+        """The ``gap * base_cpi`` stream (cycle cost per access).
 
         Each element is the same IEEE product the timing model computes
         per access, hoisted out of the replay loop; the batch driver
-        adds it to the cycle counter directly.
+        adds it to the cycle counter directly.  A fresh list per call,
+        unboxed from the memoized :meth:`kernel_cycles` array, so a
+        decode never holds the float stream twice.
         """
-        cached = self._cycle_gaps.get(base_cpi)
-        if cached is None:
-            if np is None:
-                cached = [gap * base_cpi for gap in self.instr_gaps]
-            else:
-                try:
-                    cached = (
-                        np.asarray(self.instr_gaps, dtype=np.int64)
-                        * float(base_cpi)
-                    ).tolist()
-                except (OverflowError, TypeError, ValueError):
-                    cached = [gap * base_cpi for gap in self.instr_gaps]
-            self._cycle_gaps[base_cpi] = cached
-        return cached
+        cycles = self.kernel_cycles(base_cpi)
+        if cycles is None:
+            return [gap * base_cpi for gap in self.instr_gaps]
+        return cycles.tolist()
 
     def gap_cumsum(self) -> List[int]:
         """Memoized inclusive cumsum of ``instr_gaps`` as a plain list.
@@ -155,11 +145,11 @@ class DecodedTrace:
         return streams
 
     def kernel_cycles(self, base_cpi: float) -> Optional["np.ndarray"]:
-        """Memoized float64 per-access cycle-cost array (timed kernels).
+        """Memoized float64 per-access cycle-cost array.
 
-        Element ``i`` is the identical IEEE double ``cycle_gaps`` holds
-        at ``i``: the same int64-times-double product, left unboxed, so
-        a kernel-only replay never materializes the float list.
+        Element ``i`` is the IEEE double ``gap * base_cpi`` of access
+        ``i``: the int64-times-double product, left unboxed, so a
+        kernel-only replay never materializes the float list.
         """
         if np is None:
             return None
@@ -170,7 +160,8 @@ class DecodedTrace:
                 cached = gaps * float(base_cpi)
             except (OverflowError, TypeError, ValueError):
                 cached = np.asarray(
-                    self.cycle_gaps(base_cpi), dtype=np.float64
+                    [gap * base_cpi for gap in self.instr_gaps],
+                    dtype=np.float64,
                 )
             self._np_cycles[base_cpi] = cached
         return cached
@@ -188,8 +179,8 @@ class DecodedTrace:
         offset touches only the tag bits: set indices, write flags and
         instruction gaps are *shared* with this decode (same list
         objects), only the tag (and PC) streams are re-materialized.
-        The memoized ``cycle_gaps`` cache and the gap cumsum are shared
-        too, so N cores replaying one trace decode and derive it once.
+        The memoized cycle-cost arrays and the gap cumsum are shared
+        too, so N cores replaying one trace decode and derive them once.
         """
         tag_granularity = 1 << (self.offset_bits + self.index_bits)
         if address_stride % tag_granularity:
@@ -215,11 +206,9 @@ class DecodedTrace:
             name=f"{self.name}@core{core}",
         )
         # Share the derived-stream memoization: the gap streams are the
-        # same objects, so the cached products/cumsum stay valid.
-        view._cycle_gaps = self._cycle_gaps
+        # same objects, so the cached products/cumsum stay valid.  The
+        # set/tag kernel streams differ per view and stay per-view.
         view._gap_cumsum = self.gap_cumsum()
-        # The cycle-cost arrays depend only on the shared gap stream;
-        # the set/tag kernel streams differ per view and stay per-view.
         view._np_cycles = self._np_cycles
         return view
 

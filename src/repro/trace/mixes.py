@@ -9,8 +9,9 @@ and lighter mixes with compute-bound fillers -- plus pair mixes for
 quick 2-core studies and wider 8/16-core mixes for the core-count
 scaling sweeps.
 
-``FOUR_CORE_MIXES`` / ``mix_names()`` / ``mix_benchmarks()`` are kept
-as thin compatibility shims over the registry.
+``mix_specs()`` / ``mix_names()`` / ``mix_benchmarks()`` query the
+registry; the paper's ten 4-core mixes are
+``mix_specs(core_count=4, sharing=False, models_only=True)``.
 """
 
 from __future__ import annotations
@@ -217,15 +218,6 @@ register_mix(
 )
 
 
-#: Compatibility shim: name -> 4 benchmark names (the paper's 4-core
-#: private all-model mixes, as before stress members existed).
-FOUR_CORE_MIXES: Dict[str, Tuple[str, ...]] = {
-    name: spec.benchmarks
-    for name, spec in MIXES.items()
-    if spec.core_count == 4 and spec.sharing is None and spec.models_only
-}
-
-
 def mix_specs(
     core_count: Optional[int] = None,
     sharing: Optional[bool] = None,
@@ -266,5 +258,5 @@ def mix_names(
 
 
 def mix_benchmarks(mix_name: str) -> Tuple[str, ...]:
-    """The benchmark names of one mix (compatibility shim over MIXES)."""
+    """The benchmark names of one mix."""
     return get_mix(mix_name).benchmarks

@@ -152,9 +152,10 @@ def golden_record(
     so the corpus stays independent of the batch driver it also guards.
     With ``check_batched`` (regeneration time), a second fresh cache
     replays the same trace through ``run_trace`` -- and, where the
-    configuration is kernel-eligible, a third one through the ``auto``
-    SoA batch kernel -- and all must agree exactly; a golden is never
-    written from a driver that disagrees with its own scalar path.
+    configuration is kernel-eligible, a third one through the
+    ``native`` SoA batch kernel -- and all must agree exactly; a golden
+    is never written from a driver that disagrees with its own scalar
+    path.
     """
     trace = spec.trace()
     sut = make_sut_cache(policy, spec.config())
@@ -163,7 +164,7 @@ def golden_record(
     stats = {name: getattr(sut, name) for name in COMPARED_STATS}
     record = {"state_digest": _state_digest(sut), "stats": stats}
     if check_batched:
-        for driver, kernel in (("batched", None), ("kernel", "auto")):
+        for driver, kernel in (("batched", None), ("kernel", "native")):
             batched = make_sut_cache(policy, spec.config())
             if kernel is not None:
                 from repro.kernels import attach_kernel
@@ -202,7 +203,7 @@ def system_golden_record(
 
     With ``check_scalar`` (regeneration time), the batched-vs-scalar
     system differ must pass first -- for the dict driver *and* for the
-    ``auto`` SoA batch kernel -- so a golden is never written from a
+    ``native`` SoA batch kernel -- so a golden is never written from a
     driver that disagrees with its own scalar specification.  With
     ``kernel``, the pinned replay itself runs under that batch kernel
     (used by the conformance tests; the checked-in corpus is recorded
@@ -228,7 +229,7 @@ def system_golden_record(
             spec.scenario, spec.seed, llc_sets, llc_ways, spec.length
         )
         if check_scalar:
-            for check_kernel in (None, "auto"):
+            for check_kernel in (None, "native"):
                 divergence = diff_hierarchy(
                     policy, trace, config, kernel=check_kernel
                 )
@@ -291,7 +292,7 @@ def system_golden_record(
         traces = [_as_global(trace) for trace in traces]
     warmup = spec.length // 4
     if check_scalar:
-        for check_kernel in (None, "auto"):
+        for check_kernel in (None, "native"):
             divergence = diff_multicore(
                 policy, traces, config, num_cores, warmup,
                 kernel=check_kernel,

@@ -1,11 +1,11 @@
 """Batch driver equivalence: ``run_trace`` == a scalar ``access`` loop.
 
-The batched replay (generic loop and the stamped fast path) promises
-bit-identical statistics, line state, and timing to calling
+The dict-driven batched replay promises bit-identical statistics,
+line state, and timing to calling
 :meth:`~repro.cache.cache.SetAssociativeCache.access` once per record.
 These property tests hold that promise across every oracle-backed
 policy and several geometries, plus directed tests for the decode
-layer's caching and the fast-path selection guard.
+layer's caching.
 """
 
 from __future__ import annotations
@@ -122,11 +122,8 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=25)
     @given(data=st.data())
     def test_run_trace_matches_scalar_loop(policy_name, data):
-        """Batched replay is field-for-field identical to scalar access.
-
-        Covers both batch paths: ``timed=True`` sends lru/rwp down the
-        specialized stamped loop; ``timed=False`` runs the generic one.
-        """
+        """Batched replay is field-for-field identical to scalar access,
+        timed (fused timing) and untimed."""
         config, trace, timed = data.draw(trace_inputs())
         scalar = SetAssociativeCache(config, make_policy(policy_name))
         batched = SetAssociativeCache(config, make_policy(policy_name))
@@ -147,9 +144,9 @@ if HAVE_HYPOTHESIS:
     def test_run_trace_split_matches_one_shot(policy_name, data):
         """Replaying [0, k) then [k, n) equals one [0, n) replay.
 
-        The stamped fast path rebuilds its recency-ordered lookup at
-        every entry, so re-entering mid-trace (warmup splits do this)
-        must land in exactly the same state.
+        Statistics and timing live in loop locals during a replay, so
+        re-entering mid-trace (warmup splits do this) must land in
+        exactly the same state.
         """
         config, trace, _ = data.draw(trace_inputs())
         k = data.draw(st.integers(0, len(trace)))
@@ -165,50 +162,6 @@ if HAVE_HYPOTHESIS:
 
         assert full_state(split) == full_state(whole)
         assert timing_state(split_timing) == timing_state(whole_timing)
-
-
-class TestFastPathGuard:
-    """The stamped loop must engage exactly when its plan proof holds."""
-
-    def _ran_stamped(self, monkeypatch, cache, trace, timing):
-        calls = []
-        original = SetAssociativeCache._run_trace_stamped
-
-        def spy(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(SetAssociativeCache, "_run_trace_stamped", spy)
-        cache.run_trace(trace.decoded(cache.config), timing=timing)
-        return bool(calls)
-
-    def _trace(self, config):
-        return Trace([i * 64 for i in range(96)], [i % 3 == 0 for i in range(96)])
-
-    @pytest.mark.parametrize("policy_name", ("lru", "rwp"))
-    def test_stamped_policies_take_fast_path(self, monkeypatch, policy_name):
-        config = GEOMETRIES[0]
-        cache = SetAssociativeCache(config, make_policy(policy_name))
-        trace = self._trace(config)
-        assert self._ran_stamped(monkeypatch, cache, trace, make_timing(config))
-
-    def test_untimed_run_uses_generic_loop(self, monkeypatch):
-        config = GEOMETRIES[0]
-        cache = SetAssociativeCache(config, make_policy("lru"))
-        assert not self._ran_stamped(monkeypatch, cache, self._trace(config), None)
-
-    def test_eviction_listener_disables_fast_path(self, monkeypatch):
-        config = GEOMETRIES[0]
-        cache = SetAssociativeCache(config, make_policy("lru"))
-        cache.eviction_listener = lambda addr, dirty: None
-        trace = self._trace(config)
-        assert not self._ran_stamped(monkeypatch, cache, trace, make_timing(config))
-
-    def test_non_stamp_policy_uses_generic_loop(self, monkeypatch):
-        config = GEOMETRIES[0]
-        cache = SetAssociativeCache(config, make_policy("srrip"))
-        trace = self._trace(config)
-        assert not self._ran_stamped(monkeypatch, cache, trace, make_timing(config))
 
 
 class TestDecodeLayer:
@@ -236,9 +189,10 @@ class TestDecodeLayer:
     def test_cycle_gaps_memoized_per_cpi(self):
         trace = Trace([0, 64, 128], [False] * 3, instr_gaps=[1, 5, 2])
         decoded = trace.decoded(GEOMETRIES[0])
-        gaps = decoded.cycle_gaps(0.5)
-        assert gaps == [0.5, 2.5, 1.0]
-        assert decoded.cycle_gaps(0.5) is gaps
+        cycles = decoded.kernel_cycles(0.5)
+        assert decoded.kernel_cycles(0.5) is cycles
+        # The float list is unboxed from the memoized array per call.
+        assert decoded.cycle_gaps(0.5) == cycles.tolist() == [0.5, 2.5, 1.0]
         assert decoded.cycle_gaps(1.0) == [1.0, 5.0, 2.0]
 
     def test_gap_total_matches_slice_sums(self):

@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from repro.trace.access import Trace
-from repro.trace.champsim import (
+from repro.trace.ingest import (
     RECORD_BYTES,
     iter_champsim_records,
     read_champsim,

@@ -90,6 +90,22 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert "no oracle" in err and "nosuch" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        (
+            ["run", "micro_fit"],
+            ["sweep", "-b", "micro_fit", "-p", "lru"],
+            ["bench", "--quick"],
+            ["verify", "--fuzz", "2"],
+        ),
+        ids=lambda command: command[0],
+    )
+    def test_kernel_parameters_exit_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--kernel", "native:threads=2"])
+        assert exit_info.value.code == 2
+        assert "kernel 'native' takes no parameters" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     SWEEP = [

@@ -248,18 +248,3 @@ class TestDispatch:
     def test_formats_registry_covers_file_kinds(self):
         assert set(FORMATS) == {"champsim", "memsample", "interchange"}
 
-
-class TestDeprecationShims:
-    def test_file_io_shim(self):
-        from repro.trace import file_io
-
-        from repro.trace.ingest.interchange import save_npz
-
-        assert file_io.save_npz is save_npz
-        assert set(file_io.__all__) >= {"load_interchange", "save_interchange"}
-
-    def test_champsim_shim(self):
-        from repro.trace import champsim as shim
-
-        assert shim.read_champsim is read_champsim
-        assert shim.RECORD_BYTES == RECORD_BYTES

@@ -1,9 +1,9 @@
-"""Kernel-conformance harness: SoA batch kernels vs dict driver vs scalar.
+"""Kernel-conformance harness: SoA batch kernel vs dict driver vs scalar.
 
 Pins the load-bearing invariant of the :mod:`repro.kernels` layer: for
-every supported configuration the native/auto SoA kernels, the
-dict-driven batch drivers, and the one-access-at-a-time scalar walk
-produce bit-identical statistics, final set state (line-by-line,
+every supported configuration the native SoA kernel, the dict-driven
+batch drivers, and the one-access-at-a-time scalar walk produce
+bit-identical statistics, final set state (line-by-line,
 including stamps and read/write-seen bits), lookup tables (as key sets
 -- insertion order is driver-dependent and not semantically
 observable), and downstream writeback streams.  And for every
@@ -25,23 +25,26 @@ import repro.experiments  # noqa: F401  pre-imports the experiments package
 # package first resolves the cycle the same way the CLI does)
 
 from repro.common.config import CacheConfig, default_hierarchy
-from repro.engine.jobs import RunJob
+from repro.engine.jobs import MixJob, RunJob
 from repro.experiments.runner import (
     ExperimentScale,
     cached_shared_mix,
     make_llc_policy,
 )
+from repro.engine.sweepspec import SweepSpec
 from repro.kernels import (
     KernelSpec,
     attach_kernel,
     native_available,
-    plan_shards,
     reset_native_cache,
-    shard_eligible,
-    sharded_replay,
 )
 from repro.multicore.shared import SharedLLCSystem
-from repro.sim.spec import SimulationSpec, simulate
+from repro.sim.spec import (
+    SimulationSpec,
+    last_kernel_info,
+    simulate,
+    simulate_cached,
+)
 from repro.trace.access import Trace
 from repro.trace.generator import LINE_SIZE
 from repro.verify.differ import COMPARED_STATS, make_sut_cache
@@ -101,9 +104,9 @@ def _full_line_state(cache) -> list:
 
 
 def _lookup_keysets(cache) -> list:
-    # Key *sets*: the stamped drivers leave lookup in stamp order, the
-    # generic dict loop in insertion order; victim selection never
-    # depends on dict order, so order is not part of the contract.
+    # Key *sets*: the kernel scatter leaves lookup in stamp order, the
+    # dict loop in insertion order; victim selection never depends on
+    # dict order, so order is not part of the contract.
     return [frozenset(s.lookup) for s in cache.sets]
 
 
@@ -212,7 +215,7 @@ class TestKernelConformance:
             llc_lines=256, warmup_factor=2, measure_factor=6, seed=7
         )
         base = dict(workload="mcf", policy=policy, mode=mode, scale=scale)
-        ref = simulate(SimulationSpec(**base))
+        ref = simulate(SimulationSpec(**base, kernel="dict"))
         kern = simulate(SimulationSpec(**base, kernel="native"))
         assert kern == ref
 
@@ -231,10 +234,10 @@ class TestKernelFallback:
         assert _stats(kern) == _stats(ref)
         assert _full_line_state(kern) == _full_line_state(ref)
 
-    @pytest.mark.parametrize("kernel", ("native", "numba", "auto"))
+    @pytest.mark.parametrize("kernel", ("native",))
     def test_forced_fallback_without_native(self, kernel, monkeypatch):
-        # With REPRO_NO_NATIVE set (and numba absent in minimal
-        # environments) every kernel spec degrades to the dict driver.
+        # With REPRO_NO_NATIVE set the kernel degrades to the dict
+        # driver, naming why.
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         reset_native_cache()
         try:
@@ -244,6 +247,10 @@ class TestKernelFallback:
             kern = _run("rwp", trace, config, kernel=kernel)
             ref = _run("rwp", trace, config)
             assert_field_for_field(kern, ref)
+            assert kern.kernel.active_backend is None
+            assert kern.kernel.fallback_reason == (
+                "no native kernel library available"
+            )
         finally:
             monkeypatch.delenv("REPRO_NO_NATIVE")
             reset_native_cache()
@@ -509,85 +516,63 @@ class TestSharedKernels:
         assert outcomes[0][2][stray[0]] == stray[1]
 
 
-class TestShardedReplay:
-    """Multi-process sharded replay == the in-process batch driver."""
-
-    @pytest.mark.parametrize("num_shards,workers", ((1, 1), (4, 1), (4, 2), (7, 3)))
-    def test_sharded_matches_dict(self, num_shards, workers):
-        num_sets, ways = 32, 4
-        config = _config(num_sets, ways)
-        trace = fuzz_trace("mixed", 31337, num_sets, ways, 2048)
-        decoded = trace.decoded(config)
-
-        ref = make_sut_cache("lru", config)
-        ref.run_trace(decoded)
-
-        sharded = make_sut_cache("lru", config)
-        total = sharded_replay(
-            sharded, decoded, num_shards, max_workers=workers
-        )
-        assert total == len(decoded)
-        assert _stats(sharded) == _stats(ref)
-        assert _full_line_state(sharded) == _full_line_state(ref)
-        assert _lookup_keysets(sharded) == _lookup_keysets(ref)
-        assert _set_invariants(sharded) == _set_invariants(ref)
-        assert _clock(sharded) == _clock(ref)
-        assert sharded.tick == ref.tick
-
-    def test_shard_eligibility_gate(self):
-        config = _config(16, 4)
-        assert shard_eligible(make_sut_cache("lru", config))
-        # RWP samples and repartitions globally: sets are not
-        # independent, so the sharded replay must refuse it.
-        assert not shard_eligible(make_sut_cache("rwp", config))
-
-    def test_plan_rejects_ineligible(self):
-        config = _config(16, 4)
-        trace = fuzz_trace("mixed", 1, 16, 4, 256)
-        with pytest.raises(ValueError):
-            plan_shards(make_sut_cache("rwp", config), trace.decoded(config), 2)
-
-
 class TestKernelSpec:
     def test_parse_and_roundtrip(self):
         spec = KernelSpec.parse("native")
         assert spec.name == "native" and spec.kwargs == ()
         assert str(spec) == "native" == spec.key()
         assert KernelSpec.coerce(spec) is spec
-        assert KernelSpec.coerce("dict").is_default
-        assert not KernelSpec.make("native").is_default
         assert KernelSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec.parse("fortran")
+        for name in ("fortran", "auto"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                KernelSpec.parse(name)
 
     def test_bad_parameter_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec.parse("native:oops")
+        # A kernel takes no parameters at all.
+        for text in ("native:threads=2", "dict:x=1"):
+            name = text.split(":")[0]
+            with pytest.raises(ValueError, match=f"kernel '{name}' takes no"):
+                KernelSpec.parse(text)
 
 
 class TestStoreKeying:
-    """Default kernel is omitted from payloads; non-default re-keys."""
+    """The kernel is an execution choice: no key, label or sweep id."""
 
     def test_runjob_payload_omits_default_kernel(self):
         scale = ExperimentScale(llc_lines=256)
-        default = RunJob("mcf", "lru", scale)
-        assert "kernel" not in default.payload()
         native = RunJob("mcf", "lru", scale, kernel="native")
-        assert native.payload()["kernel"] == "native"
-        assert native.key() != default.key()
-        assert "~native" in native.label
-        assert "~" not in default.label
+        plain = RunJob("mcf", "lru", scale, kernel="dict")
+        assert "kernel" not in native.payload()
+        assert native.payload() == plain.payload()
+        assert native.key() == plain.key() == RunJob("mcf", "lru", scale).key()
+        assert native.label == plain.label == "mcf/lru"
+
+    def test_mixjob_payload_omits_kernel(self):
+        scale = ExperimentScale(llc_lines=256)
+        mix = "mix01_all_sensitive"
+        native = MixJob(mix, "rwp-core", scale, kernel="native")
+        plain = MixJob(mix, "rwp-core", scale, kernel="dict")
+        assert "kernel" not in native.payload()
+        assert native.key() == plain.key()
+        assert native.label == plain.label == f"{mix}/rwp-core"
 
     def test_spec_label_and_key(self):
-        spec = SimulationSpec("mcf", "lru", kernel="native")
-        assert spec.kernel_key == "native"
-        assert not spec.uses_default_kernel
-        assert "~native" in spec.label
-        default = SimulationSpec("mcf", "lru")
-        assert default.uses_default_kernel
-        assert "~" not in default.label
+        native = SimulationSpec("mcf", "lru", kernel="native")
+        plain = SimulationSpec("mcf", "lru", kernel="dict")
+        assert native.kernel_key == "native"
+        assert SimulationSpec("mcf", "lru").kernel_key == "native"
+        assert native.label == plain.label == "llc:mcf/lru"
+
+    def test_sweep_id_ignores_kernel(self):
+        grid = dict(workloads=("mcf",), policies=("lru", "rwp"))
+        native = SweepSpec(kernel="native", **grid)
+        plain = SweepSpec(kernel="dict", **grid)
+        assert "kernel" not in native.journal_payload()
+        assert native.sweep_id() == plain.sweep_id()
 
     def test_system_fuzz_job_keying(self):
         from repro.verify.system import SystemFuzzJob
@@ -602,6 +587,42 @@ class TestStoreKeying:
         assert kerneled.payload()["kernel"] == "native"
         assert kerneled.key() != default.key()
         assert kerneled.label.endswith("~native")
+
+
+#: small enough to run in a second, unusual enough (seed) that the
+#: memoized trace is this test's own.
+_SMALL = ExperimentScale(
+    llc_lines=256, warmup_factor=1, measure_factor=2, seed=4099
+)
+
+
+class TestDefaultKernel:
+    """Jobs run on the native kernel unless told otherwise."""
+
+    @needs_native
+    def test_default_run_is_served_natively(self):
+        simulate_cached.cache_clear()
+        job = RunJob("mcf", "rwp", _SMALL)
+        result = job.execute()
+        info = last_kernel_info()
+        assert info["backend"] == "native"
+        assert "fallback" not in info
+        plain = RunJob("mcf", "rwp", _SMALL, kernel="dict")
+        assert job.encode(result) == plain.encode(plain.execute())
+        assert last_kernel_info() is None
+
+    def test_declined_dispatch_builds_no_streams(self):
+        from repro.experiments.runner import cached_trace
+
+        simulate_cached.cache_clear()
+        job = RunJob("omnetpp", "drrip", _SMALL)
+        job.execute()
+        spec = SimulationSpec("omnetpp", "drrip", scale=_SMALL)
+        trace = cached_trace(
+            "omnetpp", _SMALL.llc_lines, _SMALL.total_accesses, _SMALL.seed
+        )
+        decoded = trace.decoded(spec.hierarchy_config().llc)
+        assert decoded._np_streams is None
 
 
 class TestNumpyAbsent:
@@ -647,14 +668,3 @@ class TestNumpyAbsent:
         kern = _run("rwp", trace, config, kernel="native")
         ref = _run("rwp", trace, config)
         assert_field_for_field(kern, ref)
-
-    def test_sharded_replay_is_numpy_free(self, no_numpy):
-        config = _config(16, 4)
-        trace = fuzz_trace("mixed", 12, 16, 4, 512)
-        decoded = trace.decoded(config)
-        ref = make_sut_cache("lru", config)
-        ref.run_trace(decoded)
-        sharded = make_sut_cache("lru", config)
-        sharded_replay(sharded, decoded, 3)
-        assert _stats(sharded) == _stats(ref)
-        assert _full_line_state(sharded) == _full_line_state(ref)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.trace.generator import LINE_SIZE
 from repro.trace.mixes import (
-    FOUR_CORE_MIXES,
     MixSpec,
     get_mix,
     mix_benchmarks,
@@ -103,17 +102,21 @@ class TestModelConstruction:
         assert biggest > PAPER_LLC_LINES // 2
 
 
+#: the paper's ten 4-core private all-model mixes.
+PAPER_FOUR_CORE = mix_specs(core_count=4, sharing=False, models_only=True)
+
+
 class TestMixes:
     def test_ten_mixes_of_four(self):
-        assert len(FOUR_CORE_MIXES) == 10
+        assert len(PAPER_FOUR_CORE) == 10
         for name in mix_names(4):
             assert len(mix_benchmarks(name)) == 4
 
     def test_four_core_shim_is_models_only(self):
-        # The compat shim stays exactly the paper's ten all-SPEC mixes;
-        # stress-kernel mixes live only in the full registry.
-        for benchmarks in FOUR_CORE_MIXES.values():
-            for bench in benchmarks:
+        # The paper's mixes are exactly ten all-SPEC mixes; stress-kernel
+        # mixes live only in the full registry.
+        for spec in PAPER_FOUR_CORE:
+            for bench in spec.benchmarks:
                 assert bench in SPEC2006_PARAMS
 
     def test_all_mix_members_are_valid_workloads(self):
@@ -182,8 +185,9 @@ class TestMixSpecRegistry:
         assert {2, 4, 8, 16} <= shared_counts
 
     def test_four_core_compat_dict_matches_registry(self):
-        for name, benches in FOUR_CORE_MIXES.items():
-            assert get_mix(name).benchmarks == benches
+        for spec in PAPER_FOUR_CORE:
+            assert get_mix(spec.name) is spec
+            assert mix_benchmarks(spec.name) == spec.benchmarks
 
     def test_register_duplicate_raises(self):
         with pytest.raises(ValueError, match="duplicate mix"):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.trace.access import Access, Trace
-from repro.trace.file_io import load_npz, load_text, save_npz, save_text
+from repro.trace.ingest import load_npz, load_text, save_npz, save_text
 
 
 class TestAccess:
