@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 _SOURCE = Path(__file__).resolve().parent / "native_src.c"
 
@@ -103,6 +103,22 @@ class CacheCtx(ctypes.Structure):
         ("write_migrations", _int64),
         ("shared_evictions", _int64),
         ("status", _int64),
+        ("policy_kind", _int64),
+        ("rrpv", _p_int64),
+        ("signature", _p_int64),
+        ("outcome", _p_int64),
+        ("roles", _p_uint8),
+        ("psel", _int64),
+        ("psel_max", _int64),
+        ("psel_mid", _int64),
+        ("coin", _int64),
+        ("coin_odds", _int64),
+        ("counters", _p_int64),
+        ("counter_mask", _int64),
+        ("counter_max", _int64),
+        ("bypass_writes", _int64),
+        ("bypassed_writes", _int64),
+        ("bypasses", _int64),
     ]
 
 
@@ -141,6 +157,7 @@ class LaneCtx(ctypes.Structure):
         ("mem", _p_int64),
         ("wb_out", _p_int64),
         ("wb_out_count", _int64),
+        ("pc_stream", _p_int64),
     ]
 
 

@@ -7,7 +7,8 @@
  * dict-driven paths and the scalar access() walk:
  *
  *   rw_run_trace   <->  SetAssociativeCache.run_trace, recency-stamped
- *                       plans (timed or untimed)
+ *                       plans and the DIP/DRRIP/SHiP/RRP comparators
+ *                       (timed or untimed)
  *   rw_lru_filter  <->  SetAssociativeCache.run_lru_filter
  *   rw_multicore   <->  SharedLLCSystem.run over run_trace_session
  *
@@ -16,6 +17,12 @@
  * the order its observe/on_evict listeners fire on the scalar walk, and
  * rwp-core routes shared lines to its shared claimant.  The flag is read
  * once per call: untracked replays run the loop compiled without it.
+ *
+ * The paper's comparator policies (CacheCtx.policy_kind != 0) run in a
+ * third copy of the loop with their hooks ported from repro/cache/dip.py,
+ * rrip.py, ship.py and repro/core/rrp.py: set-dueling PSEL, the CheapLCG
+ * coin, the PC-indexed counter table and RRP's write bypass, over three
+ * more per-line columns (rrpv, signature, outcome).
  *
  * Floating point: additions and subtractions only, in source order.
  * Build flags must keep IEEE semantics (-ffp-contract=off, no
@@ -29,13 +36,28 @@
 #include <math.h>
 #include <stdint.h>
 
-#define RW_KERNEL_ABI 2
+#define RW_KERNEL_ABI 3
 
 /* victim kinds */
 #define VICTIM_MIN_STAMP 0
 #define VICTIM_RWP 1
 #define VICTIM_CORE_RWP 2
 #define VICTIM_CORE_RWP_SHARED 3 /* rwp-core plus the shared-line group */
+
+/* comparator policies (CacheCtx.policy_kind); 0 runs victim_kind */
+#define POLICY_STAMPED 0
+#define POLICY_DIP 1
+#define POLICY_DRRIP 2
+#define POLICY_SHIP 3
+#define POLICY_RRP 4
+
+/* SetDueling roles (repro/cache/dueling.py); FOLLOWER (2) follows PSEL */
+#define TEAM_A 0
+#define TEAM_B 1
+
+/* 2-bit re-reference prediction values (repro/cache/rrip.py) */
+#define RRPV_MAX 3
+#define RRPV_LONG 2
 
 /* run status */
 #define STATUS_OK 0
@@ -92,6 +114,22 @@ typedef struct {
     int64_t tracked, peak_tracked, shared_lines, shared_accesses;
     int64_t shared_writes, write_migrations, shared_evictions;
     int64_t status;
+    /* comparator policies (policy_kind != POLICY_STAMPED); appended so
+     * the stamped loops see the struct layout they always have */
+    int64_t policy_kind;
+    int64_t *rrpv;         /* per-line columns [num_sets * ways] */
+    int64_t *signature;
+    int64_t *outcome;
+    const uint8_t *roles;  /* [num_sets] SetDueling role (DIP, DRRIP) */
+    int64_t psel, psel_max, psel_mid;
+    int64_t coin;          /* CheapLCG state, a uint32 */
+    int64_t coin_odds;     /* coin.chance(coin_odds), >= 1 */
+    int64_t *counters;     /* SHiP SHCT / RRP predictor [counter_mask + 1] */
+    int64_t counter_mask;
+    int64_t counter_max;
+    int64_t bypass_writes; /* RRP: write misses may bypass */
+    int64_t bypassed_writes;
+    int64_t bypasses;      /* CacheStats.bypasses */
 } CacheCtx;
 
 typedef struct {
@@ -123,6 +161,7 @@ typedef struct {
     int64_t *mem;     /* per-origin memory-write count */
     int64_t *wb_out;  /* writeback block addresses, residue order */
     int64_t wb_out_count;
+    const int64_t *pc_stream; /* SHiP/RRP only; NULL otherwise */
 } LaneCtx;
 
 typedef struct {
@@ -348,13 +387,169 @@ ALWAYS_INLINE int64_t find_way(
     return -1;
 }
 
+/* CheapLCG.chance: advance the ranqd1 state, then test state % odds. */
+ALWAYS_INLINE int coin_chance(CacheCtx *c) {
+    uint32_t state = (uint32_t)c->coin * 1664525u + 1013904223u;
+    c->coin = state;
+    return state % (uint64_t)c->coin_odds == 0;
+}
+
+/* pc_signature of ship.py / rrp.py.  Python multiplies unbounded ints;
+ * the masked low bits of the uint64 product are the same. */
+ALWAYS_INLINE int64_t pc_signature(int64_t pc, int64_t mask) {
+    return (int64_t)(((uint64_t)(pc >> 2) * 2654435761u) & (uint64_t)mask);
+}
+
+/* SetDueling.record_miss, then team_for(set) == TEAM_A. */
+ALWAYS_INLINE int duel_team_a(CacheCtx *c, int64_t si) {
+    int64_t role = c->roles[si];
+    if (role == TEAM_A) {
+        if (c->psel < c->psel_max) c->psel++;
+        return 1;
+    }
+    if (role == TEAM_B) {
+        if (c->psel > 0) c->psel--;
+        return 0;
+    }
+    /* a follower: a high PSEL means team A misses more, follow B */
+    return c->psel < c->psel_mid;
+}
+
+/* The LRU-position stamp of DIP/RRP inserts: one below every stamp in
+ * the set, the just-reset filled way (stamp 0) and invalid ways
+ * included. */
+ALWAYS_INLINE int64_t lru_position(const int64_t *stamp, int64_t ways) {
+    int64_t wy, low = stamp[0];
+    for (wy = 1; wy < ways; wy++) {
+        if (stamp[wy] < low) low = stamp[wy];
+    }
+    return low - 1;
+}
+
+/* rrip._rrip_victim: age every line by one until one reaches RRPV_MAX;
+ * the first such way wins.  Aging all the missing rounds at once picks
+ * the same way: the first one holding the set's largest RRPV. */
+ALWAYS_INLINE int64_t rrip_victim(int64_t *rrpv, int64_t ways) {
+    int64_t wy, best = 0, top = rrpv[0];
+    for (wy = 0; wy < ways; wy++) {
+        if (rrpv[wy] >= RRPV_MAX) return wy;
+    }
+    /* every line below RRPV_MAX: age them all by RRPV_MAX - top */
+    for (wy = 1; wy < ways; wy++) {
+        if (rrpv[wy] > top) {
+            best = wy;
+            top = rrpv[wy];
+        }
+    }
+    for (wy = 0; wy < ways; wy++) rrpv[wy] += RRPV_MAX - top;
+    return best;
+}
+
+/* on_hit of DIP (the recency stamp), DRRIP, SHiP and RRP. */
+ALWAYS_INLINE void comparator_hit(
+    CacheCtx *c, int64_t li, int w, int64_t *clock
+) {
+    int64_t *outcome = c->outcome + li;
+    int64_t *counter;
+    switch (c->policy_kind) {
+    case POLICY_DIP:
+        c->stamp[li] = ++*clock;
+        return;
+    case POLICY_DRRIP:
+        c->rrpv[li] = 0;
+        return;
+    case POLICY_SHIP:
+        c->rrpv[li] = 0;
+        break;
+    default: /* POLICY_RRP */
+        ++*clock;
+        /* a write to a line that served no read keeps its recency */
+        if (w && *outcome == 0) return;
+        c->stamp[li] = *clock;
+        if (w) return;
+        break;
+    }
+    /* first reuse (SHiP) / first read (RRP) trains the signature up */
+    if (*outcome == 0) {
+        *outcome = 1;
+        counter = c->counters + c->signature[li];
+        if (*counter < c->counter_max) (*counter)++;
+    }
+}
+
+/* on_fill of the four, after reset_for_fill zeroed the policy columns
+ * and the stamp.  A coin is drawn only where Python short-circuits. */
+ALWAYS_INLINE void comparator_fill(
+    CacheCtx *c, int64_t si, int64_t base, int64_t li, int w, int64_t pc,
+    int64_t *clock
+) {
+    int64_t sig;
+    switch (c->policy_kind) {
+    case POLICY_DIP:
+        if (duel_team_a(c, si) || coin_chance(c)) {
+            c->stamp[li] = ++*clock;
+        } else {
+            c->stamp[li] = lru_position(c->stamp + base, c->ways);
+        }
+        return;
+    case POLICY_DRRIP:
+        c->rrpv[li] =
+            duel_team_a(c, si) || coin_chance(c) ? RRPV_LONG : RRPV_MAX;
+        return;
+    case POLICY_SHIP:
+        sig = pc_signature(pc, c->counter_mask);
+        c->signature[li] = sig;
+        c->rrpv[li] = c->counters[sig] > 0 ? RRPV_LONG : RRPV_MAX;
+        return;
+    default: /* POLICY_RRP */
+        sig = pc_signature(pc, c->counter_mask);
+        c->signature[li] = sig;
+        ++*clock;
+        /* a read fill predicted read-dead parks at the LRU position */
+        c->stamp[li] = !w && c->counters[sig] <= 0
+            ? lru_position(c->stamp + base, c->ways)
+            : *clock;
+        return;
+    }
+}
+
+/* RRPPolicy.should_bypass for a write miss with bypassing armed. */
+ALWAYS_INLINE int comparator_bypass(CacheCtx *c, int64_t pc) {
+    if (c->counters[pc_signature(pc, c->counter_mask)] > 0) return 0;
+    /* one in coin_odds predicted-dead writes fills, so the signature
+     * stays trainable */
+    if (coin_chance(c)) return 0;
+    c->bypassed_writes++;
+    return 1;
+}
+
+/* Victim way of a full set, then SHiP/RRP eviction training: a line
+ * that saw no reuse trains its signature down. */
+ALWAYS_INLINE int64_t comparator_victim(CacheCtx *c, int64_t base) {
+    int64_t li;
+    int64_t *counter;
+    if (c->policy_kind == POLICY_DRRIP || c->policy_kind == POLICY_SHIP) {
+        li = base + rrip_victim(c->rrpv + base, c->ways);
+    } else {
+        li = base + min_stamp_way(c->stamp + base, c->ways);
+    }
+    if (c->policy_kind >= POLICY_SHIP && c->outcome[li] == 0) {
+        counter = c->counters + c->signature[li];
+        if (*counter > 0) (*counter)--;
+    }
+    return li;
+}
+
 /* One bounded replay of lane accesses [start, stop): the shared inner
  * loop of rw_run_trace and rw_multicore.  Mirrors run_trace /
  * run_trace_session access-for-access; with ``track`` (a compile-time
  * constant) it also runs SharerDirectory.observe before the sampler and
- * SharerDirectory.on_evict on every eviction, as the scalar walk does. */
+ * SharerDirectory.on_evict on every eviction, as the scalar walk does.
+ * With ``comparator`` (also constant) the policy hooks are the
+ * comparator_* ports instead of the recency stamp and select_victim. */
 ALWAYS_INLINE int64_t lane_loop(
-    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop, const int track
+    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop, const int track,
+    const int comparator
 ) {
     const int64_t *set_stream = l->set_stream;
     const int64_t *tag_stream = l->tag_stream;
@@ -454,14 +649,14 @@ ALWAYS_INLINE int64_t lane_loop(
                 writer_a[li] = writer;
             }
         }
-        if (stride && si % stride == 0) {
+        if (!comparator && stride && si % stride == 0) {
             /* CoreAwareRWPPolicy._sample: shared lines feed the shared
              * claimant's sampler instead of the issuing core's */
             int64_t who = track && shared_sampler && MULTI_SHARER(mask)
                 ? shared_sampler : core;
             sampler_observe(c, who, si, tag, w);
         }
-        if (period) {
+        if (!comparator && period) {
             if (--c->epoch_left == 0) {
                 c->epoch_left = period;
                 if (c->epoch_cb && c->epoch_cb()) {
@@ -480,14 +675,22 @@ ALWAYS_INLINE int64_t lane_loop(
                     dirty_a[li] = 1;
                 }
                 ws_a[li] = 1;
-                clock++;
-                stamp_a[li] = clock;
+                if (comparator) {
+                    comparator_hit(c, li, 1, &clock);
+                } else {
+                    clock++;
+                    stamp_a[li] = clock;
+                }
             } else {
                 read_hits++;
                 l->rh++;
                 rs_a[li] = 1;
-                clock++;
-                stamp_a[li] = clock;
+                if (comparator) {
+                    comparator_hit(c, li, 0, &clock);
+                } else {
+                    clock++;
+                    stamp_a[li] = clock;
+                }
                 if (attrib) levels[origin_stream[i]] = 2;
                 if (timed) {
                     read_stall += hit_stall;
@@ -497,13 +700,20 @@ ALWAYS_INLINE int64_t lane_loop(
             continue;
         }
 
-        /* miss (never bypassed on this plan) */
+        /* miss (only RRP's write bypass skips the fill) */
         if (w) {
             write_misses++;
             l->wm++;
         } else {
             read_misses++;
             l->rm++;
+        }
+        if (comparator && w && c->bypass_writes
+            && comparator_bypass(c, l->pc_stream[i])) {
+            /* the write goes straight to memory through the buffer */
+            c->bypasses++;
+            if (timed) wb_issue(l, &cycles, &write_stall);
+            continue;
         }
         {
             int64_t wb_block = -1;
@@ -515,7 +725,8 @@ ALWAYS_INLINE int64_t lane_loop(
                 filled_a[si]++;
             } else {
                 int dirty;
-                li = base + select_victim(c, si, base, w);
+                li = comparator ? comparator_victim(c, base)
+                                : base + select_victim(c, si, base, w);
                 evictions++;
                 dirty = dirty_a[li];
                 if (dirty) {
@@ -546,8 +757,19 @@ ALWAYS_INLINE int64_t lane_loop(
             rs_a[li] = (uint8_t)!w;
             ws_a[li] = (uint8_t)w;
             if (w) dl_a[si]++;
-            clock++;
-            stamp_a[li] = clock;
+            if (comparator) {
+                stamp_a[li] = 0;
+                c->rrpv[li] = 0;
+                c->signature[li] = 0;
+                c->outcome[li] = 0;
+                comparator_fill(
+                    c, si, base, li, w, l->pc_stream ? l->pc_stream[i] : 0,
+                    &clock
+                );
+            } else {
+                clock++;
+                stamp_a[li] = clock;
+            }
             if (track) {
                 sharers_a[li] = mask;
                 writer_a[li] = writer;
@@ -603,17 +825,31 @@ ALWAYS_INLINE int64_t lane_loop(
 }
 
 static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
-    return lane_loop(c, l, start, stop, 0);
+    return lane_loop(c, l, start, stop, 0, 0);
 }
 
 static int64_t run_lane_tracked(
     CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop
 ) {
-    return lane_loop(c, l, start, stop, 1);
+    return lane_loop(c, l, start, stop, 1, 0);
+}
+
+/* The comparators' copy: single-lane and untracked only (the multicore
+ * and hierarchy-stage entry points never bind these policies).  Built at
+ * Og: the build is timed on first use, and this copy compiles several
+ * times faster at Og than at O3 while still running the comparators
+ * several times faster than the dict driver. */
+__attribute__((optimize("Og"))) static int64_t run_lane_comparator(
+    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop
+) {
+    return lane_loop(c, l, start, stop, 0, 1);
 }
 
 int64_t rw_run_trace(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
     c->status = STATUS_OK;
+    if (c->policy_kind != POLICY_STAMPED) {
+        return run_lane_comparator(c, l, start, stop);
+    }
     return c->sharers
         ? run_lane_tracked(c, l, start, stop)
         : run_lane(c, l, start, stop);

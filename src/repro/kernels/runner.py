@@ -16,6 +16,14 @@ Supported configurations (the ``native`` backend):
 * recency-stamped plans (``plan.stamp_policy``) with no full observer,
   no bypass, no evict training, no prefetches in flight, and no PC
   consumers;
+* the paper's comparator policies -- DIP, DRRIP, SHiP and RRP,
+  recognized by hook identity like the victim scans below -- on
+  ``run_trace``'s single-lane replay only (``LLCRunner`` and the
+  hierarchy's untimed LLC residue), with their set-dueling PSEL, coin,
+  PC-indexed counter table and RRP's write bypass in C.  The hierarchy
+  stage replay, the LLC-residue collect replay and the multicore
+  interleave decline them, naming why: their lanes carry no PC stream
+  and no bypass attribution;
 * no access/eviction listeners, except the
   :class:`~repro.multicore.shared.SharerDirectory` pair a data-sharing
   ``SharedLLCSystem`` run installs: the directory then travels as two
@@ -43,6 +51,11 @@ try:
 except ImportError:  # pragma: no cover - exercised via tests stubbing numpy
     np = None
 
+from repro.cache.dip import DIPPolicy
+from repro.cache.rrip import DRRIPPolicy
+from repro.cache.ship import SHiPPolicy
+from repro.core import rrp
+from repro.core.rrp import RRPPolicy
 from repro.core.rwp import CoreAwareRWPPolicy, RWPPolicy
 from repro.core.sampler import CoreReadWriteSampler, ReadWriteSampler
 from repro.kernels import soa
@@ -63,6 +76,13 @@ _VICTIM_RWP = 1
 _VICTIM_CORE_RWP = 2
 _VICTIM_CORE_RWP_SHARED = 3
 
+#: comparator policy kinds, matching the POLICY_* defines in native_src.c
+_POLICY_STAMPED = 0
+_POLICY_DIP = 1
+_POLICY_DRRIP = 2
+_POLICY_SHIP = 3
+_POLICY_RRP = 4
+
 _STATUS_CALLBACK_ABORT = 2
 
 #: clean_occ/dirty_occ in the C victim scan are fixed-size stack arrays,
@@ -74,6 +94,35 @@ _MAX_POLICY_CORES = 64
 #: of which the callback resynchronizes.
 _SAFE_EPOCH_HOOKS = (RWPPolicy.on_epoch, CoreAwareRWPPolicy.on_epoch)
 
+#: (cache attribute, hook name) of the plan hooks a comparator binds
+_PLAN_HOOKS = (
+    ("_on_hit", "on_hit"),
+    ("_on_fill", "on_fill"),
+    ("_victim", "victim"),
+    ("_on_evict", "on_evict"),
+    ("_should_bypass", "should_bypass"),
+)
+
+#: the comparator policies the kernel ports: (kind, class, the hooks its
+#: plan binds, the ones of those it may leave unbound -- RRP without
+#: write bypassing binds no ``should_bypass``)
+_COMPARATORS = (
+    (_POLICY_DIP, DIPPolicy, ("on_hit", "on_fill", "victim"), ()),
+    (_POLICY_DRRIP, DRRIPPolicy, ("on_hit", "on_fill", "victim"), ()),
+    (
+        _POLICY_SHIP,
+        SHiPPolicy,
+        ("on_hit", "on_fill", "victim", "on_evict"),
+        (),
+    ),
+    (
+        _POLICY_RRP,
+        RRPPolicy,
+        ("on_hit", "on_fill", "victim", "on_evict", "should_bypass"),
+        ("should_bypass",),
+    ),
+)
+
 
 class _CacheBinding:
     """One cache gathered into a populated ``CacheCtx``, ready to run."""
@@ -84,6 +133,8 @@ class _CacheBinding:
         "image",
         "stamp",
         "kind",
+        "comparator",
+        "pimage",
         "samplers",
         "simage",
         "stride",
@@ -95,6 +146,8 @@ class _CacheBinding:
     )
 
     def __init__(self) -> None:
+        self.comparator = _POLICY_STAMPED
+        self.pimage = None
         self.directory = None
         self.dimage = None
         self.samplers = None
@@ -121,6 +174,73 @@ def _directory_of(cache) -> Optional[SharerDirectory]:
     ):
         return directory
     return None
+
+
+def _comparator_kind(cache) -> Optional[int]:
+    """The comparator policy whose hooks ``cache``'s plan binds, or None.
+
+    Recognized by hook identity, as :func:`_victim_kind` recognizes the
+    victim scans: each hook the plan binds must be the class's own
+    function, looked up at call time, bound to ``cache.policy``.  A
+    subclass that overrides a hook (or RRP's ``predicts_read``) is not
+    the policy the kernel ports, so it declines.
+    """
+    policy = cache.policy
+    for kind, cls, hooks, optional in _COMPARATORS:
+        if not isinstance(policy, cls):
+            continue
+        for attr, name in _PLAN_HOOKS:
+            bound = getattr(cache, attr)
+            if bound is None:
+                if name in hooks and name not in optional:
+                    return None
+            elif (
+                name not in hooks
+                or getattr(bound, "__func__", None) is not getattr(cls, name)
+                or bound.__self__ is not policy
+            ):
+                return None
+        if (
+            kind == _POLICY_RRP
+            and type(policy).predicts_read is not RRPPolicy.predicts_read
+        ):
+            return None
+        return kind
+    return None
+
+
+def _gather_comparator(cache, kind: int) -> Optional[soa.PolicyImage]:
+    """Pack the state ``kind``'s hooks read besides the line columns."""
+    policy = cache.policy
+    num_sets = len(cache.sets)
+    if kind in (_POLICY_DIP, _POLICY_DRRIP):
+        return soa.gather_policy(
+            policy,
+            num_sets,
+            dueling=policy._dueling,
+            coin=policy._coin,
+            coin_odds=policy._epsilon,
+        )
+    if kind == _POLICY_SHIP:
+        return soa.gather_policy(
+            policy,
+            num_sets,
+            table=policy._shct,
+            entries=policy._entries,
+            counter_max=policy._max_count,
+        )
+    return soa.gather_policy(
+        policy,
+        num_sets,
+        coin=policy._coin,
+        coin_odds=rrp.RETRAIN_ONE_IN,
+        table=policy._table,
+        entries=policy._entries,
+        counter_max=policy._max_count,
+        bypass_writes=(
+            cache._should_bypass is not None and bool(policy._bypass_writes)
+        ),
+    )
 
 
 def _victim_kind(cache, directory) -> Optional[int]:
@@ -166,20 +286,27 @@ def _victim_block_reason(cache) -> str:
     )
 
 
-def _plan_block_reason(cache, directory) -> Optional[str]:
+def _plan_block_reason(cache, directory, comparator) -> Optional[str]:
     """Why the kernel's plan gate declines, or None if it won't.
 
-    The sharer directory's listener pair (``directory``, None to refuse
-    it) is the one listener shape allowed; the strings feed
+    ``comparator`` is :func:`_comparator_kind`'s answer: those policies'
+    bypass, evict-training and PC hooks are ported.  The sharer
+    directory's listener pair (``directory``, None to refuse it) is the
+    one listener shape allowed; the strings feed
     :attr:`KernelRuntime.fallback_reason`.
     """
-    if cache.plan.stamp_policy is None:
-        return "policy is outside the stamped fast path"
+    if cache.plan.stamp_policy is None and comparator is None:
+        return f"{type(cache.policy).__name__} has no kernel counterpart"
     if cache._observe is not None:
         return "policy installs a full observe hook"
-    if cache._should_bypass is not None:
+    if comparator is not None:
+        if cache._on_sample is not None or cache._epoch_period:
+            return "policy installs a sample or epoch hook"
+        # The comparators' loop copy keeps no sharer columns.
+        directory = None
+    elif cache._should_bypass is not None:
         return "policy installs a bypass hook"
-    if cache._on_evict is not None:
+    elif cache._on_evict is not None:
         return "policy trains on evictions"
     if directory is None:
         if cache.access_listener is not None:
@@ -190,16 +317,21 @@ def _plan_block_reason(cache, directory) -> Optional[str]:
         return f"sharer directory tracks more than {_MAX_POLICY_CORES} cores"
     if cache._prefetch_active:
         return "prefetching is active"
-    if cache._needs_pc:
+    if cache._needs_pc and comparator is None:
         return "policy needs per-access PCs"
     return None
 
 
-def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBinding]:
+def bind_cache(
+    cache, reasons: Optional[List[str]] = None, entry: Optional[str] = None
+) -> Optional[_CacheBinding]:
     """Gather ``cache`` into a ``CacheCtx``; None when unsupported.
 
     When ``reasons`` is given, every decline appends one human-readable
     sentence fragment explaining it (the fallback-surfacing channel).
+    ``entry`` names a caller whose lanes carry no PC stream and no
+    bypass attribution, so it declines the comparator policies; None is
+    ``run_trace``'s single-lane replay, which runs them.
     """
 
     def decline(reason: str) -> None:
@@ -210,9 +342,17 @@ def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBin
     if np is None:
         return decline("numpy is unavailable")
     directory = _directory_of(cache)
-    blocked = _plan_block_reason(cache, directory)
+    comparator = _comparator_kind(cache)
+    if comparator is not None and entry is not None:
+        return decline(
+            f"{type(cache.policy).__name__} runs natively only through "
+            f"run_trace: {entry} carries no PC stream or bypass attribution"
+        )
+    blocked = _plan_block_reason(cache, directory, comparator)
     if blocked is not None:
         return decline(blocked)
+    if comparator is not None:
+        return _bind_comparator(cache, comparator, decline)
     kind = _victim_kind(cache, directory)
     if kind is None:
         return decline(_victim_block_reason(cache))
@@ -305,19 +445,7 @@ def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBin
 
     ctx = CacheCtx()
     try:
-        ctx.num_sets = len(cache.sets)
-        ctx.ways = cache.ways
-        ctx.index_bits = cache._index_bits
-        ctx.offset_bits = cache._offset_bits
-        ctx.tag = soa.ptr_int64(image.tag)
-        ctx.stamp = soa.ptr_int64(image.stamp)
-        ctx.owner = soa.ptr_int64(image.owner)
-        ctx.valid = soa.ptr_uint8(image.valid)
-        ctx.dirty = soa.ptr_uint8(image.dirty)
-        ctx.read_seen = soa.ptr_uint8(image.read_seen)
-        ctx.write_seen = soa.ptr_uint8(image.write_seen)
-        ctx.filled = soa.ptr_int64(image.filled)
-        ctx.dirty_lines = soa.ptr_int64(image.dirty_lines)
+        _load_lines(ctx, cache, image)
         ctx.victim_kind = kind
         if kind == _VICTIM_RWP:
             ctx.target_clean = stamp.target_clean
@@ -359,6 +487,65 @@ def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBin
     return binding
 
 
+def _bind_comparator(cache, comparator: int, decline) -> Optional[_CacheBinding]:
+    """``bind_cache`` for DIP, DRRIP, SHiP and RRP."""
+    policy = cache.policy
+    pimage = _gather_comparator(cache, comparator)
+    if pimage is None:
+        return decline(
+            f"{type(policy).__name__} state is not SoA-representable"
+        )
+    image = soa.gather_lines(cache, comparator=True)
+    if image is None:
+        return decline("cache line state not SoA-representable")
+    if pimage.counters is not None and (
+        int(image.signature.min()) < 0
+        or int(image.signature.max()) >= len(pimage.counters)
+    ):
+        return decline("a line signature indexes outside the counter table")
+
+    binding = _CacheBinding()
+    binding.cache = cache
+    binding.image = image
+    binding.comparator = comparator
+    binding.pimage = pimage
+    # DIP and RRP order lines by the LRUPolicy clock; the RRIP pair
+    # never stamps.
+    binding.stamp = policy if hasattr(policy, "_clock") else None
+    ctx = CacheCtx()
+    try:
+        _load_lines(ctx, cache, image)
+        ctx.policy_kind = comparator
+        ctx.rrpv = soa.ptr_int64(image.rrpv)
+        ctx.signature = soa.ptr_int64(image.signature)
+        ctx.outcome = soa.ptr_int64(image.outcome)
+        soa.load_policy(ctx, pimage)
+        if binding.stamp is not None:
+            ctx.clock = policy._clock
+        soa.load_stats(ctx, cache)
+    except OverflowError:
+        return decline("cache state overflows the int64 kernel ABI")
+    binding.ctx = ctx
+    return binding
+
+
+def _load_lines(ctx, cache, image) -> None:
+    """Geometry and the stamped line columns into ``ctx``."""
+    ctx.num_sets = len(cache.sets)
+    ctx.ways = cache.ways
+    ctx.index_bits = cache._index_bits
+    ctx.offset_bits = cache._offset_bits
+    ctx.tag = soa.ptr_int64(image.tag)
+    ctx.stamp = soa.ptr_int64(image.stamp)
+    ctx.owner = soa.ptr_int64(image.owner)
+    ctx.valid = soa.ptr_uint8(image.valid)
+    ctx.dirty = soa.ptr_uint8(image.dirty)
+    ctx.read_seen = soa.ptr_uint8(image.read_seen)
+    ctx.write_seen = soa.ptr_uint8(image.write_seen)
+    ctx.filled = soa.ptr_int64(image.filled)
+    ctx.dirty_lines = soa.ptr_int64(image.dirty_lines)
+
+
 def _make_epoch_cb(binding: _CacheBinding, on_epoch):
     """The C->Python epoch trampoline: resync, repartition, resync."""
 
@@ -398,8 +585,11 @@ def scatter_cache(binding: _CacheBinding) -> None:
     ctx = binding.ctx
     soa.scatter_lines(cache, binding.image)
     soa.flush_stats(cache, ctx)
-    binding.stamp._clock = ctx.clock
+    if binding.stamp is not None:
+        binding.stamp._clock = ctx.clock
     cache._epoch_left = ctx.epoch_left
+    if binding.pimage is not None:
+        soa.scatter_policy(binding.pimage, ctx)
     if binding.samplers is not None:
         soa.scatter_sampler(binding.samplers, binding.simage, binding.stride)
     if binding.directory is not None:
@@ -415,12 +605,14 @@ def _finish(binding: _CacheBinding) -> None:
         raise binding.errors[0]
 
 
-def _fill_lane_timing(lane: LaneCtx, timing, decoded):
-    """Hoist the TimingModel state into ``lane``; returns the wb ring."""
+def _fill_lane_timing(lane: LaneCtx, timing, cycles):
+    """Hoist the TimingModel state into ``lane``; returns the wb ring.
+
+    ``cycles`` is the per-access cycle-cost array of the lane's trace at
+    ``timing``'s CPI (:func:`soa.cycle_array`).
+    """
     lane.timed = 1
-    lane.cycle_stream = soa.ptr_double(
-        soa.cycle_array(decoded, timing.core.base_cpi)
-    )
+    lane.cycle_stream = soa.ptr_double(cycles)
     mlp = timing.core.mlp
     lane.hit_stall = timing.llc_hit_latency / mlp
     lane.miss_stall = timing.memory.latency / mlp
@@ -454,10 +646,10 @@ class KernelRuntime:
         self.fallback_reason = reason
         return None
 
-    def _bind(self, cache) -> Optional[_CacheBinding]:
+    def _bind(self, cache, entry: Optional[str] = None) -> Optional[_CacheBinding]:
         """``bind_cache`` with the decline reason routed to the runtime."""
         reasons: List[str] = []
-        binding = bind_cache(cache, reasons)
+        binding = bind_cache(cache, reasons, entry)
         if binding is None:
             self._fallback(reasons[0] if reasons else "kernel binding declined")
         return binding
@@ -490,17 +682,32 @@ class KernelRuntime:
         if streams is None:
             return self._fallback("decoded trace is not array-backed")
         set_arr, tag_arr, write_arr, gap_arr = streams
+        pcs = None
+        if binding.comparator in (_POLICY_SHIP, _POLICY_RRP):
+            pcs = decoded.kernel_pcs()
+            if pcs is None:
+                return self._fallback("PC stream overflows the int64 kernel ABI")
+        cycles = None
+        if timing is not None:
+            cycles = soa.cycle_array(decoded, timing.core.base_cpi)
+        soa.check_streams(
+            len(cache.sets), start, stop,
+            set=set_arr, tag=tag_arr, write=write_arr, gap=gap_arr,
+            cycle=cycles, pc=pcs,
+        )
 
         lane = LaneCtx()
         lane.set_stream = soa.ptr_int64(set_arr)
         lane.tag_stream = soa.ptr_int64(tag_arr)
         lane.write_stream = soa.ptr_uint8(write_arr)
+        if pcs is not None:
+            lane.pc_stream = soa.ptr_int64(pcs)
         lane.core = core
         lane.cycle_limit = inf if cycle_limit is None else cycle_limit
         ring = None
         if timing is not None:
             try:
-                ring = _fill_lane_timing(lane, timing, decoded)
+                ring = _fill_lane_timing(lane, timing, cycles)
             except OverflowError:
                 return self._fallback("timing state overflows the lane image")
             lane.gap_stream = soa.ptr_int64(gap_arr)
@@ -558,9 +765,16 @@ class KernelRuntime:
             )
         except (OverflowError, TypeError, ValueError):
             return self._fallback("stream not coercible to the int64 ABI")
-        binding = self._bind(cache)
+        if level_arr is not None and origin_arr is None:
+            return self._fallback("service levels without origins")
+        binding = self._bind(cache, "the LRU filter")
         if binding is None:
             return None
+        soa.check_streams(
+            len(cache.sets), start, stop,
+            origin_limit=None if level_arr is None else len(level_arr),
+            set=set_arr, tag=tag_arr, write=write_arr, origin=origin_arr,
+        )
 
         span = stop - start
         blocks_out = np.empty(2 * span, dtype=np.int64)
@@ -619,19 +833,25 @@ class KernelRuntime:
         # Bind all three levels up front: binding only reads, so a
         # failure here leaves every cache untouched for the fallback
         # (and builds no stream arrays).
-        b1 = bind_cache(l1)
+        entry = "the hierarchy stage replay"
+        b1 = bind_cache(l1, entry=entry)
         if b1 is None:
             return None
-        b2 = bind_cache(l2)
+        b2 = bind_cache(l2, entry=entry)
         if b2 is None:
             return None
-        b3 = bind_cache(llc)
+        b3 = bind_cache(llc, entry=entry)
         if b3 is None:
             return None
         streams = soa.stream_arrays(decoded)
         if streams is None:
             return None
         set_arr, tag_arr, write_arr, _ = streams
+        # Stages 2 and 3 decode their input by masking, so only the
+        # demand stream can hold a set index outside its cache.
+        soa.check_streams(
+            len(l1.sets), start, stop, set=set_arr, tag=tag_arr, write=write_arr
+        )
         span = stop - start
         memory = hierarchy.memory
 
@@ -772,9 +992,14 @@ class KernelRuntime:
             mem_arr = np.asarray(mem, dtype=np.int64)
         except (OverflowError, TypeError, ValueError):
             return self._fallback("stream not coercible to the int64 ABI")
-        binding = self._bind(cache)
+        binding = self._bind(cache, "the LLC-residue collect replay")
         if binding is None:
             return None
+        soa.check_streams(
+            len(cache.sets), 0, count,
+            origin_limit=min(len(level_arr), len(mem_arr)),
+            set=set_arr, tag=tag_arr, write=write_arr, origin=origin_arr,
+        )
 
         wb_out = np.empty(count if count else 1, dtype=np.int64)
         lane = LaneCtx()
@@ -822,12 +1047,25 @@ class KernelRuntime:
         for timing in timings:
             if getattr(timing, "backend", None) is not None:
                 return self._fallback("memory timing backend is active")
-        binding = self._bind(llc)
+        binding = self._bind(llc, "the multicore interleave")
         if binding is None:
             return None
         stream_sets = [soa.stream_arrays(view) for view in views]
         if any(streams is None for streams in stream_sets):
             return self._fallback("decoded views are not array-backed")
+        cycle_sets = [
+            soa.cycle_array(view, timing.core.base_cpi)
+            for view, timing in zip(views, timings)
+        ]
+        for trace, (set_arr, tag_arr, write_arr, gap_arr), cycles in zip(
+            traces, stream_sets, cycle_sets
+        ):
+            # Lanes wrap around their whole trace.
+            soa.check_streams(
+                len(llc.sets), 0, len(trace),
+                set=set_arr, tag=tag_arr, write=write_arr, gap=gap_arr,
+                cycle=cycles,
+            )
 
         lanes = (LaneCtx * num_cores)()
         rings = []
@@ -840,7 +1078,9 @@ class KernelRuntime:
                 lane.write_stream = soa.ptr_uint8(write_arr)
                 lane.gap_stream = soa.ptr_int64(gap_arr)
                 lane.core = core
-                rings.append(_fill_lane_timing(lane, timings[core], views[core]))
+                rings.append(
+                    _fill_lane_timing(lane, timings[core], cycle_sets[core])
+                )
                 lane.cycle_limit = inf
         except OverflowError:
             return self._fallback("timing state overflows the lane image")

@@ -21,9 +21,16 @@ the last writer (-1 = never written).  That works because every
 directory entry belongs to a resident line -- entries open on a line's
 first touch and close on its eviction -- which the gather checks.
 
+The comparator policies (DIP, DRRIP, SHiP, RRP) add three per-line
+columns -- ``rrpv``, ``signature``, ``outcome`` -- and a
+:class:`PolicyImage` of their remaining state: set-dueling roles and
+PSEL, the coin, the PC-indexed counter table.
+
 Everything here returns ``None`` for state the SoA image cannot
 represent (tags beyond int64, foreign sampler shapes); callers treat
 that as "unsupported" and fall back to the dict driver.
+:func:`check_streams` is the one exception: a stream that would make a
+kernel read or write outside its arrays raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -38,6 +45,14 @@ try:
 except ImportError:  # pragma: no cover - exercised via tests stubbing numpy
     np = None
 
+from repro.cache.dueling import (
+    FOLLOWER,
+    TEAM_A,
+    TEAM_B,
+    SaturatingCounter,
+    SetDueling,
+)
+from repro.common.rng import CheapLCG
 from repro.core.sampler import ShadowSet
 
 _BY_STAMP = attrgetter("stamp")
@@ -77,15 +92,28 @@ class LineImage:
     write_seen: "np.ndarray"
     filled: "np.ndarray"
     dirty_lines: "np.ndarray"
+    #: the comparator policies' columns; None for the stamped policies
+    rrpv: "Optional[np.ndarray]" = None
+    signature: "Optional[np.ndarray]" = None
+    outcome: "Optional[np.ndarray]" = None
 
 
-def gather_lines(cache) -> Optional[LineImage]:
-    """Flatten ``cache``'s sets into parallel arrays (way-major)."""
+def gather_lines(cache, comparator: bool = False) -> Optional[LineImage]:
+    """Flatten ``cache``'s sets into parallel arrays (way-major).
+
+    ``comparator`` adds the ``rrpv``/``signature``/``outcome`` columns.
+    """
     lines = [line for cache_set in cache.sets for line in cache_set.lines]
+    columns = {}
     try:
         tag = np.array([line.tag for line in lines], dtype=np.int64)
         stamp = np.array([line.stamp for line in lines], dtype=np.int64)
         owner = np.array([line.owner for line in lines], dtype=np.int64)
+        if comparator:
+            for name in ("rrpv", "signature", "outcome"):
+                columns[name] = np.array(
+                    [getattr(line, name) for line in lines], dtype=np.int64
+                )
     except OverflowError:
         return None
     return LineImage(
@@ -105,6 +133,7 @@ def gather_lines(cache) -> Optional[LineImage]:
             [cache_set.dirty_lines for cache_set in cache.sets],
             dtype=np.int64,
         ),
+        **columns,
     )
 
 
@@ -125,6 +154,11 @@ def scatter_lines(cache, image: LineImage) -> None:
     write_seens = image.write_seen.tolist()
     filleds = image.filled.tolist()
     dirty_counts = image.dirty_lines.tolist()
+    comparator = image.rrpv is not None
+    if comparator:
+        rrpvs = image.rrpv.tolist()
+        signatures = image.signature.tolist()
+        outcomes = image.outcome.tolist()
 
     lookups, getters = cache._lookup_tables()
     index = 0
@@ -138,6 +172,10 @@ def scatter_lines(cache, image: LineImage) -> None:
             line.dirty = bool(dirtys[index])
             line.read_seen = bool(read_seens[index])
             line.write_seen = bool(write_seens[index])
+            if comparator:
+                line.rrpv = rrpvs[index]
+                line.signature = signatures[index]
+                line.outcome = outcomes[index]
             index += 1
             if line.valid:
                 live.append(line)
@@ -236,6 +274,113 @@ def scatter_directory(
         setattr(directory, name, getattr(ctx, name))
 
 
+# -- comparator policies ---------------------------------------------------
+#: the set-dueling roles the kernel's duel tells apart
+_DUEL_ROLES = frozenset((TEAM_A, TEAM_B, FOLLOWER))
+
+
+@dataclass
+class PolicyImage:
+    """A comparator policy's state beyond its line columns.
+
+    Keeps the objects it was packed from (``dueling``, ``coin``,
+    ``table``, ``policy``) so :func:`scatter_policy` writes back into
+    them; ``describe()`` then reads the same values a dict run leaves.
+    """
+
+    policy: object
+    dueling: Optional[SetDueling] = None  # DIP, DRRIP
+    roles: "Optional[np.ndarray]" = None  # uint8 [num_sets]
+    coin: Optional[CheapLCG] = None  # DIP, DRRIP, RRP
+    coin_odds: int = 1
+    table: Optional[list] = None  # SHiP SHCT / RRP predictor
+    counters: "Optional[np.ndarray]" = None  # int64 copy of ``table``
+    counter_max: int = 0
+    #: RRP: whether write misses may bypass (its plan binds the hook)
+    bypass_writes: bool = False
+
+
+def gather_policy(
+    policy,
+    num_sets: int,
+    *,
+    dueling=None,
+    coin=None,
+    coin_odds: int = 1,
+    table=None,
+    entries: int = 0,
+    counter_max: int = 0,
+    bypass_writes: bool = False,
+) -> Optional[PolicyImage]:
+    """Pack a comparator's dueling/coin/table state; None if foreign.
+
+    Every value the kernel divides by or indexes with is range-checked
+    here: the coin odds (a modulus), the dueling roles (one per set),
+    the table length (a power of two, ``entries`` long).
+    """
+    image = PolicyImage(policy=policy, bypass_writes=bypass_writes)
+    if dueling is not None:
+        if (
+            type(dueling) is not SetDueling
+            or type(dueling.psel) is not SaturatingCounter
+            or len(dueling._roles) != num_sets
+            or not set(dueling._roles) <= _DUEL_ROLES
+        ):
+            return None
+        image.dueling = dueling
+        image.roles = np.array(dueling._roles, dtype=np.uint8)
+    if coin is not None:
+        if (
+            type(coin) is not CheapLCG
+            or not 0 <= coin.state <= 0xFFFFFFFF
+            or not 1 <= coin_odds < (1 << 63)
+        ):
+            return None
+        image.coin = coin
+        image.coin_odds = coin_odds
+    if table is not None:
+        if entries < 1 or entries & (entries - 1) or len(table) != entries:
+            return None
+        try:
+            image.counters = np.array(table, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            return None
+        image.table = table
+        image.counter_max = counter_max
+    return image
+
+
+def load_policy(ctx, image: PolicyImage) -> None:
+    """Bind a :class:`PolicyImage` into ``ctx`` (OverflowError if too big)."""
+    if image.dueling is not None:
+        psel = image.dueling.psel
+        ctx.roles = ptr_uint8(image.roles)
+        ctx.psel = psel.value
+        ctx.psel_max = psel.maximum
+        ctx.psel_mid = psel._mid
+    if image.coin is not None:
+        ctx.coin = image.coin.state
+        ctx.coin_odds = image.coin_odds
+    if image.counters is not None:
+        ctx.counters = ptr_int64(image.counters)
+        ctx.counter_mask = len(image.counters) - 1
+        ctx.counter_max = image.counter_max
+    ctx.bypass_writes = int(image.bypass_writes)
+    ctx.bypassed_writes = getattr(image.policy, "bypassed_writes", 0)
+
+
+def scatter_policy(image: PolicyImage, ctx) -> None:
+    """Write PSEL, the coin, the table and the bypass count back."""
+    if image.dueling is not None:
+        image.dueling.psel.value = ctx.psel
+    if image.coin is not None:
+        image.coin.state = ctx.coin
+    if image.table is not None:
+        image.table[:] = image.counters.tolist()
+    if hasattr(image.policy, "bypassed_writes"):
+        image.policy.bypassed_writes = ctx.bypassed_writes
+
+
 # -- statistics ------------------------------------------------------------
 def load_stats(ctx, cache) -> None:
     """Copy the cache-wide counters the kernel maintains into ``ctx``."""
@@ -250,6 +395,7 @@ def load_stats(ctx, cache) -> None:
     ctx.evicted_ro = stats.evicted_read_only
     ctx.evicted_wo = stats.evicted_write_only
     ctx.evicted_rw = stats.evicted_read_write
+    ctx.bypasses = stats.bypasses
 
 
 def flush_stats(cache, ctx) -> None:
@@ -264,6 +410,7 @@ def flush_stats(cache, ctx) -> None:
     stats.evicted_read_only = ctx.evicted_ro
     stats.evicted_write_only = ctx.evicted_wo
     stats.evicted_read_write = ctx.evicted_rw
+    stats.bypasses = ctx.bypasses
 
 
 # -- shadow sampler --------------------------------------------------------
@@ -401,6 +548,76 @@ def stream_arrays(decoded) -> Optional[Tuple]:
     if np is None:
         return None
     return decoded.kernel_streams()
+
+
+#: the element type each kernel stream must have, by stream name
+_STREAM_DTYPES = {
+    "set": "int64",
+    "tag": "int64",
+    "write": "uint8",
+    "gap": "int64",
+    "cycle": "float64",
+    "pc": "int64",
+    "origin": "int64",
+}
+
+
+def check_streams(
+    num_sets: int,
+    start: int,
+    stop: int,
+    origin_limit: Optional[int] = None,
+    **streams,
+) -> None:
+    """Validate the stream arrays a native call will read.
+
+    Each named stream (``set`` first, then any of ``tag``, ``write``,
+    ``gap``, ``cycle``, ``pc``, ``origin``; None entries are skipped)
+    must be a C-contiguous one-dimensional array of its kernel dtype,
+    all of one length, and every set index in ``[start, stop)`` must lie
+    in ``[0, num_sets)`` -- and every origin in ``[0, origin_limit)``,
+    when the origins index per-access attribution arrays: the kernel
+    does no bounds checks of its own.  Raises ``ValueError`` naming the
+    first offending array.
+    """
+    length = None
+    for name, array in streams.items():
+        if array is None:
+            continue
+        want = _STREAM_DTYPES[name]
+        if getattr(array, "dtype", None) != want:
+            raise ValueError(
+                f"{name} stream has dtype {getattr(array, 'dtype', None)}, "
+                f"the kernel reads {want}"
+            )
+        if array.ndim != 1 or not array.flags.c_contiguous:
+            raise ValueError(
+                f"{name} stream is not a C-contiguous one-dimensional array"
+            )
+        if length is None:
+            length = len(array)
+        elif len(array) != length:
+            raise ValueError(
+                f"{name} stream has {len(array)} entries, the set stream "
+                f"{length}"
+            )
+    if not 0 <= start <= stop <= (length or 0):
+        raise ValueError(
+            f"access range [{start}, {stop}) exceeds the {length}-entry streams"
+        )
+    if start < stop:
+        _check_range(streams["set"][start:stop], "set", num_sets)
+        if origin_limit is not None:
+            _check_range(streams["origin"][start:stop], "origin", origin_limit)
+
+
+def _check_range(window, name: str, limit: int) -> None:
+    low, high = int(window.min()), int(window.max())
+    if low < 0 or high >= limit:
+        raise ValueError(
+            f"{name} stream holds index {low if low < 0 else high}, "
+            f"outside [0, {limit})"
+        )
 
 
 def cycle_array(decoded, base_cpi: float) -> Optional["np.ndarray"]:

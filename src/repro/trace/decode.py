@@ -144,6 +144,21 @@ class DecodedTrace:
             self._np_streams = streams
         return streams
 
+    def kernel_pcs(self) -> Optional["np.ndarray"]:
+        """The PC stream as an int64 array for the C kernels.
+
+        Built per call, not memoized: only SHiP and RRP replays read it,
+        and a sweep keeps its decodes alive, so a memoized copy would
+        hold eight more bytes per access for every trace it touched.
+        ``None`` when numpy is absent or a PC exceeds int64.
+        """
+        if np is None:
+            return None
+        try:
+            return np.asarray(self.pcs, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            return None
+
     def kernel_cycles(self, base_cpi: float) -> Optional["np.ndarray"]:
         """Memoized float64 per-access cycle-cost array.
 

@@ -24,6 +24,7 @@ import repro.experiments  # noqa: F401  pre-imports the experiments package
 # (repro.sim and repro.experiments import each other; importing the
 # package first resolves the cycle the same way the CLI does)
 
+from repro.cache.policy import make_policy
 from repro.common.config import CacheConfig, default_hierarchy
 from repro.engine.jobs import MixJob, RunJob
 from repro.experiments.runner import (
@@ -46,6 +47,7 @@ from repro.sim.spec import (
     simulate_cached,
 )
 from repro.trace.access import Trace
+from repro.trace.decode import DecodedTrace
 from repro.trace.generator import LINE_SIZE
 from repro.verify.differ import COMPARED_STATS, make_sut_cache
 from repro.verify.fuzzer import FUZZ_GEOMETRIES, fuzz_trace
@@ -57,11 +59,17 @@ try:
 except ImportError:  # pragma: no cover
     HAVE_HYPOTHESIS = False
 
-#: the policies inside the native kernel's supported matrix.
+#: the policies the kernel also serves on the shared-LLC paths.
 KERNEL_POLICIES = ("lru", "rwp", "rwp-core")
 
+#: the paper's comparators, served on single-cache replays only.
+COMPARATOR_POLICIES = ("dip", "drrip", "ship", "rrp")
+
+#: every policy a single-cache replay runs on the kernel.
+SINGLE_POLICIES = KERNEL_POLICIES + COMPARATOR_POLICIES
+
 #: policies outside the matrix: attaching a kernel must be a no-op.
-FALLBACK_POLICIES = ("ship", "drrip")
+FALLBACK_POLICIES = ("srrip", "lfu")
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native kernel"
@@ -96,11 +104,30 @@ def _full_line_state(cache) -> list:
                 line.owner,
                 line.read_seen,
                 line.write_seen,
+                line.rrpv,
+                line.signature,
+                line.outcome,
             )
             for line in s.lines
         ]
         for s in cache.sets
     ]
+
+
+def _policy_state(cache) -> dict:
+    """The policy state a kernel run must scatter back, and describe()."""
+    policy = cache.policy
+    dueling = getattr(policy, "_dueling", None)
+    coin = getattr(policy, "_coin", None)
+    table = getattr(policy, "_shct", None) or getattr(policy, "_table", None)
+    return {
+        "clock": getattr(policy, "_clock", None),
+        "psel": None if dueling is None else dueling.psel.value,
+        "coin": None if coin is None else coin.state,
+        "table": None if table is None else list(table),
+        "bypassed_writes": getattr(policy, "bypassed_writes", None),
+        "describe": policy.describe(),
+    }
 
 
 def _lookup_keysets(cache) -> list:
@@ -140,29 +167,32 @@ def assert_field_for_field(kern, ref, scalar=None):
     assert _lookup_keysets(kern) == _lookup_keysets(ref)
     assert _set_invariants(kern) == _set_invariants(ref)
     assert _clock(kern) == _clock(ref)
+    assert _policy_state(kern) == _policy_state(ref)
     assert kern.tick == ref.tick
     if scalar is not None:
         assert _stats(kern) == _stats(scalar)
         assert _full_line_state(kern) == _full_line_state(scalar)
+        assert _policy_state(kern) == _policy_state(scalar)
 
 
 class TestKernelConformance:
     """native kernel == dict driver == scalar, field for field."""
 
     @needs_native
-    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    @pytest.mark.parametrize("policy", SINGLE_POLICIES)
     @pytest.mark.parametrize("geometry", FUZZ_GEOMETRIES)
     def test_fuzz_geometries(self, policy, geometry):
         num_sets, ways = geometry
         config = _config(num_sets, ways)
         trace = fuzz_trace("mixed", 71 + num_sets + ways, num_sets, ways, 1024)
         kern = _run(policy, trace, config, kernel="native")
+        assert kern.kernel.fallback_reason is None
         ref = _run(policy, trace, config)
         scalar = _scalar(policy, trace, config)
         assert_field_for_field(kern, ref, scalar)
 
     @needs_native
-    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    @pytest.mark.parametrize("policy", SINGLE_POLICIES)
     @pytest.mark.parametrize(
         "scenario", ("conflict", "dirty_storm", "phase_shift")
     )
@@ -174,13 +204,34 @@ class TestKernelConformance:
         ref = _run(policy, trace, config)
         assert_field_for_field(kern, ref)
 
+    @needs_native
+    @pytest.mark.parametrize("policy", COMPARATOR_POLICIES)
+    @pytest.mark.parametrize("scenario", ("bypass_pc", "mixed"))
+    def test_split_replay_matches_one_dict_run(self, policy, scenario):
+        # Native for [0, k), then dict for [k, n): state the scatter
+        # leaves behind (PSEL, coin, table, columns) shows up as a
+        # divergence in the dict half.  128 sets give DIP/DRRIP
+        # follower sets, so PSEL steers fills.
+        num_sets, ways = 128, 4
+        config = _config(num_sets, ways)
+        trace = fuzz_trace(scenario, 555, num_sets, ways, 3000)
+        decoded = trace.decoded(config)
+        split = make_sut_cache(policy, config)
+        attach_kernel(split, "native")
+        split.run_trace(decoded, 0, 1234)
+        assert split.kernel.fallback_reason is None
+        attach_kernel(split, "dict")
+        split.run_trace(decoded, 1234, len(decoded))
+        ref = _run(policy, trace, config)
+        assert_field_for_field(split, ref)
+
     if HAVE_HYPOTHESIS:
 
         @needs_native
         @settings(deadline=None)
         @given(
             geometry=st.sampled_from(FUZZ_GEOMETRIES),
-            policy=st.sampled_from(KERNEL_POLICIES),
+            policy=st.sampled_from(SINGLE_POLICIES),
             data=st.data(),
         )
         def test_random_traces(self, geometry, policy, data):
@@ -208,8 +259,15 @@ class TestKernelConformance:
             assert_field_for_field(kern, ref, scalar)
 
     @needs_native
-    @pytest.mark.parametrize("mode", ("llc", "hierarchy"))
-    @pytest.mark.parametrize("policy", ("lru", "rwp"))
+    @pytest.mark.parametrize(
+        "policy,mode",
+        [
+            (policy, mode)
+            for policy in ("lru", "rwp")
+            for mode in ("llc", "hierarchy")
+        ]
+        + [(policy, "llc") for policy in COMPARATOR_POLICIES],
+    )
     def test_timed_runs_identical(self, mode, policy):
         scale = ExperimentScale(
             llc_lines=256, warmup_factor=2, measure_factor=6, seed=7
@@ -217,7 +275,13 @@ class TestKernelConformance:
         base = dict(workload="mcf", policy=policy, mode=mode, scale=scale)
         ref = simulate(SimulationSpec(**base, kernel="dict"))
         kern = simulate(SimulationSpec(**base, kernel="native"))
+        if mode == "llc":
+            assert "fallback" not in last_kernel_info()
         assert kern == ref
+        if policy == "rrp":
+            # bypassed writes went through the write buffer
+            assert ref.llc_bypasses > 0
+            assert ref.extra["policy_state"]["bypassed_writes"] > 0
 
 
 class TestKernelFallback:
@@ -233,6 +297,68 @@ class TestKernelFallback:
         ref = _run(policy, trace, config)
         assert _stats(kern) == _stats(ref)
         assert _full_line_state(kern) == _full_line_state(ref)
+        assert kern.kernel.fallback_reason == (
+            f"{type(kern.policy).__name__} has no kernel counterpart"
+        )
+
+    @needs_native
+    def test_comparator_subclass_declines(self):
+        # Recognition is by hook identity: overriding one hook makes
+        # the policy something the kernel does not port.
+        from repro.cache.cache import SetAssociativeCache
+        from repro.cache.rrip import DRRIPPolicy
+
+        class PatchedDRRIP(DRRIPPolicy):
+            def on_hit(self, cache_set, line, set_index, is_write, pc, core):
+                super().on_hit(cache_set, line, set_index, is_write, pc, core)
+
+        config = _config(16, 4)
+        trace = fuzz_trace("mixed", 99, 16, 4, 1024)
+        caches = []
+        for kernel in ("native", "dict"):
+            cache = SetAssociativeCache(config, PatchedDRRIP())
+            attach_kernel(cache, kernel)
+            cache.run_trace(trace.decoded(config))
+            caches.append(cache)
+        assert caches[0].kernel.fallback_reason == (
+            "PatchedDRRIP has no kernel counterpart"
+        )
+        assert _full_line_state(caches[0]) == _full_line_state(caches[1])
+
+    @needs_native
+    @pytest.mark.parametrize("policy", COMPARATOR_POLICIES)
+    def test_comparator_declines_collect_replay(self, policy):
+        # A timed hierarchy run attributes every LLC access to its
+        # demand access; that entry point names itself when it declines.
+        simulate_cached.cache_clear()
+        spec = SimulationSpec(
+            "mcf", policy, mode="hierarchy", scale=_SMALL, kernel="native"
+        )
+        result = simulate(spec)
+        name = type(make_policy(policy)).__name__
+        assert last_kernel_info()["fallback"] == (
+            f"{name} runs natively only through run_trace: the LLC-residue "
+            "collect replay carries no PC stream or bypass attribution"
+        )
+        assert result == simulate(
+            SimulationSpec(
+                "mcf", policy, mode="hierarchy", scale=_SMALL, kernel="dict"
+            )
+        )
+
+    @needs_native
+    def test_comparator_declines_multicore(self):
+        traces = [
+            fuzz_trace("mixed", 808 + core, 16, 4, 512) for core in range(2)
+        ]
+        config = default_hierarchy(llc_size=64 * LINE_SIZE, llc_ways=4)
+        system = SharedLLCSystem(config, 2, make_llc_policy("dip", 64, 2))
+        attach_kernel(system, "native")
+        system.run(traces, warmup=64)
+        assert system.llc.kernel.fallback_reason == (
+            "DIPPolicy runs natively only through run_trace: the multicore "
+            "interleave carries no PC stream or bypass attribution"
+        )
 
     @pytest.mark.parametrize("kernel", ("native",))
     def test_forced_fallback_without_native(self, kernel, monkeypatch):
@@ -611,18 +737,83 @@ class TestDefaultKernel:
         assert job.encode(result) == plain.encode(plain.execute())
         assert last_kernel_info() is None
 
+    @needs_native
+    @pytest.mark.parametrize("policy", COMPARATOR_POLICIES)
+    def test_default_comparator_run_is_served_natively(self, policy):
+        simulate_cached.cache_clear()
+        job = RunJob("mcf", policy, _SMALL)
+        result = job.execute()
+        info = last_kernel_info()
+        assert info["backend"] == "native"
+        assert "fallback" not in info
+        plain = RunJob("mcf", policy, _SMALL, kernel="dict")
+        assert job.encode(result) == plain.encode(plain.execute())
+
     def test_declined_dispatch_builds_no_streams(self):
         from repro.experiments.runner import cached_trace
 
         simulate_cached.cache_clear()
-        job = RunJob("omnetpp", "drrip", _SMALL)
+        job = RunJob("omnetpp", "srrip", _SMALL)
         job.execute()
-        spec = SimulationSpec("omnetpp", "drrip", scale=_SMALL)
+        spec = SimulationSpec("omnetpp", "srrip", scale=_SMALL)
         trace = cached_trace(
             "omnetpp", _SMALL.llc_lines, _SMALL.total_accesses, _SMALL.seed
         )
         decoded = trace.decoded(spec.hierarchy_config().llc)
         assert decoded._np_streams is None
+
+
+class TestStreamChecks:
+    """Malformed streams raise before a native call, naming the array."""
+
+    @staticmethod
+    def _out_of_range_trace(config) -> DecodedTrace:
+        # A hand-built decode: set index num_sets passes run_trace's
+        # geometry check but has no set in the cache.
+        sets = [0, 3, 1, config.num_sets, 2]
+        n = len(sets)
+        return DecodedTrace(
+            sets, [5] * n, [False] * n, [0] * n, [1] * n,
+            config.offset_bits, config.index_bits,
+        )
+
+    @needs_native
+    @pytest.mark.parametrize("policy", ("lru", "rwp", "drrip", "ship"))
+    def test_out_of_range_set_raises(self, policy):
+        config = _config(16, 4)
+        decoded = self._out_of_range_trace(config)
+        cache = make_sut_cache(policy, config)
+        attach_kernel(cache, "native")
+        before = _full_line_state(cache)
+        with pytest.raises(ValueError, match="set stream holds index 16"):
+            cache.run_trace(decoded)
+        # The kernel never ran.
+        assert _full_line_state(cache) == before
+        assert cache.tick == 0 and cache.accesses == 0
+        with pytest.raises(IndexError):
+            make_sut_cache(policy, config).run_trace(decoded)
+
+    def test_check_streams_names_the_array(self):
+        np = pytest.importorskip("numpy")
+        from repro.kernels.soa import check_streams
+
+        good = np.zeros(8, dtype=np.int64)
+        write = np.zeros(8, dtype=np.uint8)
+        check_streams(16, 0, 8, set=good, tag=good, write=write)
+        cases = (
+            (dict(set=good.astype(np.int32)), "set stream has dtype int32"),
+            (dict(set=good, tag=np.zeros(16, np.int64)[::2]),
+             "tag stream is not a C-contiguous"),
+            (dict(set=good, write=write[:7]), "write stream has 7 entries"),
+            (dict(set=good - 1), "set stream holds index -1"),
+        )
+        for streams, message in cases:
+            with pytest.raises(ValueError, match=message):
+                check_streams(16, 0, 8, **streams)
+        with pytest.raises(ValueError, match=r"origin stream holds index 8"):
+            check_streams(16, 0, 8, origin_limit=8, set=good, origin=good + 8)
+        with pytest.raises(ValueError, match="access range"):
+            check_streams(16, 0, 9, set=good)
 
 
 class TestNumpyAbsent:
