@@ -7,46 +7,39 @@ lines aggressively) could give its winnings back.  This harness re-runs
 the sensitive-subset comparison on the detailed model.
 """
 
+import conftest
 from conftest import SINGLE_CORE_SCALE, report
 
-from repro.cpu.core import DRAMLLCRunner
-from repro.experiments.runner import cached_trace, make_llc_policy
+from repro.experiments.runner import speedups_over
 from repro.experiments.tables import format_table
-from repro.hierarchy.dram import DRAMModel
 from repro.multicore.metrics import geometric_mean
 from repro.trace.spec import sensitive_names
 
 POLICIES = ("drrip", "ship", "rrp", "rwp")
 
+#: 16-bank open-row DRAM, writebacks issued to the banks as they happen
+MEMORY = "dram:banked=true"
 
-def _run(bench: str, policy: str):
-    scale = SINGLE_CORE_SCALE
-    trace = cached_trace(
-        bench, scale.llc_lines, scale.total_accesses, scale.seed
-    )
-    runner = DRAMLLCRunner(
-        scale.hierarchy(),
-        make_llc_policy(policy, scale.llc_lines),
-        dram=DRAMModel(),
-    )
-    return runner.run(trace, warmup=scale.warmup)
+
+def _row_hit_rate(result) -> float:
+    stats = result.extra["backend"]
+    hits = stats["dram.row_hits"]
+    return hits / (hits + stats["dram.row_misses"])
 
 
 def run() -> tuple:
     benches = sensitive_names()
-    rows = []
-    speedups = {p: [] for p in POLICIES}
-    for bench in benches:
-        base = _run(bench, "lru")
-        row = [bench]
-        for policy in POLICIES:
-            result = _run(bench, policy)
-            s = result.ipc / base.ipc if base.ipc else 0.0
-            speedups[policy].append(s)
-            row.append(s)
-        row.append(base.extra["dram"]["row_hit_rate"])
-        rows.append(row)
-    geo = {p: geometric_mean(v) for p, v in speedups.items()}
+    grid = conftest.grid(
+        benches, ("lru", *POLICIES), SINGLE_CORE_SCALE, memory=MEMORY
+    )
+    speedups = speedups_over(grid, benches, POLICIES)
+    rows = [
+        [bench]
+        + [speedups[p][i] for p in POLICIES]
+        + [_row_hit_rate(grid[(bench, "lru")])]
+        for i, bench in enumerate(benches)
+    ]
+    geo = {p: geometric_mean(speedups[p]) for p in POLICIES}
     rows.append(["GEOMEAN"] + [geo[p] for p in POLICIES] + [""])
     headers = ["benchmark", *POLICIES, "lru_row_hit"]
     return format_table(headers, rows), geo

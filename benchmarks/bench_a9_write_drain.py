@@ -7,47 +7,33 @@ comparison with the watermark write-drain scheduler and reports how much
 of RWP's flat-memory margin the controller recovers.
 """
 
+import conftest
 from conftest import SINGLE_CORE_SCALE, report
 
-from repro.cpu.core import DRAMLLCRunner
-from repro.experiments.runner import cached_trace, make_llc_policy
+from repro.experiments.runner import speedups_over
 from repro.experiments.tables import format_table
-from repro.hierarchy.dram import DRAMModel
 from repro.multicore.metrics import geometric_mean
 from repro.trace.spec import sensitive_names
 
 POLICIES = ("drrip", "rrp", "rwp")
 
-
-def _run(bench: str, policy: str, scheduled: bool):
-    scale = SINGLE_CORE_SCALE
-    trace = cached_trace(
-        bench, scale.llc_lines, scale.total_accesses, scale.seed
-    )
-    runner = DRAMLLCRunner(
-        scale.hierarchy(),
-        make_llc_policy(policy, scale.llc_lines),
-        dram=DRAMModel(),
-        write_scheduler=scheduled,
-    )
-    return runner.run(trace, warmup=scale.warmup)
+#: write issue -> banked-DRAM backend spec
+MEMORY = {
+    "eager": "dram:banked=true",
+    "drained": "dram:banked=true:scheduler=true",
+}
 
 
 def run() -> tuple:
     benches = sensitive_names()
     rows = []
     geo = {}
-    for scheduled in (False, True):
-        speedups = {p: [] for p in POLICIES}
-        for bench in benches:
-            base = _run(bench, "lru", scheduled)
-            for policy in POLICIES:
-                result = _run(bench, policy, scheduled)
-                speedups[policy].append(
-                    result.ipc / base.ipc if base.ipc else 0.0
-                )
-        label = "drained" if scheduled else "eager"
-        geo[label] = {p: geometric_mean(v) for p, v in speedups.items()}
+    for label, memory in MEMORY.items():
+        grid = conftest.grid(
+            benches, ("lru", *POLICIES), SINGLE_CORE_SCALE, memory=memory
+        )
+        speedups = speedups_over(grid, benches, POLICIES)
+        geo[label] = {p: geometric_mean(speedups[p]) for p in POLICIES}
         rows.append([label] + [geo[label][p] for p in POLICIES])
     table = format_table(["write issue", *POLICIES], rows)
     return table, geo

@@ -50,14 +50,19 @@ BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 _BENCH_STORE_DIR = os.environ.get("REPRO_BENCH_STORE", "")
 
 
-def grid(benchmarks, policies, scale=None):
-    """Engine-backed ``run_grid`` honoring the environment knobs."""
+def grid(benchmarks, policies, scale=None, memory="dram"):
+    """Engine-backed ``run_grid`` honoring the environment knobs.
+
+    ``memory`` is the main-memory backend spec for every cell (see
+    docs/MEMORY.md).
+    """
     return run_grid(
         benchmarks,
         policies,
         scale if scale is not None else SINGLE_CORE_SCALE,
         jobs=BENCH_JOBS,
         store=_BENCH_STORE_DIR or None,
+        memory=memory,
     )
 
 

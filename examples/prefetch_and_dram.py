@@ -8,9 +8,9 @@ Run:  python examples/prefetch_and_dram.py
 """
 
 from repro import default_hierarchy, make_model
-from repro.cpu.core import DRAMLLCRunner, LLCRunner
-from repro.hierarchy.dram import DRAMModel
+from repro.cpu.core import LLCRunner
 from repro.hierarchy.prefetch import StreamPrefetcher
+from repro.mem import make_backend
 
 LLC_LINES = 2048
 WARMUP = 40_000
@@ -19,33 +19,34 @@ config = default_hierarchy(llc_size=LLC_LINES * 64)
 trace = make_model("omnetpp", llc_lines=LLC_LINES).generate(160_000, seed=21)
 
 
-def flat(policy, prefetch=False):
+def run(policy, prefetch=False, banked=False):
     prefetcher = StreamPrefetcher(depth=4) if prefetch else None
-    return LLCRunner(config, policy, prefetcher=prefetcher).run(trace, WARMUP)
-
-
-def banked(policy):
-    return DRAMLLCRunner(config, policy, dram=DRAMModel()).run(trace, WARMUP)
+    backend = make_backend("dram:banked=true", config) if banked else None
+    runner = LLCRunner(config, policy, prefetcher=prefetcher, backend=backend)
+    return runner.run(trace, WARMUP)
 
 
 print(f"workload: omnetpp-like, {len(trace):,} LLC accesses\n")
 print(f"{'memory model':28} {'lru IPC':>8} {'rwp IPC':>8} {'rwp gain':>9}")
-for label, runner in [
-    ("flat 200-cycle", lambda p: flat(p)),
-    ("flat + stream prefetcher", lambda p: flat(p, prefetch=True)),
-    ("banked DRAM (16 banks)", banked),
+for label, options in [
+    ("flat 200-cycle", {}),
+    ("flat + stream prefetcher", {"prefetch": True}),
+    ("banked DRAM (16 banks)", {"banked": True}),
+    ("banked DRAM + prefetcher", {"banked": True, "prefetch": True}),
 ]:
-    lru = runner("lru")
-    rwp = runner("rwp")
+    lru = run("lru", **options)
+    rwp = run("rwp", **options)
     print(
         f"{label:28} {lru.ipc:8.3f} {rwp.ipc:8.3f} "
         f"{rwp.ipc / lru.ipc - 1:+9.1%}"
     )
 
-dram_run = banked("rwp")
+dram_run = run("rwp", banked=True)
+dram = dram_run.extra["backend"]
+row_hits = dram["dram.row_hits"]
 print(
     f"\nbanked-DRAM details for RWP: row-hit rate "
-    f"{dram_run.extra['dram']['row_hit_rate']:.2f}, "
+    f"{row_hits / (row_hits + dram['dram.row_misses']):.2f}, "
     f"{dram_run.llc_writebacks:,} writebacks"
 )
 print(

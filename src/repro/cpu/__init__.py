@@ -1,10 +1,9 @@
 """Core timing model and trace drivers."""
 
-from repro.cpu.core import DRAMLLCRunner, HierarchyRunner, LLCRunner, RunResult
+from repro.cpu.core import HierarchyRunner, LLCRunner, RunResult
 from repro.cpu.timing import TimingModel
 
 __all__ = [
-    "DRAMLLCRunner",
     "HierarchyRunner",
     "LLCRunner",
     "RunResult",

@@ -340,73 +340,3 @@ class HierarchyRunner:
             },
         )
 
-
-class DRAMLLCRunner(LLCRunner):
-    """LLCRunner variant backed by the banked DRAM model.
-
-    Read-miss latency becomes dynamic (row-buffer hits are cheap, bank
-    conflicts queue), and writebacks occupy banks instead of a flat
-    write buffer -- so a policy that trades write traffic for read hits
-    (RWP) is charged for the extra writebacks through the bank conflicts
-    they cause.
-    """
-
-    def __init__(
-        self,
-        config: HierarchyConfig,
-        policy: "ReplacementPolicy | str" = "lru",
-        dram=None,
-        write_scheduler: bool = False,
-    ) -> None:
-        super().__init__(config, policy)
-        if dram is None:
-            from repro.hierarchy.dram import DRAMModel
-
-            dram = DRAMModel()
-        self.dram = dram
-        self.scheduler = None
-        if write_scheduler:
-            from repro.hierarchy.dram import WriteDrainScheduler
-
-            self.scheduler = WriteDrainScheduler(dram)
-
-    def run(self, trace: Trace, warmup: int = 0) -> RunResult:
-        if warmup >= len(trace):
-            raise ValueError(
-                f"warmup ({warmup}) must be smaller than the trace ({len(trace)})"
-            )
-        llc = self.llc
-        timing = self.timing
-        dram = self.dram
-        scheduler = self.scheduler
-        read = scheduler.read if scheduler is not None else dram.read
-        write = scheduler.write if scheduler is not None else dram.write
-        access = llc.access
-        position = 0
-        for address, is_write, pc, gap in trace:
-            if position == warmup:
-                llc.reset_stats()
-                timing.reset()
-                dram.reset_stats()
-            position += 1
-            timing.advance(gap)
-            hit, bypassed, writeback = access(address, is_write, pc)
-            if is_write:
-                if bypassed:
-                    write(address, timing.cycles)
-            elif hit:
-                timing.read_hit()
-            else:
-                timing.read_stall(read(address, timing.cycles))
-            if writeback >= 0:
-                write(writeback, timing.cycles)
-        if scheduler is not None:
-            scheduler.drain(timing.cycles)
-        result = self._result(trace.name)
-        result.extra["dram"] = {
-            "row_hit_rate": dram.row_hit_rate(),
-            **dram.snapshot(),
-        }
-        if scheduler is not None:
-            result.extra["write_queue"] = scheduler.snapshot()
-        return result

@@ -86,7 +86,7 @@ class TimingModel:
             self.read_stall(self.memory.latency)
 
     def read_stall(self, latency: float) -> None:
-        """A demand read with an explicit service latency (DRAM mode)."""
+        """A demand read with an explicit service latency."""
         stall = latency / self.core.mlp
         self.read_stall_cycles += stall
         self.cycles += stall

@@ -109,17 +109,6 @@ class DRAMModel:
         """Earliest cycle at which any bank is idle (scheduler hint)."""
         return min(bank.busy_until for bank in self.banks)
 
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0
-
-    def reset_stats(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.queue_cycles = 0.0
-
     def snapshot(self) -> dict:
         return {
             "dram.reads": self.reads,
@@ -140,7 +129,7 @@ class WriteDrainScheduler:
     * whenever the queue exceeds ``high_watermark`` -- or on an explicit
       idle-drain opportunity -- writes are issued to the DRAM model until
       the queue falls to ``low_watermark``,
-    * a *read* to an address with a queued write is satisfied from the
+    * a *read* of a line with a queued write is satisfied from the
       queue (write-to-read forwarding) without touching DRAM.
 
     Against a policy like RWP that converts write hits into writeback
@@ -178,12 +167,16 @@ class WriteDrainScheduler:
         self.enqueued += 1
         if len(self._queue) >= self.high_watermark:
             self.drain(now, target=self.low_watermark)
-        elif len(self._queue) > self.capacity:  # capacity is a hard cap
-            self.drain(now, target=self.low_watermark)
 
     def read(self, address: int, now: float) -> float:
-        """A demand read; forwarded from the queue when possible."""
-        if address in self._queue:
+        """A demand read; forwarded from the queue when it holds the line.
+
+        Queued writebacks are line-aligned while demand reads carry byte
+        addresses, so the match is on line numbers.
+        """
+        shift = self.dram._line_shift
+        line = address >> shift
+        if any(queued >> shift == line for queued in self._queue):
             self.forwarded_reads += 1
             return float(self.dram.t_cas)  # served from the write queue
         return self.dram.read(address, now)

@@ -85,6 +85,11 @@ _POLICY_RRP = 4
 
 _STATUS_CALLBACK_ABORT = 2
 
+#: the decline when a decoded stream does not fit int64 (set indices are
+#: below the set count and writes are bits, so it is a tag or a gap);
+#: numpy's absence is declined earlier, by the binding
+_STREAM_OVERFLOW = "a tag or instruction gap overflows the int64 kernel ABI"
+
 #: clean_occ/dirty_occ in the C victim scan are fixed-size stack arrays,
 #: and a sharer mask is one uint64
 _MAX_POLICY_CORES = 64
@@ -680,7 +685,7 @@ class KernelRuntime:
             return self._fallback(f"core {core} does not fit a sharer mask")
         streams = soa.stream_arrays(decoded)
         if streams is None:
-            return self._fallback("decoded trace is not array-backed")
+            return self._fallback(_STREAM_OVERFLOW)
         set_arr, tag_arr, write_arr, gap_arr = streams
         pcs = None
         if binding.comparator in (_POLICY_SHIP, _POLICY_RRP):
@@ -1052,7 +1057,7 @@ class KernelRuntime:
             return None
         stream_sets = [soa.stream_arrays(view) for view in views]
         if any(streams is None for streams in stream_sets):
-            return self._fallback("decoded views are not array-backed")
+            return self._fallback(_STREAM_OVERFLOW)
         cycle_sets = [
             soa.cycle_array(view, timing.core.base_cpi)
             for view, timing in zip(views, timings)

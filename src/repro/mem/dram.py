@@ -12,7 +12,11 @@ equality is verified by tests rather than relied on for speed.)
 ``banked=true`` swaps the flat read for the banked row-buffer
 :class:`~repro.hierarchy.dram.DRAMModel`, optionally behind the
 watermark :class:`~repro.hierarchy.dram.WriteDrainScheduler`
-(``scheduler=true``), mirroring what ``DRAMLLCRunner`` wires up.
+(``scheduler=true``).  This adapter is the one place banked DRAM is
+wired: like every timed resource it is rebuilt at the warmup boundary
+(:meth:`~repro.cpu.timing.TimingModel.reset`), because bank horizons
+are absolute cycles; writes still queued when a run ends stay queued
+and show as ``writequeue.occupancy``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Unit tests for the banked DRAM model and the DRAM-backed runner."""
+"""Unit tests for the banked DRAM model and banked-DRAM LLC runs."""
 
 import pytest
 
 from repro.common.config import default_hierarchy
-from repro.cpu.core import DRAMLLCRunner, LLCRunner
+from repro.cpu.core import LLCRunner
 from repro.hierarchy.dram import DRAMModel
+from repro.mem import make_backend
 from repro.trace.access import Trace
 
 
@@ -79,17 +80,11 @@ class TestTiming:
         dram.read(addr(0), 0.0)
         dram.read(addr(4), 0.0)
         dram.read(addr(8), 0.0)
-        assert dram.row_hit_rate() == pytest.approx(2 / 3)
-
-    def test_reset_stats(self):
-        dram = DRAMModel()
-        dram.read(addr(0), 0.0)
-        dram.reset_stats()
         assert dram.snapshot() == {
-            "dram.reads": 0,
+            "dram.reads": 3,
             "dram.writes": 0,
-            "dram.row_hits": 0,
-            "dram.row_misses": 0,
+            "dram.row_hits": 2,
+            "dram.row_misses": 1,
         }
 
 
@@ -101,11 +96,23 @@ class TestDRAMRunner:
             instr_gaps=[8] * n,
         )
 
+    @staticmethod
+    def _banked(config, policy):
+        return LLCRunner(
+            config, policy, backend=make_backend("dram:banked=true", config)
+        )
+
+    @staticmethod
+    def _row_hit_rate(result):
+        stats = result.extra["backend"]
+        hits, misses = stats["dram.row_hits"], stats["dram.row_misses"]
+        return hits / (hits + misses)
+
     def test_runs_and_reports_dram_stats(self):
         config = default_hierarchy(llc_size=64 * 1024)
-        result = DRAMLLCRunner(config, "lru").run(self._trace(), warmup=5000)
+        result = self._banked(config, "lru").run(self._trace(), warmup=5000)
         assert result.ipc > 0
-        assert 0 <= result.extra["dram"]["row_hit_rate"] <= 1
+        assert 0 <= self._row_hit_rate(result) <= 1
 
     def test_sequential_reads_enjoy_row_locality(self):
         config = default_hierarchy(llc_size=64 * 1024)
@@ -114,12 +121,9 @@ class TestDRAMRunner:
         random_ish = Trace(
             [addr((k * 7919) % (1 << 20)) for k in range(n)], [False] * n
         )
-        seq = DRAMLLCRunner(config, "lru").run(sequential, warmup=5000)
-        rnd = DRAMLLCRunner(config, "lru").run(random_ish, warmup=5000)
-        assert (
-            seq.extra["dram"]["row_hit_rate"]
-            > rnd.extra["dram"]["row_hit_rate"]
-        )
+        seq = self._banked(config, "lru").run(sequential, warmup=5000)
+        rnd = self._banked(config, "lru").run(random_ish, warmup=5000)
+        assert self._row_hit_rate(seq) > self._row_hit_rate(rnd)
         assert seq.ipc > rnd.ipc
 
     def test_rwp_benefit_survives_banked_memory(self):
@@ -128,8 +132,8 @@ class TestDRAMRunner:
 
         config = default_hierarchy(llc_size=1024 * 64)
         trace = cached_trace("mcf", 1024, 60_000, 2014)
-        lru = DRAMLLCRunner(config, "lru").run(trace, warmup=15_000)
-        rwp = DRAMLLCRunner(
+        lru = self._banked(config, "lru").run(trace, warmup=15_000)
+        rwp = self._banked(
             config, make_llc_policy("rwp", 1024)
         ).run(trace, warmup=15_000)
         assert rwp.ipc > lru.ipc

@@ -7,9 +7,10 @@ import pytest
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.policy import make_policy
 from repro.common.config import CacheConfig
-from repro.cpu.core import HierarchyRunner, LLCRunner, DRAMLLCRunner
+from repro.cpu.core import HierarchyRunner, LLCRunner
 from repro.hierarchy.prefetch import NoPrefetcher
 from repro.hierarchy.system import MemoryHierarchy
+from repro.mem import make_backend
 from repro.trace.access import Trace
 from repro.verify.fuzzer import SCENARIOS, fuzz_trace
 from repro.verify.system import (
@@ -193,10 +194,15 @@ def test_llc_runner_batched_equals_prefetcherless_scalar(small_hierarchy):
 def test_dram_backend_preserves_cache_behavior(small_hierarchy):
     """The DRAM timing backend changes cycles, never cache contents."""
     trace = fuzz_trace("mixed", 1309, 64, 16, LENGTH)
-    flat = LLCRunner(small_hierarchy, make_policy("rwp"))
-    dram = DRAMLLCRunner(small_hierarchy, make_policy("rwp"))
-    sched = DRAMLLCRunner(small_hierarchy, make_policy("rwp"), write_scheduler=True)
-    results = [r.run(trace, warmup=LENGTH // 4) for r in (flat, dram, sched)]
+    runners = [LLCRunner(small_hierarchy, make_policy("rwp"))] + [
+        LLCRunner(
+            small_hierarchy,
+            make_policy("rwp"),
+            backend=make_backend(spec, small_hierarchy),
+        )
+        for spec in ("dram:banked=true", "dram:banked=true:scheduler=true")
+    ]
+    results = [r.run(trace, warmup=LENGTH // 4) for r in runners]
     for name in (
         "llc_read_hits",
         "llc_read_misses",

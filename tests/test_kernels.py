@@ -71,6 +71,12 @@ SINGLE_POLICIES = KERNEL_POLICIES + COMPARATOR_POLICIES
 #: policies outside the matrix: attaching a kernel must be a no-op.
 FALLBACK_POLICIES = ("srrip", "lfu")
 
+#: kernel edge shapes beyond the fuzz menu: one set, one way, 64 ways.
+EDGE_GEOMETRIES = ((1, 1), (1, 16), (4, 1), (2, 64), (4, 64))
+
+#: the widest tag the kernel's int64 streams hold
+MAX_TAG = (1 << 63) - 1
+
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native kernel"
 )
@@ -180,11 +186,31 @@ class TestKernelConformance:
 
     @needs_native
     @pytest.mark.parametrize("policy", SINGLE_POLICIES)
-    @pytest.mark.parametrize("geometry", FUZZ_GEOMETRIES)
+    @pytest.mark.parametrize("geometry", FUZZ_GEOMETRIES + EDGE_GEOMETRIES)
     def test_fuzz_geometries(self, policy, geometry):
         num_sets, ways = geometry
+        if policy in ("dip", "drrip") and num_sets < 4:
+            pytest.skip("set dueling needs at least 4 sets")
         config = _config(num_sets, ways)
         trace = fuzz_trace("mixed", 71 + num_sets + ways, num_sets, ways, 1024)
+        kern = _run(policy, trace, config, kernel="native")
+        assert kern.kernel.fallback_reason is None
+        ref = _run(policy, trace, config)
+        scalar = _scalar(policy, trace, config)
+        assert_field_for_field(kern, ref, scalar)
+
+    @needs_native
+    @pytest.mark.parametrize("policy", SINGLE_POLICIES)
+    def test_max_width_tags(self, policy):
+        num_sets, ways = 4, 4
+        config = _config(num_sets, ways)
+        length = 1024
+        trace = _trace_from(
+            num_sets,
+            [i % num_sets for i in range(length)],
+            [MAX_TAG - (7 * i) % 11 for i in range(length)],
+            [i % 3 == 0 for i in range(length)],
+        )
         kern = _run(policy, trace, config, kernel="native")
         assert kern.kernel.fallback_reason is None
         ref = _run(policy, trace, config)
@@ -359,6 +385,41 @@ class TestKernelFallback:
             "DIPPolicy runs natively only through run_trace: the multicore "
             "interleave carries no PC stream or bypass attribution"
         )
+
+    @needs_native
+    def test_tag_overflow_declines(self):
+        # One tag past int64: the single-cache replay and the multicore
+        # interleave both decline, name the overflow, and match dict.
+        reason = "a tag or instruction gap overflows the int64 kernel ABI"
+        num_sets, ways = 4, 4
+        config = _config(num_sets, ways)
+        length = 512
+        trace = _trace_from(
+            num_sets,
+            [i % num_sets for i in range(length)],
+            [MAX_TAG + 1 - (7 * i) % 11 for i in range(length)],
+            [i % 3 == 0 for i in range(length)],
+        )
+        kern = _run("lru", trace, config, kernel="native")
+        assert kern.kernel.fallback_reason == reason
+        assert_field_for_field(kern, _run("lru", trace, config))
+
+        shared = [
+            Trace(trace.addresses, trace.is_write, trace.pcs,
+                  address_space="global")
+            for _ in range(2)
+        ]
+        hierarchy = default_hierarchy(
+            llc_size=num_sets * ways * LINE_SIZE, llc_ways=ways
+        )
+        systems = []
+        for kernel in ("native", "dict"):
+            system = SharedLLCSystem(hierarchy, 2, make_llc_policy("lru", 16, 2))
+            attach_kernel(system, kernel)
+            systems.append(system)
+        got, want = [system.run(shared, warmup=64) for system in systems]
+        assert systems[0].llc.kernel.fallback_reason == reason
+        assert got == want
 
     @pytest.mark.parametrize("kernel", ("native",))
     def test_forced_fallback_without_native(self, kernel, monkeypatch):

@@ -199,14 +199,23 @@ class TestPartitionParallelism:
         assert backend.queue_full_stalls == 1
 
     def test_reset_clears_timing_and_counters(self):
-        backend = PCMBackend(read_latency=100, write_mult=4)
-        backend.write(0, now=0.0)
-        backend.read(0, now=0.0)
-        backend.reset()
-        assert backend.stats() == PCMBackend(
-            read_latency=100, write_mult=4
-        ).stats()
-        assert backend.read(0, now=0.0) == 100.0
+        # The timing model resets every backend at the warmup boundary,
+        # where the cycle count restarts at 0: no busy horizon, queued
+        # write or counter may survive it.  The banked DRAM's cold read
+        # is a row miss: t_rp + t_rcd + t_cas + t_base = 200 cycles.
+        config = _config()
+        for spec, cold_read in (
+            ("pcm:read_latency=100:write_mult=4", 100.0),
+            ("dram:banked=true", 200.0),
+            ("dram:banked=true:scheduler=true", 200.0),
+        ):
+            backend = make_backend(spec, config)
+            for k in range(64):
+                backend.write(k * 64 * 16, now=0.0)
+                backend.read(k * 64, now=0.0)
+            backend.reset()
+            assert backend.stats() == make_backend(spec, config).stats(), spec
+            assert backend.read(0, now=0.0) == cold_read, spec
 
 
 class TestDramAdapterEquality:

@@ -58,6 +58,16 @@ class TestForwarding:
         assert scheduler.forwarded_reads == 1
         assert dram.reads == 0
 
+    def test_read_at_byte_offset_forwarded(self):
+        # Writebacks queue line-aligned; a demand read of the same line
+        # at a byte offset must still hit the queue.
+        scheduler, dram = make()
+        scheduler.write(addr(7), now=0.0)
+        latency = scheduler.read(addr(7) + 8, now=0.0)
+        assert latency == dram.t_cas
+        assert scheduler.forwarded_reads == 1
+        assert dram.reads == 0
+
     def test_read_misses_queue_goes_to_dram(self):
         scheduler, dram = make()
         scheduler.write(addr(7), now=0.0)
