@@ -125,7 +125,10 @@ class SetAssociativeCache:
     def __init__(self, config: CacheConfig, policy: ReplacementPolicy) -> None:
         self.config = config
         self.policy = policy
-        self.sets = [CacheSet(config.ways) for _ in range(config.num_sets)]
+        # ``sets`` is built on first read (see ``__getattr__``); until
+        # then the line state is ``_image``, a kernel's SoA image, or
+        # an all-invalid cache when that is None too.
+        self._image = None
         self.ways = config.ways
         self.tick = 0
         self.stats = CacheStats()
@@ -148,7 +151,8 @@ class SetAssociativeCache:
         self._prefetch_active = False
         #: True while every set's lookup dict is known to be in recency
         #: (stamp) order -- the invariant `run_lru_filter` maintains and
-        #: the kernel scatter re-arms.  When it holds across calls, the
+        #: the kernel scatter re-arms (sets built from a resident image
+        #: come out stamp-sorted).  When it holds across calls, the
         #: filter's stamp-sorted rebuild is skipped.
         self._lookup_ordered = False
         # Cached [set.lookup] / [set.lookup.get] tables for the batch
@@ -184,6 +188,31 @@ class SetAssociativeCache:
             or plan.sample_stride > 0
             or plan.epoch_period > 0
         )
+
+    def __getattr__(self, name: str):
+        """Build ``sets`` on first read; any other miss is an error.
+
+        Python calls this only when normal lookup fails, so once the
+        sets exist reading them costs nothing.  A kernel run hands its
+        SoA image to the cache (:func:`repro.kernels.soa.scatter_lines`)
+        and drops the objects; the next read rebuilds them from that
+        image.  Across a kernel call, read ``cache.sets`` afresh: a
+        saved list, :class:`CacheSet` or line is stale afterwards.
+        """
+        if name != "sets":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        image = self.__dict__.get("_image")
+        if image is None:
+            sets = [CacheSet(self.ways) for _ in range(self.config.num_sets)]
+        else:
+            from repro.kernels.soa import materialize_sets
+
+            sets = materialize_sets(image, self.ways)
+            self._image = None
+        self.sets = sets
+        return sets
 
     def set_access_listener(self, callback) -> None:
         """Install (or clear) the pre-access listener.

@@ -252,11 +252,13 @@ class HierarchyRunner:
         :meth:`~repro.hierarchy.system.MemoryHierarchy.run_trace`) and
         reports each access's service level and memory-write count;
         the timing model then replays those outcomes in one cheap
-        pass.  Both phases are bit-identical to the old per-access
-        loop: the warmup boundary falls between accesses, reads stall
-        on their service level, and every memory write the access
-        triggered is charged to it, exactly as the scalar walk
-        interleaved them.
+        pass -- in the native kernel, straight from the stage replay's
+        arrays, when it serves the stack and the memory is flat or
+        ``pcm``; in :meth:`_walk` otherwise.  Both phases are
+        bit-identical to the old per-access loop: the warmup boundary
+        falls between accesses, reads stall on their service level,
+        and every memory write the access triggered is charged to it,
+        exactly as the scalar walk interleaved them.
         """
         if warmup >= len(trace):
             raise ValueError(
@@ -264,55 +266,23 @@ class HierarchyRunner:
             )
         hierarchy = self.hierarchy
         timing = self.timing
-        backend = self.backend
         if warmup:
             hierarchy.run_trace(trace, stop=warmup)
         hierarchy.reset_stats()
         timing.reset()
-        if backend is not None:
+        memory = hierarchy.memory
+        if self.backend is not None:
             # Record each memory write's address so the timing replay can
             # hand real addresses to the backend (partition mapping).
-            hierarchy.memory.write_log = []
+            memory.write_log = []
         _, levels, mem = hierarchy.run_trace(
-            trace, start=warmup, collect=True
+            trace, start=warmup, collect=True, timing=timing
         )
-        gaps = trace.instr_gaps
-        is_write = trace.is_write
-        advance = timing.advance
-        read_hit = timing.read_hit
-        read_miss = timing.read_miss
-        memory_write = timing.memory_write
-        if backend is None:
-            for i in range(warmup, len(trace)):
-                advance(gaps[i])
-                if not is_write[i]:
-                    level = levels[i]
-                    if level == 2:
-                        read_hit()
-                    elif level == 3:
-                        read_miss()
-                count = mem[i]
-                while count:
-                    memory_write()
-                    count -= 1
-        else:
-            addresses = trace.addresses
-            write_log = hierarchy.memory.write_log
-            hierarchy.memory.write_log = None
-            cursor = 0
-            for i in range(warmup, len(trace)):
-                advance(gaps[i])
-                if not is_write[i]:
-                    level = levels[i]
-                    if level == 2:
-                        read_hit()
-                    elif level == 3:
-                        read_miss(addresses[i])
-                count = mem[i]
-                while count:
-                    memory_write(write_log[cursor])
-                    cursor += 1
-                    count -= 1
+        write_log = memory.write_log
+        if self.backend is not None:
+            memory.write_log = None
+        if levels is not None:
+            self._walk(trace, warmup, levels, mem, write_log)
         llc = hierarchy.llc
         return RunResult(
             name=trace.name,
@@ -333,10 +303,49 @@ class HierarchyRunner:
                 "policy_state": llc.policy.describe(),
                 "writebuffer": timing.write_buffer.snapshot(),
                 **(
-                    {"backend": backend.stats()}
-                    if backend is not None
+                    {"backend": self.backend.stats()}
+                    if self.backend is not None
                     else {}
                 ),
             },
         )
+
+    def _walk(self, trace: Trace, warmup: int, levels, mem, write_log) -> None:
+        """The measured timing walk in Python: the kernel's reference."""
+        timing = self.timing
+        gaps = trace.instr_gaps
+        is_write = trace.is_write
+        advance = timing.advance
+        read_hit = timing.read_hit
+        read_miss = timing.read_miss
+        memory_write = timing.memory_write
+        if self.backend is None:
+            for i in range(warmup, len(trace)):
+                advance(gaps[i])
+                if not is_write[i]:
+                    level = levels[i]
+                    if level == 2:
+                        read_hit()
+                    elif level == 3:
+                        read_miss()
+                count = mem[i]
+                while count:
+                    memory_write()
+                    count -= 1
+            return
+        addresses = trace.addresses
+        cursor = 0
+        for i in range(warmup, len(trace)):
+            advance(gaps[i])
+            if not is_write[i]:
+                level = levels[i]
+                if level == 2:
+                    read_hit()
+                elif level == 3:
+                    read_miss(addresses[i])
+            count = mem[i]
+            while count:
+                memory_write(write_log[cursor])
+                cursor += 1
+                count -= 1
 

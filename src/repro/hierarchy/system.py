@@ -142,6 +142,7 @@ class MemoryHierarchy:
         start: int = 0,
         stop: int | None = None,
         collect: bool = False,
+        timing=None,
     ):
         """Replay demand accesses ``[start, stop)`` through the stack.
 
@@ -165,6 +166,13 @@ class MemoryHierarchy:
         writes access ``i`` triggered -- everything a timing replay
         needs (see :class:`~repro.cpu.core.HierarchyRunner`).
 
+        ``timing`` (collect mode only) is the caller's
+        :class:`~repro.cpu.timing.TimingModel` for the replayed
+        accesses.  When the native kernel serves the whole stack and
+        its walk covers the model's memory (flat, or a ``PCMBackend``),
+        it advances ``timing`` itself and ``levels`` and ``mem_writes``
+        come back None; otherwise the caller walks them.
+
         Configurations the staged filters cannot express -- an
         inclusive LLC (back-invalidation re-enters upper levels
         mid-access), an eviction listener, prefetches in flight,
@@ -173,6 +181,8 @@ class MemoryHierarchy:
         """
         if stop is None:
             stop = len(trace)
+        if timing is not None and not collect:
+            raise ValueError("a timing walk needs collect mode")
         if not self._batch_supported(core):
             return self._run_trace_scalar(trace, core, start, stop, collect)
 
@@ -189,7 +199,8 @@ class MemoryHierarchy:
             # All three levels under the kernel: replay the whole stack
             # with the inter-stage streams kept as arrays end to end.
             staged = llc.kernel.try_hierarchy_stages(
-                self, l1, l2, llc, decoded, start, stop, collect, core
+                self, l1, l2, llc, decoded, start, stop, collect, core,
+                timing=timing,
             )
             if staged is not None:
                 return staged

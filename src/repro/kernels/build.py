@@ -4,7 +4,15 @@ There is no build step and no binary in the repo: the C source
 (``native_src.c``) ships alongside this module and is compiled with the
 system C compiler the first time the ``native`` kernel is requested.
 The shared object is cached under ``~/.cache/repro/kernels/`` keyed by
-the source digest, so recompiles only happen when the source changes.
+a digest of the source and the compiler flags, so recompiles only happen
+when either changes.
+
+``REPRO_KERNEL_SANITIZE=1`` builds the kernel with AddressSanitizer and
+UndefinedBehaviorSanitizer instead (:data:`SANITIZE_CFLAGS`), any report
+fatal.  Loading that object into CPython needs the ASan runtime first in
+the process: run with ``LD_PRELOAD=$(gcc -print-file-name=libasan.so)``
+and ``ASAN_OPTIONS=detect_leaks=0`` (the interpreter's own allocations
+would otherwise read as leaks at exit).
 
 Everything degrades gracefully: no compiler, a failed compile, or
 ``REPRO_NO_NATIVE=1`` simply makes :func:`load_native` return ``None``
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 _SOURCE = Path(__file__).resolve().parent / "native_src.c"
 
@@ -37,6 +45,18 @@ _SOURCE = Path(__file__).resolve().parent / "native_src.c"
 #: constraint (it never relaxes FP semantics on its own) and buys a
 #: measurable win on the victim-scan loops.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: the sanitized build (``REPRO_KERNEL_SANITIZE=1``): the same IEEE
+#: constraint, with every ASan/UBSan finding fatal
+SANITIZE_CFLAGS = (
+    "-O1",
+    "-fPIC",
+    "-shared",
+    "-ffp-contract=off",
+    "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=all",
+    "-fno-omit-frame-pointer",
+)
 
 _int64 = ctypes.c_int64
 _uint8 = ctypes.c_uint8
@@ -185,6 +205,30 @@ class MultiCtx(ctypes.Structure):
     ]
 
 
+class PcmCtx(ctypes.Structure):
+    _fields_ = [
+        ("read_index_bits", _int64),
+        ("block_shift", _int64),
+        ("part_mask", _int64),
+        ("read_latency", _double),
+        ("write_latency", _double),
+        ("slice_len", _double),
+        ("mlp", _double),
+        ("queue_entries", _int64),
+        ("write_free", _p_double),
+        ("read_free", _p_double),
+        ("queue", _p_double),
+        ("queue_len", _int64),
+        ("reads", _int64),
+        ("writes", _int64),
+        ("pause_events", _int64),
+        ("queue_full_stalls", _int64),
+        ("read_wait_cycles", _double),
+        ("write_stall_cycles", _double),
+        ("write_busy_cycles", _double),
+    ]
+
+
 class FilterCtx(ctypes.Structure):
     _fields_ = [
         ("set_stream", _p_int64),
@@ -210,6 +254,7 @@ class NativeLib:
     run_trace: "ctypes._NamedFuncPointer"
     lru_filter: "ctypes._NamedFuncPointer"
     multicore: "ctypes._NamedFuncPointer"
+    timing_walk: "ctypes._NamedFuncPointer"
 
 
 def cache_dir() -> Path:
@@ -229,8 +274,17 @@ def find_compiler() -> Optional[str]:
     return None
 
 
-def _source_digest() -> str:
-    return hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+def cflags() -> tuple:
+    """The compiler flags of this process's build."""
+    if os.environ.get("REPRO_KERNEL_SANITIZE") == "1":
+        return SANITIZE_CFLAGS
+    return _CFLAGS
+
+
+def _build_digest(flags: tuple) -> str:
+    digest = hashlib.sha256(_SOURCE.read_bytes())
+    digest.update("\0".join(flags).encode())
+    return digest.hexdigest()[:16]
 
 
 def compile_native(verbose: bool = False) -> Optional[Path]:
@@ -239,7 +293,8 @@ def compile_native(verbose: bool = False) -> Optional[Path]:
         return None
     if not _SOURCE.is_file():
         return None
-    out = cache_dir() / f"rwkernel-{_source_digest()}-abi{_ABI_VERSION}.so"
+    flags = cflags()
+    out = cache_dir() / f"rwkernel-{_build_digest(flags)}-abi{_ABI_VERSION}.so"
     if out.is_file():
         return out
     compiler = find_compiler()
@@ -250,7 +305,7 @@ def compile_native(verbose: bool = False) -> Optional[Path]:
     # concurrent sweep workers never load a half-written object.
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out.parent))
     os.close(fd)
-    cmd = [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"]
+    cmd = [compiler, *flags, "-o", tmp, str(_SOURCE), "-lm"]
     try:
         proc = subprocess.run(
             cmd,
@@ -305,10 +360,22 @@ def _bind(path: Path) -> Optional[NativeLib]:
         multicore = lib.rw_multicore
         multicore.restype = _int64
         multicore.argtypes = [ctypes.POINTER(CacheCtx), ctypes.POINTER(MultiCtx)]
+        timing_walk = lib.rw_timing_walk
+        timing_walk.restype = _int64
+        timing_walk.argtypes = [
+            ctypes.POINTER(LaneCtx),
+            ctypes.POINTER(PcmCtx),
+            _int64,
+            _int64,
+        ]
     except AttributeError:
         return None
     return NativeLib(
-        path=path, run_trace=run_trace, lru_filter=lru_filter, multicore=multicore
+        path=path,
+        run_trace=run_trace,
+        lru_filter=lru_filter,
+        multicore=multicore,
+        timing_walk=timing_walk,
     )
 
 

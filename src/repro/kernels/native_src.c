@@ -11,6 +11,8 @@
  *                       (timed or untimed)
  *   rw_lru_filter  <->  SetAssociativeCache.run_lru_filter
  *   rw_multicore   <->  SharedLLCSystem.run over run_trace_session
+ *   rw_timing_walk <->  HierarchyRunner.run's measured timing walk, over
+ *                       the flat TimingModel or a PCMBackend
  *
  * With the sharer columns bound (CacheCtx.sharers != NULL), rw_run_trace
  * and rw_multicore also keep the multicore SharerDirectory inline, in
@@ -36,7 +38,7 @@
 #include <math.h>
 #include <stdint.h>
 
-#define RW_KERNEL_ABI 3
+#define RW_KERNEL_ABI 4
 
 /* victim kinds */
 #define VICTIM_MIN_STAMP 0
@@ -164,6 +166,27 @@ typedef struct {
     const int64_t *pc_stream; /* SHiP/RRP only; NULL otherwise */
 } LaneCtx;
 
+/* PCMBackend (repro/mem/pcm.py) state for rw_timing_walk. */
+typedef struct {
+    /* request address -> partition: a block is address >> offset_bits,
+     * a read's block is (tag << read_index_bits) | set of the demand
+     * streams, and partition = (block >> block_shift) & part_mask */
+    int64_t read_index_bits;
+    int64_t block_shift;
+    int64_t part_mask;
+    double read_latency;
+    double write_latency;
+    double slice_len; /* write_latency / pause_slices */
+    double mlp;       /* CoreConfig.mlp: a read stalls latency / mlp */
+    int64_t queue_entries;
+    double *write_free; /* [part_mask + 1] */
+    double *read_free;  /* [part_mask + 1] */
+    double *queue;      /* write completions, a heapq-layout min-heap */
+    int64_t queue_len;
+    int64_t reads, writes, pause_events, queue_full_stalls;
+    double read_wait_cycles, write_stall_cycles, write_busy_cycles;
+} PcmCtx;
+
 typedef struct {
     int64_t num_cores;
     LaneCtx *lanes;         /* [num_cores] */
@@ -198,6 +221,12 @@ typedef struct {
 } FilterCtx;
 
 int64_t rw_abi_version(void) { return RW_KERNEL_ABI; }
+
+/* A line's block address, (tag << index_bits) | set, shifted unsigned so
+ * no tag is undefined behaviour; callers that emit blocks first check
+ * that every tag they can meet fits (the Python side declines). */
+#define BLOCK_OF(tag, index_bits, si) \
+    ((int64_t)(((uint64_t)(tag) << (index_bits)) | (uint64_t)(si)))
 
 /* The lane loop is compiled twice, with and without sharer tracking;
  * forcing its helpers inline keeps both copies the shape of the one
@@ -716,7 +745,7 @@ ALWAYS_INLINE int64_t lane_loop(
             continue;
         }
         {
-            int64_t wb_block = -1;
+            int wrote_back = 0;
             if (filled_a[si] < ways) {
                 for (wy = 0; wy < ways; wy++) {
                     if (!valid_a[base + wy]) break;
@@ -741,7 +770,11 @@ ALWAYS_INLINE int64_t lane_loop(
                 }
                 if (dirty) {
                     writebacks++;
-                    wb_block = (tag_a[li] << index_bits) | si;
+                    wrote_back = 1;
+                    if (attrib) {
+                        l->wb_out[l->wb_out_count++] =
+                            BLOCK_OF(tag_a[li], index_bits, si);
+                    }
                 }
                 if (track && sharers_a[li]) {
                     /* SharerDirectory.on_evict: the generation ends */
@@ -776,10 +809,7 @@ ALWAYS_INLINE int64_t lane_loop(
             }
             if (attrib) {
                 int64_t origin = origin_stream[i];
-                if (wb_block >= 0) {
-                    l->wb_out[l->wb_out_count++] = wb_block;
-                    l->mem[origin]++;
-                }
+                if (wrote_back) l->mem[origin]++;
                 if (!w) levels[origin] = 3;
             }
             if (timed) {
@@ -787,7 +817,7 @@ ALWAYS_INLINE int64_t lane_loop(
                     read_stall += miss_stall;
                     cycles += miss_stall;
                 }
-                if (wb_block >= 0) wb_issue(l, &cycles, &write_stall);
+                if (wrote_back) wb_issue(l, &cycles, &write_stall);
             }
         }
     }
@@ -939,7 +969,7 @@ int64_t rw_lru_filter(CacheCtx *c, FilterCtx *f, int64_t start, int64_t stop) {
             }
             if (dirty) {
                 c->writebacks++;
-                f->out_blocks[count] = (c->tag[li] << index_bits) | si;
+                f->out_blocks[count] = BLOCK_OF(c->tag[li], index_bits, si);
                 f->out_write[count] = 1;
                 f->out_origin[count] = origin;
                 count++;
@@ -955,7 +985,7 @@ int64_t rw_lru_filter(CacheCtx *c, FilterCtx *f, int64_t start, int64_t stop) {
         c->clock++;
         c->stamp[li] = c->clock;
         if (demand_mode || !w) {
-            f->out_blocks[count] = (tag << index_bits) | si;
+            f->out_blocks[count] = BLOCK_OF(tag, index_bits, si);
             f->out_write[count] = 0;
             f->out_origin[count] = origin;
             count++;
@@ -1073,4 +1103,152 @@ int64_t rw_multicore(CacheCtx *c, MultiCtx *m) {
         }
     }
     return 0;
+}
+
+/* heapq._siftdown: move heap[pos] up towards startpos. */
+static void heap_siftdown(double *heap, int64_t startpos, int64_t pos) {
+    double newitem = heap[pos];
+    while (pos > startpos) {
+        int64_t parentpos = (pos - 1) >> 1;
+        double parent = heap[parentpos];
+        if (!(newitem < parent)) break;
+        heap[pos] = parent;
+        pos = parentpos;
+    }
+    heap[pos] = newitem;
+}
+
+/* heapq.heappop, slot for slot, so the queue flushed back to Python is
+ * the list CPython's heapq would hold. */
+static double heap_pop(PcmCtx *p) {
+    double *heap = p->queue;
+    double last = heap[--p->queue_len];
+    double top;
+    int64_t end = p->queue_len, pos = 0, child = 1;
+    if (!end) return last;
+    top = heap[0];
+    /* _siftup(heap, 0) with heap[0] = last: the smaller child rises
+     * until a leaf, then last sifts back down from there */
+    while (child < end) {
+        if (child + 1 < end && !(heap[child] < heap[child + 1])) child++;
+        heap[pos] = heap[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    heap[pos] = last;
+    heap_siftdown(heap, 0, pos);
+    return top;
+}
+
+static void heap_push(PcmCtx *p, double item) {
+    p->queue[p->queue_len] = item;
+    heap_siftdown(p->queue, 0, p->queue_len);
+    p->queue_len++;
+}
+
+ALWAYS_INLINE int64_t pcm_partition(const PcmCtx *p, int64_t block) {
+    return (int64_t)(((uint64_t)block >> p->block_shift) & (uint64_t)p->part_mask);
+}
+
+/* PCMBackend.read: write pausing, then per-partition read queueing. */
+static double pcm_read(PcmCtx *p, int64_t part, double now) {
+    double pending = p->write_free[part] - now;
+    double pause_wait = 0.0, queue_wait, wait, latency;
+    p->reads++;
+    if (pending > 0.0) {
+        pause_wait = pending < p->slice_len ? pending : p->slice_len;
+        p->pause_events++;
+    }
+    queue_wait = p->read_free[part] - now;
+    if (queue_wait < 0.0) queue_wait = 0.0;
+    wait = pause_wait > queue_wait ? pause_wait : queue_wait;
+    latency = wait + p->read_latency;
+    p->read_free[part] = now + latency;
+    /* the paused write resumes after the read releases the partition */
+    if (pending > 0.0) p->write_free[part] += latency;
+    p->read_wait_cycles += wait;
+    return latency;
+}
+
+/* PCMBackend.write: drain, stall on a full queue, occupy the partition. */
+static double pcm_write(PcmCtx *p, int64_t part, double now) {
+    double stall = 0.0, start;
+    p->writes++;
+    while (p->queue_len && p->queue[0] <= now) heap_pop(p);
+    if (p->queue_len >= p->queue_entries) {
+        double done = heap_pop(p);
+        if (done > now) {
+            stall = done - now;
+            now = done;
+            p->queue_full_stalls++;
+            p->write_stall_cycles += stall;
+        }
+        while (p->queue_len && p->queue[0] <= now) heap_pop(p);
+    }
+    start = now > p->write_free[part] ? now : p->write_free[part];
+    p->write_free[part] = start + p->write_latency;
+    heap_push(p, p->write_free[part]);
+    p->write_busy_cycles += p->write_latency;
+    return stall;
+}
+
+/* HierarchyRunner.run's measured walk over demand accesses [start, stop):
+ * TimingModel.advance, then a read's stall by its service level
+ * (levels[i]: 2 = LLC hit, 3 = memory), then one memory write per
+ * writeback the access caused (mem[i]), drawing their blocks from
+ * wb_out in order.  p == NULL is the flat model (miss_stall, the write
+ * buffer ring); otherwise reads and writes go through the PCM port.
+ * Returns the accesses walked, or -1 when mem asks for more writebacks
+ * than wb_out_count holds. */
+int64_t rw_timing_walk(LaneCtx *l, PcmCtx *p, int64_t start, int64_t stop) {
+    const double *cycle_stream = l->cycle_stream;
+    const uint8_t *write_stream = l->write_stream;
+    const int64_t *levels = l->levels;
+    const int64_t *mem = l->mem;
+    const int64_t *blocks = l->wb_out;
+    int64_t available = l->wb_out_count;
+    int64_t cursor = 0, instr = 0, i, k;
+    double cycles = l->cycles;
+    double read_stall = l->read_stall;
+    double write_stall = l->write_stall;
+
+    for (i = start; i < stop; i++) {
+        cycles += cycle_stream[i];
+        if (!write_stream[i]) {
+            if (levels[i] == 2) {
+                read_stall += l->hit_stall;
+                cycles += l->hit_stall;
+            } else if (levels[i] == 3) {
+                double stall = l->miss_stall;
+                if (p) {
+                    int64_t block = BLOCK_OF(
+                        l->tag_stream[i], p->read_index_bits, l->set_stream[i]
+                    );
+                    stall = pcm_read(p, pcm_partition(p, block), cycles)
+                        / p->mlp;
+                }
+                read_stall += stall;
+                cycles += stall;
+            }
+        }
+        for (k = mem[i]; k > 0; k--) {
+            if (cursor == available) return -1;
+            if (p) {
+                double stall = pcm_write(
+                    p, pcm_partition(p, blocks[cursor]), cycles
+                );
+                write_stall += stall;
+                cycles += stall;
+            } else {
+                wb_issue(l, &cycles, &write_stall);
+            }
+            cursor++;
+        }
+    }
+    for (i = start; i < stop; i++) instr += l->gap_stream[i];
+    l->instructions += instr;
+    l->cycles = cycles;
+    l->read_stall = read_stall;
+    l->write_stall = write_stall;
+    return stop - start;
 }

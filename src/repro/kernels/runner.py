@@ -37,7 +37,12 @@ Supported configurations (the ``native`` backend):
   hooks (the repartition itself still runs in Python through a
   callback at every epoch boundary);
 * timing via the flat :class:`~repro.cpu.timing.TimingModel` (no
-  request-level memory backend).
+  request-level memory backend) in the replay itself; the hierarchy's
+  measured timing walk (``HierarchyRunner``) also runs natively over the
+  stage replay's arrays, for the flat model and for a
+  :class:`~repro.mem.pcm.PCMBackend`.  Other backends (banked DRAM, the
+  ``DRAMBackend`` adapter, NVM) keep the Python walk and say so in
+  ``fallback_reason``.
 """
 
 from __future__ import annotations
@@ -65,9 +70,11 @@ from repro.kernels.build import (
     FilterCtx,
     LaneCtx,
     MultiCtx,
+    PcmCtx,
     load_native,
 )
 from repro.kernels.spec import KernelSpec
+from repro.mem.pcm import PCMBackend
 from repro.multicore.shared import SharerDirectory
 
 #: victim kinds, matching the defines in native_src.c
@@ -89,6 +96,10 @@ _STATUS_CALLBACK_ABORT = 2
 #: below the set count and writes are bits, so it is a tag or a gap);
 #: numpy's absence is declined earlier, by the binding
 _STREAM_OVERFLOW = "a tag or instruction gap overflows the int64 kernel ABI"
+
+#: the decline when a lane that emits block addresses (a filter stage,
+#: an attributed LLC replay) would build one beyond int64
+_BLOCK_OVERFLOW = "a block address overflows the int64 kernel ABI"
 
 #: clean_occ/dirty_occ in the C victim scan are fixed-size stack arrays,
 #: and a sharer mask is one uint64
@@ -217,7 +228,7 @@ def _comparator_kind(cache) -> Optional[int]:
 def _gather_comparator(cache, kind: int) -> Optional[soa.PolicyImage]:
     """Pack the state ``kind``'s hooks read besides the line columns."""
     policy = cache.policy
-    num_sets = len(cache.sets)
+    num_sets = cache.config.num_sets
     if kind in (_POLICY_DIP, _POLICY_DRRIP):
         return soa.gather_policy(
             policy,
@@ -405,7 +416,7 @@ def bind_cache(
         else:
             return decline("sample hook is not a recognized shadow sampler")
         simage = soa.gather_sampler(
-            samplers, stride, len(cache.sets), cache.ways
+            samplers, stride, cache.config.num_sets, cache.ways
         )
         if simage is None:
             return decline("shadow-sampler state not SoA-representable")
@@ -427,6 +438,7 @@ def bind_cache(
     image = soa.gather_lines(cache)
     if image is None:
         return decline("cache line state not SoA-representable")
+    soa.check_image(image, cache.config.num_sets, cache.ways)
     binding.image = image
 
     # -- sharer directory -------------------------------------------------
@@ -436,7 +448,7 @@ def bind_cache(
             or directory.offset_bits != cache._offset_bits
         ):
             return decline("sharer directory geometry differs from the cache's")
-        dimage = soa.gather_directory(cache, directory)
+        dimage = soa.gather_directory(image, cache.ways, directory)
         if dimage is None:
             return decline("sharer directory state not SoA-representable")
         stray = len(directory.table) - dimage.tracked
@@ -503,6 +515,7 @@ def _bind_comparator(cache, comparator: int, decline) -> Optional[_CacheBinding]
     image = soa.gather_lines(cache, comparator=True)
     if image is None:
         return decline("cache line state not SoA-representable")
+    soa.check_image(image, cache.config.num_sets, cache.ways)
     if pimage.counters is not None and (
         int(image.signature.min()) < 0
         or int(image.signature.max()) >= len(pimage.counters)
@@ -536,7 +549,7 @@ def _bind_comparator(cache, comparator: int, decline) -> Optional[_CacheBinding]
 
 def _load_lines(ctx, cache, image) -> None:
     """Geometry and the stamped line columns into ``ctx``."""
-    ctx.num_sets = len(cache.sets)
+    ctx.num_sets = cache.config.num_sets
     ctx.ways = cache.ways
     ctx.index_bits = cache._index_bits
     ctx.offset_bits = cache._offset_bits
@@ -636,6 +649,82 @@ def _flush_lane_timing(timing, lane: LaneCtx, ring) -> None:
     soa.flush_write_buffer(timing.write_buffer, lane, ring)
 
 
+class _TimingWalk:
+    """``HierarchyRunner``'s measured walk, bound for ``rw_timing_walk``.
+
+    :meth:`bind` checks the memory model and loads the timing model
+    before the stage replay runs, so a decline leaves nothing to undo;
+    :meth:`run` loads a PCM backend's state once the replay has counted
+    the writes the walk will issue.
+    """
+
+    #: ``streams`` and ``cycles`` keep the arrays the lane points into
+    __slots__ = (
+        "timing", "lane", "ring", "streams", "cycles", "shift", "index_bits"
+    )
+
+    @classmethod
+    def bind(cls, timing, decoded, streams, offset_bits: int):
+        """A ready walk, or the reason the walk stays in Python."""
+        backend = timing.backend
+        shift = 0
+        if backend is not None:
+            if type(backend) is not PCMBackend:
+                return f"the {type(backend).__name__} timing walk runs in Python"
+            shift = backend._line_shift - offset_bits
+            if not 0 <= shift < 64:
+                return "PCM line size is below the cache line size"
+            partitions = backend._part_mask + 1
+            if not (
+                len(backend._write_free) == len(backend._read_free)
+                == partitions
+            ):
+                return "PCM partition state does not match its partitions"
+        walk = cls()
+        walk.timing = timing
+        walk.shift = shift
+        walk.index_bits = decoded.index_bits
+        walk.streams = streams
+        set_arr, tag_arr, write_arr, gap_arr = streams
+        lane = walk.lane = LaneCtx()
+        lane.set_stream = soa.ptr_int64(set_arr)
+        lane.tag_stream = soa.ptr_int64(tag_arr)
+        lane.write_stream = soa.ptr_uint8(write_arr)
+        lane.gap_stream = soa.ptr_int64(gap_arr)
+        walk.cycles = soa.cycle_array(decoded, timing.core.base_cpi)
+        try:
+            walk.ring = _fill_lane_timing(lane, timing, walk.cycles)
+        except OverflowError:
+            return "timing state overflows the lane image"
+        return walk
+
+    def run(self, lib, levels, mem, blocks, count: int, start: int, stop: int):
+        """Walk ``[start, stop)`` and flush the timing (and PCM) state.
+
+        ``blocks[:count]`` are the written-back LLC blocks in issue
+        order; ``levels``/``mem`` the per-access attribution.
+        """
+        timing = self.timing
+        backend = timing.backend
+        lane = self.lane
+        lane.levels = soa.ptr_int64(levels)
+        lane.mem = soa.ptr_int64(mem)
+        lane.wb_out = soa.ptr_int64(blocks)
+        lane.wb_out_count = count
+        pctx = arrays = None
+        if backend is not None:
+            pctx = PcmCtx()
+            pctx.read_index_bits = self.index_bits
+            pctx.block_shift = self.shift
+            arrays = soa.load_pcm(pctx, backend, timing.core.mlp, count)
+        pcm = None if pctx is None else ctypes.byref(pctx)
+        if lib.timing_walk(ctypes.byref(lane), pcm, start, stop) < 0:
+            raise RuntimeError("timing walk ran out of writeback blocks")
+        _flush_lane_timing(timing, lane, self.ring)
+        if pctx is not None:
+            soa.flush_pcm(backend, pctx, arrays)
+
+
 class KernelRuntime:
     """Dispatches eligible batch replays to the native kernel."""
 
@@ -696,7 +785,7 @@ class KernelRuntime:
         if timing is not None:
             cycles = soa.cycle_array(decoded, timing.core.base_cpi)
         soa.check_streams(
-            len(cache.sets), start, stop,
+            cache.config.num_sets, start, stop,
             set=set_arr, tag=tag_arr, write=write_arr, gap=gap_arr,
             cycle=cycles, pc=pcs,
         )
@@ -775,8 +864,12 @@ class KernelRuntime:
         binding = self._bind(cache, "the LRU filter")
         if binding is None:
             return None
+        if not soa.blocks_fit(
+            cache._index_bits, tag_arr[start:stop], binding.image.tag
+        ):
+            return self._fallback(_BLOCK_OVERFLOW)
         soa.check_streams(
-            len(cache.sets), start, stop,
+            cache.config.num_sets, start, stop,
             origin_limit=None if level_arr is None else len(level_arr),
             set=set_arr, tag=tag_arr, write=write_arr, origin=origin_arr,
         )
@@ -815,7 +908,17 @@ class KernelRuntime:
         return forwarded
 
     def try_hierarchy_stages(
-        self, hierarchy, l1, l2, llc, decoded, start, stop, collect, core
+        self,
+        hierarchy,
+        l1,
+        l2,
+        llc,
+        decoded,
+        start,
+        stop,
+        collect,
+        core,
+        timing=None,
     ) -> Optional[tuple]:
         """Array-native staged replay of the whole L1/L2/LLC stack.
 
@@ -829,6 +932,15 @@ class KernelRuntime:
         staged path produces, or None for any configuration outside
         the kernel matrix (the caller falls through to the per-stage
         dispatch, which can still accelerate stages individually).
+
+        ``timing`` (collect mode only) is the measured run's
+        :class:`~repro.cpu.timing.TimingModel`.  When its walk has a
+        kernel counterpart -- the flat model, or a ``PCMBackend`` --
+        ``rw_timing_walk`` advances it (and the backend) over the
+        replayed accesses straight from the stage arrays, and the
+        result carries None for ``levels`` and ``mem``: nothing is left
+        for the caller to walk.  Otherwise ``fallback_reason`` names the
+        backend and the lists come back as usual.
         """
         lib = load_native()
         if lib is None or np is None or start >= stop:
@@ -852,10 +964,29 @@ class KernelRuntime:
         if streams is None:
             return None
         set_arr, tag_arr, write_arr, _ = streams
+        # The L2 and LLC stages decode the blocks the stage above
+        # emitted, which rebuild to the same blocks; only the demand
+        # tags and resident lines can emit one past int64.  The
+        # per-stage dispatch names the overflow.
+        if not (
+            soa.blocks_fit(l1._index_bits, tag_arr[start:stop], b1.image.tag)
+            and soa.blocks_fit(l2._index_bits, b2.image.tag)
+            and (not collect or soa.blocks_fit(llc._index_bits, b3.image.tag))
+        ):
+            return None
+        walk = None
+        if timing is not None and collect:
+            walk = _TimingWalk.bind(timing, decoded, streams, llc._offset_bits)
+            if isinstance(walk, str):
+                self._fallback(walk)
+                walk = None
         # Stages 2 and 3 decode their input by masking, so only the
         # demand stream can hold a set index outside its cache.
         soa.check_streams(
-            len(l1.sets), start, stop, set=set_arr, tag=tag_arr, write=write_arr
+            l1.config.num_sets, start, stop,
+            set=set_arr, tag=tag_arr, write=write_arr,
+            gap=None if walk is None else streams[3],
+            cycle=None if walk is None else walk.cycles,
         )
         span = stop - start
         memory = hierarchy.memory
@@ -933,7 +1064,7 @@ class KernelRuntime:
             wb_count = lane.wb_out_count
             memory.reads += memory_reads
             memory.writes += wb_count
-            if memory.write_log is not None and wb_count:
+            if walk is None and memory.write_log is not None and wb_count:
                 offset_bits = llc._offset_bits
                 memory.write_log.extend(
                     (block << offset_bits)
@@ -960,6 +1091,9 @@ class KernelRuntime:
             "llc": llc_hits,
             "memory": memory_reads,
         }
+        if walk is not None:
+            walk.run(lib, level_arr, mem_arr, wb_out, wb_count, start, stop)
+            return counts, None, None
         if collect:
             return counts, level_arr.tolist(), mem_arr.tolist()
         return counts
@@ -1000,8 +1134,10 @@ class KernelRuntime:
         binding = self._bind(cache, "the LLC-residue collect replay")
         if binding is None:
             return None
+        if not soa.blocks_fit(cache._index_bits, tag_arr, binding.image.tag):
+            return self._fallback(_BLOCK_OVERFLOW)
         soa.check_streams(
-            len(cache.sets), 0, count,
+            cache.config.num_sets, 0, count,
             origin_limit=min(len(level_arr), len(mem_arr)),
             set=set_arr, tag=tag_arr, write=write_arr, origin=origin_arr,
         )
@@ -1067,7 +1203,7 @@ class KernelRuntime:
         ):
             # Lanes wrap around their whole trace.
             soa.check_streams(
-                len(llc.sets), 0, len(trace),
+                llc.config.num_sets, 0, len(trace),
                 set=set_arr, tag=tag_arr, write=write_arr, gap=gap_arr,
                 cycle=cycles,
             )

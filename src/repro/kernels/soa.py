@@ -1,19 +1,31 @@
-"""Struct-of-arrays gather/scatter for the native batch kernels.
+"""Struct-of-arrays line state for the native batch kernels.
 
-The dict-of-objects cache state (:class:`~repro.cache.cache.CacheSet`
-of :class:`~repro.cache.line.CacheLine`) is the source of truth; the
-kernels run over a flat numpy image of it -- parallel per-line arrays
-(tags, recency stamps, dirty bits, core owners, read/write-seen class
-bits) plus per-set fill/dirty counters -- gathered once per kernel run
-and scattered back afterwards.  The arrays are way-major within a set:
-line ``j`` of set ``i`` lives at index ``i * ways + j``, so a kernel's
-way scan walks the exact ``CacheSet.lines`` order the reference drivers
-iterate.
+A cache's line state lives in one of two forms, never both:
 
-Scatter also rebuilds every per-set lookup dict in ascending stamp
-order and re-arms the cache's ``_lookup_ordered`` invariant, so a
-follow-up ``run_lru_filter`` starts from the recency-ordered dicts it
-maintains itself.
+* the dict-of-objects form (:class:`~repro.cache.cache.CacheSet` of
+  :class:`~repro.cache.line.CacheLine`, ``cache.sets``) that the scalar
+  ``access()`` walk, the dict drivers and the policy hooks read;
+* a :class:`LineImage` -- parallel per-line arrays (tags, recency
+  stamps, dirty bits, core owners, read/write-seen class bits) plus
+  per-set fill/dirty counters -- that the kernels run over.
+
+The image is the cache's state between kernel calls: :func:`gather_lines`
+returns the resident image (or a fresh all-invalid one), the kernel
+mutates it in place and :func:`scatter_lines` hands it back to the
+cache, dropping ``cache.sets``.  The objects are rebuilt by
+:func:`materialize_sets` only when Python next reads ``cache.sets``;
+gathering from them again (after a scalar ``access()``, say) is the one
+path that still walks the line objects.  The arrays are way-major
+within a set: line ``j`` of set ``i`` lives at index ``i * ways + j``,
+so a kernel's way scan walks the exact ``CacheSet.lines`` order the
+reference drivers iterate.  Materialized lookup dicts come out in
+ascending stamp order, which is why :func:`scatter_lines` re-arms the
+cache's ``_lookup_ordered`` invariant for a follow-up dict
+``run_lru_filter``.
+
+Every image a native call runs over passes :func:`check_image` first:
+an image outlives a call, so a corrupted column raises ``ValueError``
+instead of sending the kernel outside its arrays.
 
 A shared LLC's :class:`~repro.multicore.shared.SharerDirectory` folds
 into two more per-line columns: the sharer bitmask (0 = untracked) and
@@ -24,13 +36,16 @@ first touch and close on its eviction -- which the gather checks.
 The comparator policies (DIP, DRRIP, SHiP, RRP) add three per-line
 columns -- ``rrpv``, ``signature``, ``outcome`` -- and a
 :class:`PolicyImage` of their remaining state: set-dueling roles and
-PSEL, the coin, the PC-indexed counter table.
+PSEL, the coin, the PC-indexed counter table.  Statistics, the policy
+clock, samplers, the policy image and the directory are still gathered
+and scattered eagerly around every call.
 
 Everything here returns ``None`` for state the SoA image cannot
 represent (tags beyond int64, foreign sampler shapes); callers treat
 that as "unsupported" and fall back to the dict driver.
-:func:`check_streams` is the one exception: a stream that would make a
-kernel read or write outside its arrays raises ``ValueError``.
+:func:`check_streams` and :func:`check_image` are the exceptions: input
+that would make a kernel read or write outside its arrays raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -45,6 +60,7 @@ try:
 except ImportError:  # pragma: no cover - exercised via tests stubbing numpy
     np = None
 
+from repro.cache.cache import CacheSet
 from repro.cache.dueling import (
     FOLLOWER,
     TEAM_A,
@@ -98,19 +114,71 @@ class LineImage:
     outcome: "Optional[np.ndarray]" = None
 
 
-def gather_lines(cache, comparator: bool = False) -> Optional[LineImage]:
-    """Flatten ``cache``'s sets into parallel arrays (way-major).
+#: the per-line columns every image carries, with their kernel dtypes
+_LINE_COLUMNS = (
+    ("tag", "int64"),
+    ("stamp", "int64"),
+    ("owner", "int64"),
+    ("valid", "uint8"),
+    ("dirty", "uint8"),
+    ("read_seen", "uint8"),
+    ("write_seen", "uint8"),
+)
 
-    ``comparator`` adds the ``rrpv``/``signature``/``outcome`` columns.
+#: the comparator policies' per-line columns (None on stamped images)
+_COMPARATOR_COLUMNS = ("rrpv", "signature", "outcome")
+
+#: the per-set columns
+_SET_COLUMNS = ("filled", "dirty_lines")
+
+
+def fresh_image(num_sets: int, ways: int, comparator: bool = False) -> LineImage:
+    """The image of an all-invalid cache: what ``CacheSet(ways)`` holds."""
+    count = num_sets * ways
+    columns = {}
+    if comparator:
+        columns = {
+            name: np.zeros(count, dtype=np.int64)
+            for name in _COMPARATOR_COLUMNS
+        }
+    return LineImage(
+        tag=np.full(count, -1, dtype=np.int64),
+        stamp=np.zeros(count, dtype=np.int64),
+        owner=np.zeros(count, dtype=np.int64),
+        valid=np.zeros(count, dtype=np.uint8),
+        dirty=np.zeros(count, dtype=np.uint8),
+        read_seen=np.zeros(count, dtype=np.uint8),
+        write_seen=np.zeros(count, dtype=np.uint8),
+        filled=np.zeros(num_sets, dtype=np.int64),
+        dirty_lines=np.zeros(num_sets, dtype=np.int64),
+        **columns,
+    )
+
+
+def gather_lines(cache, comparator: bool = False) -> Optional[LineImage]:
+    """The image a kernel runs ``cache`` over (way-major).
+
+    The resident image when the cache holds one, a fresh all-invalid
+    image when it holds neither image nor line objects, and otherwise
+    the line objects flattened into a new image.  ``comparator`` adds
+    the ``rrpv``/``signature``/``outcome`` columns; a cache's policy
+    never changes, so its resident image already has them or never
+    needs them.
     """
-    lines = [line for cache_set in cache.sets for line in cache_set.lines]
+    sets = cache.__dict__.get("sets")
+    if sets is None:
+        image = cache._image
+        if image is None:
+            return fresh_image(cache.config.num_sets, cache.ways, comparator)
+        return image
+    lines = [line for cache_set in sets for line in cache_set.lines]
     columns = {}
     try:
         tag = np.array([line.tag for line in lines], dtype=np.int64)
         stamp = np.array([line.stamp for line in lines], dtype=np.int64)
         owner = np.array([line.owner for line in lines], dtype=np.int64)
         if comparator:
-            for name in ("rrpv", "signature", "outcome"):
+            for name in _COMPARATOR_COLUMNS:
                 columns[name] = np.array(
                     [getattr(line, name) for line in lines], dtype=np.int64
                 )
@@ -127,23 +195,35 @@ def gather_lines(cache, comparator: bool = False) -> Optional[LineImage]:
             [line.write_seen for line in lines], dtype=np.uint8
         ),
         filled=np.array(
-            [cache_set.filled for cache_set in cache.sets], dtype=np.int64
+            [cache_set.filled for cache_set in sets], dtype=np.int64
         ),
         dirty_lines=np.array(
-            [cache_set.dirty_lines for cache_set in cache.sets],
-            dtype=np.int64,
+            [cache_set.dirty_lines for cache_set in sets], dtype=np.int64
         ),
         **columns,
     )
 
 
 def scatter_lines(cache, image: LineImage) -> None:
-    """Write the (mutated) SoA image back into the line objects.
+    """Hand the (mutated) image to ``cache`` as its line state.
 
-    Rebuilds every set's lookup dict sorted by stamp and re-arms the
-    recency-order invariant; the cached ``_lookups``/``_getters`` tables
-    are updated in place, mirroring what ``run_lru_filter``'s rebuild
-    does.
+    Drops any line objects (and the cached ``_lookups``/``_getters``
+    tables over them); the next read of ``cache.sets`` rebuilds them
+    from the image, lookup dicts in stamp order, so the recency-order
+    invariant is re-armed here.
+    """
+    cache.__dict__.pop("sets", None)
+    cache._image = image
+    cache._lookups = None
+    cache._getters = None
+    cache._lookup_ordered = True
+
+
+def materialize_sets(image: LineImage, ways: int) -> List[CacheSet]:
+    """Rebuild ``CacheSet`` objects from an image.
+
+    Every set's lookup dict is built sorted by stamp, the order the
+    dict ``run_lru_filter`` keeps.
     """
     tags = image.tag.tolist()
     stamps = image.stamp.tolist()
@@ -160,9 +240,10 @@ def scatter_lines(cache, image: LineImage) -> None:
         signatures = image.signature.tolist()
         outcomes = image.outcome.tolist()
 
-    lookups, getters = cache._lookup_tables()
+    sets: List[CacheSet] = []
     index = 0
-    for set_index, cache_set in enumerate(cache.sets):
+    for set_index in range(len(filleds)):
+        cache_set = CacheSet(ways)
         live: List = []
         for line in cache_set.lines:
             line.tag = tags[index]
@@ -180,13 +261,59 @@ def scatter_lines(cache, image: LineImage) -> None:
             if line.valid:
                 live.append(line)
         live.sort(key=_BY_STAMP)
-        lookup = {line.tag: line for line in live}
-        cache_set.lookup = lookup
+        cache_set.lookup = {line.tag: line for line in live}
         cache_set.filled = filleds[set_index]
         cache_set.dirty_lines = dirty_counts[set_index]
-        lookups[set_index] = lookup
-        getters[set_index] = lookup.get
-    cache._lookup_ordered = True
+        sets.append(cache_set)
+    return sets
+
+
+def check_image(image: LineImage, num_sets: int, ways: int) -> None:
+    """Validate the image a native call will run over.
+
+    Every column must be a C-contiguous one-dimensional array of its
+    kernel dtype, ``num_sets * ways`` long per line or ``num_sets``
+    long per set, and every set's ``filled`` count must lie in
+    ``[0, ways]`` and equal its number of valid lines (a fill scans for
+    an invalid way while ``filled < ways``).  Raises ``ValueError``
+    naming the first offending column: the kernel does no bounds checks
+    of its own.
+    """
+    columns = [(name, dtype, num_sets * ways) for name, dtype in _LINE_COLUMNS]
+    if image.rrpv is not None:
+        columns += [
+            (name, "int64", num_sets * ways) for name in _COMPARATOR_COLUMNS
+        ]
+    columns += [(name, "int64", num_sets) for name in _SET_COLUMNS]
+    for name, dtype, length in columns:
+        array = getattr(image, name)
+        if getattr(array, "dtype", None) != dtype:
+            raise ValueError(
+                f"{name} column has dtype {getattr(array, 'dtype', None)}, "
+                f"the kernel reads {dtype}"
+            )
+        if array.ndim != 1 or not array.flags.c_contiguous:
+            raise ValueError(
+                f"{name} column is not a C-contiguous one-dimensional array"
+            )
+        if len(array) != length:
+            raise ValueError(
+                f"{name} column has {len(array)} entries, the cache "
+                f"{length}"
+            )
+    if num_sets:
+        filled = image.filled
+        low, high = int(filled.min()), int(filled.max())
+        if low < 0 or high > ways:
+            raise ValueError(
+                f"filled column holds {low if low < 0 else high}, "
+                f"outside [0, {ways}]"
+            )
+        valid = np.count_nonzero(image.valid.reshape(num_sets, ways), axis=1)
+        if not np.array_equal(valid, filled):
+            raise ValueError(
+                "filled column disagrees with the valid column's line counts"
+            )
 
 
 # -- sharer directory ------------------------------------------------------
@@ -210,37 +337,34 @@ class DirectoryImage:
     tracked: int  # directory entries that matched a resident line
 
 
-def gather_directory(cache, directory) -> Optional[DirectoryImage]:
+def gather_directory(
+    image: LineImage, ways: int, directory
+) -> Optional[DirectoryImage]:
     """Fold ``directory.table`` into per-line columns; None if foreign.
 
-    Entries of lines not resident in ``cache`` have no column to live
-    in; they are left out of the image and of ``tracked``, so the caller
-    compares ``tracked`` with ``len(directory.table)``.
+    Reads tags and valid bits from ``image``.  Entries of lines not
+    resident in it have no column to live in; they are left out of the
+    image and of ``tracked``, so the caller compares ``tracked`` with
+    ``len(directory.table)``.
     """
-    count = len(cache.sets) * cache.ways
+    count = len(image.tag)
     sharers = np.zeros(count, dtype=np.uint64)
     last_writer = np.full(count, -1, dtype=np.int64)
     tracked = 0
     table = directory.table
     if table:
         index_bits = directory.index_bits
-        slot = 0
+        tags = image.tag.tolist()
         try:
-            for set_index, cache_set in enumerate(cache.sets):
-                for line in cache_set.lines:
-                    entry = (
-                        table.get((line.tag << index_bits) | set_index)
-                        if line.valid
-                        else None
-                    )
-                    if entry is not None:
-                        mask, writer = entry
-                        if mask <= 0:
-                            return None
-                        sharers[slot] = mask
-                        last_writer[slot] = writer
-                        tracked += 1
-                    slot += 1
+            for slot in np.flatnonzero(image.valid).tolist():
+                entry = table.get((tags[slot] << index_bits) | (slot // ways))
+                if entry is not None:
+                    mask, writer = entry
+                    if mask <= 0:
+                        return None
+                    sharers[slot] = mask
+                    last_writer[slot] = writer
+                    tracked += 1
         except (OverflowError, TypeError, ValueError):
             return None
     return DirectoryImage(
@@ -542,7 +666,78 @@ def flush_write_buffer(write_buffer, lane, ring: "np.ndarray") -> None:
     write_buffer.total_writes = lane.wb_writes
 
 
+# -- PCM backend -----------------------------------------------------------
+#: PCMBackend counters, in PcmCtx field order (int counts, float cycles)
+_PCM_COUNTERS = (
+    "reads",
+    "writes",
+    "pause_events",
+    "queue_full_stalls",
+    "read_wait_cycles",
+    "write_stall_cycles",
+    "write_busy_cycles",
+)
+
+
+def load_pcm(pctx, backend, mlp, writes: int) -> Tuple:
+    """Bind a ``PCMBackend``'s state into ``pctx``; returns its arrays.
+
+    ``writes`` is how many writes the walk will issue.  The write-queue
+    heap is sized for the most it can then hold: a write pops one
+    completion before pushing when the queue is full, so it never grows
+    past ``queue_entries`` or by more than ``writes`` entries.  The
+    caller checked that the partition horizons match the partition
+    count (the kernel indexes them by partition).
+    """
+    write_free = np.array(backend._write_free, dtype=np.float64)
+    read_free = np.array(backend._read_free, dtype=np.float64)
+    pending = backend._write_queue
+    capacity = max(
+        len(pending), min(backend.queue_entries, len(pending) + writes), 1
+    )
+    queue = np.zeros(capacity, dtype=np.float64)
+    queue[: len(pending)] = pending
+    pctx.part_mask = backend._part_mask
+    pctx.read_latency = backend.read_latency
+    pctx.write_latency = backend.write_latency
+    pctx.slice_len = backend.write_latency / backend.pause_slices
+    pctx.mlp = mlp
+    pctx.queue_entries = backend.queue_entries
+    pctx.write_free = ptr_double(write_free)
+    pctx.read_free = ptr_double(read_free)
+    pctx.queue = ptr_double(queue)
+    pctx.queue_len = len(pending)
+    for name in _PCM_COUNTERS:
+        setattr(pctx, name, getattr(backend, name))
+    return write_free, read_free, queue
+
+
+def flush_pcm(backend, pctx, arrays: Tuple) -> None:
+    write_free, read_free, queue = arrays
+    backend._write_free = write_free.tolist()
+    backend._read_free = read_free.tolist()
+    backend._write_queue = queue[: pctx.queue_len].tolist()
+    for name in _PCM_COUNTERS:
+        setattr(backend, name, getattr(pctx, name))
+
+
 # -- decoded streams -------------------------------------------------------
+def blocks_fit(index_bits: int, *tag_arrays) -> bool:
+    """True when every ``(tag << index_bits) | set`` fits int64.
+
+    A lane that emits block addresses (a filter stage, an attributed
+    LLC replay) builds them from its stream's tags and its resident
+    lines' tags; pass both.
+    """
+    high = ((1 << 63) - 1) >> index_bits
+    low = -(1 << (63 - index_bits))
+    for tags in tag_arrays:
+        if len(tags) and (int(tags.min()) < low or int(tags.max()) > high):
+            return False
+    return True
+
+
+
 def stream_arrays(decoded) -> Optional[Tuple]:
     """(set, tag, write, gap) int64/uint8 arrays for a decoded trace."""
     if np is None:

@@ -24,12 +24,15 @@ import repro.experiments  # noqa: F401  pre-imports the experiments package
 # (repro.sim and repro.experiments import each other; importing the
 # package first resolves the cycle the same way the CLI does)
 
+from repro.cache.line import CacheLine
 from repro.cache.policy import make_policy
 from repro.common.config import CacheConfig, default_hierarchy
+from repro.cpu.core import HierarchyRunner, LLCRunner
 from repro.engine.jobs import MixJob, RunJob
 from repro.experiments.runner import (
     ExperimentScale,
     cached_shared_mix,
+    cached_trace,
     make_llc_policy,
 )
 from repro.engine.sweepspec import SweepSpec
@@ -39,6 +42,7 @@ from repro.kernels import (
     native_available,
     reset_native_cache,
 )
+from repro.mem import make_backend
 from repro.multicore.shared import SharedLLCSystem
 from repro.sim.spec import (
     SimulationSpec,
@@ -49,8 +53,9 @@ from repro.sim.spec import (
 from repro.trace.access import Trace
 from repro.trace.decode import DecodedTrace
 from repro.trace.generator import LINE_SIZE
-from repro.verify.differ import COMPARED_STATS, make_sut_cache
+from repro.verify.differ import COMPARED_STATS, make_sut_cache, make_sut_policy
 from repro.verify.fuzzer import FUZZ_GEOMETRIES, fuzz_trace
+from repro.verify.system import small_hierarchy
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -92,6 +97,16 @@ def _trace_from(num_sets, set_indices, tags, writes) -> Trace:
     ]
     pcs = [4 * (i % 97) for i in range(len(addresses))]
     return Trace(addresses, list(writes), pcs)
+
+
+def _max_width_trace(num_sets: int, length: int = 1024) -> Trace:
+    """Tags within 11 of the widest int64 tag, every third access a write."""
+    return _trace_from(
+        num_sets,
+        [i % num_sets for i in range(length)],
+        [MAX_TAG - (7 * i) % 11 for i in range(length)],
+        [i % 3 == 0 for i in range(length)],
+    )
 
 
 def _stats(cache) -> dict:
@@ -204,18 +219,54 @@ class TestKernelConformance:
     def test_max_width_tags(self, policy):
         num_sets, ways = 4, 4
         config = _config(num_sets, ways)
-        length = 1024
-        trace = _trace_from(
-            num_sets,
-            [i % num_sets for i in range(length)],
-            [MAX_TAG - (7 * i) % 11 for i in range(length)],
-            [i % 3 == 0 for i in range(length)],
-        )
+        trace = _max_width_trace(num_sets)
         kern = _run(policy, trace, config, kernel="native")
         assert kern.kernel.fallback_reason is None
         ref = _run(policy, trace, config)
         scalar = _scalar(policy, trace, config)
         assert_field_for_field(kern, ref, scalar)
+
+    @needs_native
+    @pytest.mark.parametrize("policy", SINGLE_POLICIES)
+    def test_max_width_tags_timed(self, policy):
+        # A dirty line's block address is past int64 at these tags;
+        # the timed replay must still count and time its writeback.
+        num_sets, ways = 4, 4
+        trace = _max_width_trace(num_sets)
+        config = default_hierarchy(
+            llc_size=num_sets * ways * LINE_SIZE, llc_ways=ways
+        )
+        results = []
+        for kernel in ("native", "dict"):
+            runner = LLCRunner(config, make_sut_policy(policy))
+            attach_kernel(runner.llc, kernel)
+            results.append(runner.run(trace, warmup=128))
+            if kernel == "native":
+                assert runner.llc.kernel.fallback_reason is None
+        kern, ref = results
+        assert kern == ref
+        assert ref.extra["writebuffer"]["writebuffer.writes"] > 0
+
+    @needs_native
+    @pytest.mark.parametrize("policy", ("lru", "rwp"))
+    def test_max_width_tags_collect(self, policy):
+        # A filter stage or an attributed LLC replay emits block
+        # addresses; past int64 they decline, naming the overflow.
+        num_sets, ways = 4, 4
+        trace = _max_width_trace(num_sets)
+        config = small_hierarchy(((4, 2), (8, 2), (num_sets, ways)))
+        results = []
+        for kernel in ("native", "dict"):
+            runner = HierarchyRunner(config, make_policy(policy))
+            attach_kernel(runner.hierarchy, kernel)
+            results.append(runner.run(trace, warmup=128))
+            if kernel == "native":
+                assert runner.hierarchy.llc.kernel.fallback_reason == (
+                    "a block address overflows the int64 kernel ABI"
+                )
+        kern, ref = results
+        assert kern == ref
+        assert ref.extra["hierarchy"]["memory.writes"] > 0
 
     @needs_native
     @pytest.mark.parametrize("policy", SINGLE_POLICIES)
@@ -231,25 +282,70 @@ class TestKernelConformance:
         assert_field_for_field(kern, ref)
 
     @needs_native
-    @pytest.mark.parametrize("policy", COMPARATOR_POLICIES)
+    @pytest.mark.parametrize("policy", SINGLE_POLICIES)
     @pytest.mark.parametrize("scenario", ("bypass_pc", "mixed"))
     def test_split_replay_matches_one_dict_run(self, policy, scenario):
-        # Native for [0, k), then dict for [k, n): state the scatter
-        # leaves behind (PSEL, coin, table, columns) shows up as a
-        # divergence in the dict half.  128 sets give DIP/DRRIP
-        # follower sets, so PSEL steers fills.
+        # Dict, native, scalar access(), native, dict: the image a
+        # kernel call leaves resident, the line objects access()
+        # rebuilds from it and the image gathered back from them must
+        # carry every bit of state (columns, clock, samplers, PSEL,
+        # coin, table) into the next driver, and no driver may keep
+        # tables over objects a kernel call replaced.  128 sets give
+        # DIP/DRRIP follower sets, so PSEL steers fills.
         num_sets, ways = 128, 4
         config = _config(num_sets, ways)
         trace = fuzz_trace(scenario, 555, num_sets, ways, 3000)
         decoded = trace.decoded(config)
         split = make_sut_cache(policy, config)
+        split.run_trace(decoded, 0, 300)
         attach_kernel(split, "native")
-        split.run_trace(decoded, 0, 1234)
+        split.run_trace(decoded, 300, 1000)
+        assert "sets" not in split.__dict__
+        for i in range(1000, 1400):
+            split.access(trace.addresses[i], trace.is_write[i], trace.pcs[i])
+        split.run_trace(decoded, 1400, 2200)
         assert split.kernel.fallback_reason is None
         attach_kernel(split, "dict")
-        split.run_trace(decoded, 1234, len(decoded))
+        split.run_trace(decoded, 2200, len(decoded))
         ref = _run(policy, trace, config)
         assert_field_for_field(split, ref)
+
+    @needs_native
+    def test_split_filter_matches_one_dict_run(self):
+        # The same ownership hand-offs through run_lru_filter, whose
+        # dict loop also trusts the lookup dicts' recency order.
+        config = _config(8, 2)
+        trace = fuzz_trace("conflict", 17, 8, 2, 1600)
+        decoded = trace.decoded(config)
+        outputs = []
+        for kernel in ("native", "dict"):
+            cache = make_sut_cache("lru", config)
+            emitted = ([], [], [])
+
+            def replay(start, stop):
+                return cache.run_lru_filter(
+                    decoded.set_indices, decoded.tags, decoded.is_write,
+                    start, stop, *emitted,
+                )
+
+            served = [replay(0, 200)]
+            attach_kernel(cache, kernel)
+            served.append(replay(200, 500))
+            for i in range(500, 800):
+                cache.access(
+                    trace.addresses[i], trace.is_write[i], trace.pcs[i]
+                )
+            served.append(replay(800, 1200))
+            if kernel == "native":
+                assert cache.kernel.fallback_reason is None
+            attach_kernel(cache, "dict")
+            served.append(replay(1200, len(decoded)))
+            outputs.append(
+                (served, emitted, _stats(cache), _full_line_state(cache),
+                 _lookup_keysets(cache), _set_invariants(cache),
+                 _clock(cache), cache.tick)
+            )
+        assert outputs[0] == outputs[1]
 
     if HAVE_HYPOTHESIS:
 
@@ -875,6 +971,195 @@ class TestStreamChecks:
             check_streams(16, 0, 8, origin_limit=8, set=good, origin=good + 8)
         with pytest.raises(ValueError, match="access range"):
             check_streams(16, 0, 9, set=good)
+
+
+def _all_line_slots(cache) -> list:
+    """Every CacheLine slot plus the set fields, set by set."""
+    return [
+        (
+            [tuple(getattr(line, name) for name in CacheLine.__slots__)
+             for line in s.lines],
+            sorted(s.lookup),
+            s.filled,
+            s.dirty_lines,
+        )
+        for s in cache.sets
+    ]
+
+
+class TestResidentImage:
+    """Line state lives in the kernel image between native calls."""
+
+    def test_fresh_image_materializes_a_fresh_cache(self):
+        pytest.importorskip("numpy")
+        from repro.kernels import soa
+
+        config = _config(16, 4)
+        cache = make_sut_cache("rwp", config)
+        soa.scatter_lines(cache, soa.gather_lines(cache, comparator=True))
+        assert "sets" not in cache.__dict__
+        assert _all_line_slots(cache) == _all_line_slots(
+            make_sut_cache("rwp", config)
+        )
+        assert "sets" in cache.__dict__ and cache._image is None
+
+    @needs_native
+    @pytest.mark.parametrize("memory", ("dram", "pcm:write_mult=10"))
+    def test_hierarchy_run_builds_no_line_objects(self, memory):
+        lines = 256
+        config = default_hierarchy(llc_size=lines * LINE_SIZE, llc_ways=16)
+        backend = None if memory == "dram" else make_backend(memory, config)
+        runner = HierarchyRunner(
+            config, make_llc_policy("rwp", lines), backend=backend
+        )
+        attach_kernel(runner.hierarchy, "native")
+        runner.run(cached_trace("lbm", lines, 6144, 7), warmup=1024)
+        assert runner.hierarchy.llc.kernel.fallback_reason is None
+        for cache in runner.hierarchy.all_caches():
+            assert "sets" not in cache.__dict__
+
+    @needs_native
+    @pytest.mark.parametrize("policy", ("lru", "rwp", "drrip"))
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        (
+            (lambda image: setattr(image, "tag", image.tag[:-1]),
+             "tag column has 63 entries, the cache 64"),
+            (lambda image: setattr(image, "dirty_lines", image.dirty_lines[:3]),
+             "dirty_lines column has 3 entries"),
+            (lambda image: setattr(image, "stamp", image.stamp.astype("int32")),
+             "stamp column has dtype int32"),
+            (lambda image: image.filled.__setitem__(0, 5),
+             r"filled column holds 5, outside \[0, 4\]"),
+            (lambda image: image.valid.__setitem__(0, 0),
+             "filled column disagrees with the valid column"),
+        ),
+        ids=("truncated", "short-set-column", "dtype", "overfull", "invalid"),
+    )
+    def test_corrupted_image_raises(self, policy, corrupt, message):
+        config = _config(16, 4)
+        trace = fuzz_trace("mixed", 31, 16, 4, 512)
+        decoded = trace.decoded(config)
+        cache = make_sut_cache(policy, config)
+        attach_kernel(cache, "native")
+        cache.run_trace(decoded, 0, 256)
+        corrupt(cache._image)
+        with pytest.raises(ValueError, match=message):
+            cache.run_trace(decoded, 256, len(decoded))
+
+    @needs_native
+    def test_truncated_comparator_column_raises(self):
+        config = _config(16, 4)
+        decoded = fuzz_trace("mixed", 31, 16, 4, 512).decoded(config)
+        cache = make_sut_cache("ship", config)
+        attach_kernel(cache, "native")
+        cache.run_trace(decoded, 0, 256)
+        cache._image.signature = cache._image.signature[:10]
+        with pytest.raises(ValueError, match="signature column has 10"):
+            cache.run_trace(decoded, 256, len(decoded))
+
+    def test_sanitized_build_has_its_own_key(self, monkeypatch):
+        from repro.kernels import build
+
+        monkeypatch.delenv("REPRO_KERNEL_SANITIZE", raising=False)
+        default = build._build_digest(build.cflags())
+        monkeypatch.setenv("REPRO_KERNEL_SANITIZE", "1")
+        assert build.cflags() == build.SANITIZE_CFLAGS
+        assert "-fsanitize=address,undefined" in build.cflags()
+        assert build._build_digest(build.cflags()) != default
+
+
+#: the PCM shapes the native walk is held to the Python walk on
+PCM_WALK_GRID = tuple(
+    f"pcm:line_size={line}:partitions={parts}:pause_slices={slices}"
+    f":queue_entries={queue}:write_mult={mult}"
+    for mult in (1, 4, 10)
+    for queue in (1, 64)
+    for parts in (1, 8)
+    for slices in (1, 8)
+    for line in (64, 128)
+)
+
+#: small enough that lbm's writebacks reach memory in a short trace
+_WALK_CONFIG = small_hierarchy(((16, 2), (32, 4), (64, 8)))
+
+
+def _typed(value):
+    """A value with the type of every leaf: int counters must stay int."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_typed(item) for item in value]
+    return (type(value).__name__, value)
+
+
+def _hierarchy_result(memory: str, kernel: str):
+    """(result, kernel runtime) of one timed hierarchy run of lbm."""
+    backend = None
+    if memory != "dram":
+        backend = make_backend(memory, _WALK_CONFIG)
+    runner = HierarchyRunner(
+        _WALK_CONFIG, make_sut_policy("rwp"), backend=backend
+    )
+    attach_kernel(runner.hierarchy, kernel)
+    result = runner.run(cached_trace("lbm", 256, 6144, 7), warmup=1024)
+    return result, runner.hierarchy.llc.kernel
+
+
+class TestTimingWalk:
+    """rw_timing_walk == HierarchyRunner's Python walk, bit for bit."""
+
+    @needs_native
+    @pytest.mark.parametrize("memory", ("dram",) + PCM_WALK_GRID)
+    def test_native_walk_matches_python_walk(self, memory, monkeypatch):
+        native, runtime = _hierarchy_result(memory, "native")
+        assert runtime.fallback_reason is None
+        # The same native stage replay with the walk forced to Python,
+        # and the all-dict run.
+        import repro.kernels.runner as kernels_runner
+
+        monkeypatch.setattr(
+            kernels_runner._TimingWalk, "bind",
+            classmethod(lambda cls, *args: "walk forced to Python"),
+        )
+        python, runtime = _hierarchy_result(memory, "native")
+        assert runtime.fallback_reason == "walk forced to Python"
+        reference, _ = _hierarchy_result(memory, "dict")
+        for result in (native, python):
+            assert result == reference
+            assert _typed(result.to_dict()) == _typed(reference.to_dict())
+
+    @needs_native
+    def test_walk_grid_exercises_the_pcm_model(self):
+        # The grid above reaches every PCM branch: pausing, read
+        # queueing and a full write queue.
+        totals = {
+            "pcm.writes": 0,
+            "pcm.pause_events": 0,
+            "pcm.queue_full_stalls": 0,
+        }
+        for memory in PCM_WALK_GRID:
+            result, _ = _hierarchy_result(memory, "native")
+            for key in totals:
+                totals[key] += result.extra["backend"][key]
+        assert all(totals.values()), totals
+
+    @needs_native
+    @pytest.mark.parametrize(
+        "memory,backend",
+        (
+            ("dram:banked=true", "DRAMBackend"),
+            ("dram:writeback_cost=30", "DRAMBackend"),
+            ("nvm", "NVMBackend"),
+        ),
+    )
+    def test_other_backends_keep_the_python_walk(self, memory, backend):
+        native, runtime = _hierarchy_result(memory, "native")
+        assert runtime.fallback_reason == (
+            f"the {backend} timing walk runs in Python"
+        )
+        reference, _ = _hierarchy_result(memory, "dict")
+        assert _typed(native.to_dict()) == _typed(reference.to_dict())
 
 
 class TestNumpyAbsent:
