@@ -419,7 +419,7 @@ class SetAssociativeCache:
         (``on_epoch`` and friends) must not read them from the cache.
         No shipped policy does; the step path keeps per-access updates.
         """
-        n = len(decoded.set_indices)
+        n = len(decoded)
         if stop is None:
             stop = n
         if not 0 <= start <= stop <= n:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
-from scipy import stats as scipy_stats
-
 from repro.experiments.runner import ExperimentScale, run_benchmark
 from repro.multicore.metrics import geometric_mean
 
@@ -39,10 +37,16 @@ class ReplicatedResult:
         )
 
     def confidence_interval(self, level: float = 0.95) -> Tuple[float, float]:
-        """Student-t CI for the mean speedup across seeds."""
+        """Student-t CI for the mean speedup across seeds.
+
+        Needs scipy (the ``dev`` extra); imported here, not at module
+        level, so importing :mod:`repro.experiments` never loads it.
+        """
         n = len(self.samples)
         if n < 2:
             return (self.mean, self.mean)
+        from scipy import stats as scipy_stats
+
         t_crit = scipy_stats.t.ppf(0.5 + level / 2, df=n - 1)
         half_width = t_crit * self.std / math.sqrt(n)
         return (self.mean - half_width, self.mean + half_width)

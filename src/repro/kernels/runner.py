@@ -765,8 +765,8 @@ class KernelRuntime:
             return self._fallback("no native kernel library available")
         if timing is not None and getattr(timing, "backend", None) is not None:
             return self._fallback("memory timing backend is active")
-        # Bind before building the stream arrays: a declined dispatch
-        # must not leave int64 streams memoized on the decode.
+        # Bind before asking for the stream arrays: a declined dispatch
+        # must not convert a list-built decode's streams.
         binding = self._bind(cache)
         if binding is None:
             return None

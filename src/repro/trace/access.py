@@ -6,15 +6,20 @@ issued it (used by PC-indexed predictors such as RRP), and the number of
 instructions the core committed since the previous record (used to
 reconstruct IPC from miss counts).
 
-For simulation speed the canonical representation is four parallel lists
-(``Trace``); the :class:`Access` dataclass is the convenient scalar view
-used by tests and examples.
+A :class:`Trace` holds four parallel columns.  A trace built from numpy
+arrays (the generators, the stress zoo, shared mixes, npz interchange)
+keeps those arrays as its only representation -- the decode layer and
+the native kernel read them as they are -- and builds a column's Python
+list only when a Python replay path first reads it.  A trace built from
+lists (file readers, fuzzers, tests) keeps its lists and derives the
+arrays once, on first use.  Traces are immutable.  The :class:`Access`
+dataclass is the convenient scalar view used by tests and examples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +40,28 @@ class Access:
             raise ValueError("instr_gap must be non-negative")
 
 
+#: a trace's columns as kernel-ready arrays: int64 addresses, uint8
+#: write flags, int64 PCs, int64 instruction gaps
+TraceArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_ADDRESS, _WRITE, _PC, _GAP = range(4)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view: the trace's arrays are shared, never written."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class Trace:
-    """A sequence of accesses stored as parallel lists.
+    """An immutable sequence of accesses stored as four parallel columns.
+
+    Each column is a numpy array, a Python list, or both (see the module
+    docstring): ``addresses``, ``is_write``, ``pcs`` and ``instr_gaps``
+    are lists of Python ``int``/``bool`` built on first read, and
+    :meth:`arrays` gives the arrays.  Neither may be mutated: decodes
+    and per-core views share them.
 
     Iterating yields ``(address, is_write, pc, instr_gap)`` tuples, which is
     what the hot simulation loop consumes; :meth:`accesses` yields
@@ -44,12 +69,11 @@ class Trace:
     """
 
     __slots__ = (
-        "addresses",
-        "is_write",
-        "pcs",
-        "instr_gaps",
         "name",
         "address_space",
+        "_length",
+        "_lists",
+        "_arrays",
         "_decoded",
     )
 
@@ -69,19 +93,24 @@ class Trace:
             raise ValueError("pcs length mismatch")
         if instr_gaps is not None and len(instr_gaps) != n:
             raise ValueError("instr_gaps length mismatch")
-        self.addresses: List[int] = list(addresses)
-        self.is_write: List[bool] = [bool(w) for w in is_write]
-        self.pcs: List[int] = list(pcs) if pcs is not None else [0] * n
-        self.instr_gaps: List[int] = (
-            list(instr_gaps) if instr_gaps is not None else [1] * n
-        )
-        self.name = name
+        self._init(n, name, address_space)
+        self._lists = [
+            list(addresses),
+            [bool(w) for w in is_write],
+            list(pcs) if pcs is not None else [0] * n,
+            list(instr_gaps) if instr_gaps is not None else [1] * n,
+        ]
+
+    def _init(self, length: int, name: str, address_space: str) -> None:
         if address_space not in ("private", "global"):
             raise ValueError(
                 "address_space must be 'private' or 'global', "
                 f"got {address_space!r}"
             )
+        self.name = name
         self.address_space = address_space
+        self._length = length
+        self._arrays: Optional[TraceArrays] = None
         self._decoded: dict = {}
 
     @classmethod
@@ -94,19 +123,88 @@ class Trace:
         name: str = "trace",
         address_space: str = "private",
     ) -> "Trace":
-        """Build from numpy arrays (the generators' native output)."""
-        trace = cls.__new__(cls)
-        trace.addresses = addresses.astype(np.int64).tolist()
-        trace.is_write = is_write.astype(bool).tolist()
-        n = len(trace.addresses)
-        trace.pcs = pcs.astype(np.int64).tolist() if pcs is not None else [0] * n
-        trace.instr_gaps = (
-            instr_gaps.astype(np.int64).tolist() if instr_gaps is not None else [1] * n
+        """Build from numpy arrays (the generators' native output).
+
+        Any dtype or stride is accepted and normalized once into
+        C-contiguous int64 addresses, PCs and gaps and a uint8 write
+        column (nonzero is a store).  The trace shares, not copies,
+        arrays that already have that layout, so the caller must not
+        write to them afterwards.
+        """
+        address_array = np.ascontiguousarray(addresses, dtype=np.int64)
+        n = len(address_array)
+        write_array = np.ascontiguousarray(is_write, dtype=np.bool_)
+        pc_array = (
+            np.zeros(n, dtype=np.int64)
+            if pcs is None
+            else np.ascontiguousarray(pcs, dtype=np.int64)
         )
-        trace.name = name
-        trace.address_space = address_space
-        trace._decoded = {}
+        gap_array = (
+            np.ones(n, dtype=np.int64)
+            if instr_gaps is None
+            else np.ascontiguousarray(instr_gaps, dtype=np.int64)
+        )
+        if not len(write_array) == len(pc_array) == len(gap_array) == n:
+            raise ValueError("from_arrays columns must have equal length")
+        trace = cls.__new__(cls)
+        trace._init(n, name, address_space)
+        trace._lists = [None] * 4
+        trace._arrays = (
+            _read_only(address_array),
+            _read_only(write_array.view(np.uint8)),
+            _read_only(pc_array),
+            _read_only(gap_array),
+        )
         return trace
+
+    def arrays(self) -> Optional[TraceArrays]:
+        """The columns as read-only kernel-ready arrays, or None.
+
+        ``(addresses, is_write, pcs, instr_gaps)`` as int64, uint8, int64
+        and int64.  A list-built trace derives them on the first call and
+        keeps them; None when a value does not fit int64 (the trace then
+        stays list-only).
+        """
+        arrays = self._arrays
+        if arrays is None:
+            addresses, is_write, pcs, gaps = self._lists
+            try:
+                arrays = (
+                    np.asarray(addresses, dtype=np.int64),
+                    np.asarray(is_write, dtype=np.uint8),
+                    np.asarray(pcs, dtype=np.int64),
+                    np.asarray(gaps, dtype=np.int64),
+                )
+            except (OverflowError, TypeError, ValueError):
+                return None
+            arrays = self._arrays = tuple(_read_only(a) for a in arrays)
+        return arrays
+
+    def _column(self, column: int) -> list:
+        """One column as a list, built from its array on first read."""
+        values = self._lists[column]
+        if values is None:
+            array = self._arrays[column]
+            if column == _WRITE:
+                array = array.view(np.bool_)
+            values = self._lists[column] = array.tolist()
+        return values
+
+    @property
+    def addresses(self) -> List[int]:
+        return self._column(_ADDRESS)
+
+    @property
+    def is_write(self) -> List[bool]:
+        return self._column(_WRITE)
+
+    @property
+    def pcs(self) -> List[int]:
+        return self._column(_PC)
+
+    @property
+    def instr_gaps(self) -> List[int]:
+        return self._column(_GAP)
 
     @classmethod
     def from_accesses(cls, accesses: Sequence[Access], name: str = "trace") -> "Trace":
@@ -129,12 +227,14 @@ class Trace:
         return base + (self.address_space,)
 
     def __setstate__(self, state) -> None:
-        self.addresses, self.is_write, self.pcs, self.instr_gaps, self.name = state[:5]
-        self.address_space = state[5] if len(state) > 5 else "private"
-        self._decoded = {}
+        addresses, is_write, pcs, instr_gaps, name = state[:5]
+        self._init(
+            len(addresses), name, state[5] if len(state) > 5 else "private"
+        )
+        self._lists = [addresses, is_write, pcs, instr_gaps]
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return self._length
 
     def __iter__(self) -> Iterator[tuple]:
         return zip(self.addresses, self.is_write, self.pcs, self.instr_gaps)
@@ -161,6 +261,13 @@ class Trace:
 
     def slice(self, start: int, stop: int) -> "Trace":
         """A sub-trace covering records ``[start, stop)``."""
+        if self._lists[_ADDRESS] is None:
+            # Array-resident: slice the arrays, build no list.
+            return Trace.from_arrays(
+                *(array[start:stop] for array in self._arrays),
+                name=f"{self.name}[{start}:{stop}]",
+                address_space=self.address_space,
+            )
         return Trace(
             self.addresses[start:stop],
             self.is_write[start:stop],

@@ -358,11 +358,10 @@ def generate_shared_mix(
             num_accesses
         )
         rng = split_rng(seed, f"shared:{sharing.pattern}:core{core}")
-        addresses = np.array(private.addresses, dtype=np.int64)
-        writes = np.array(private.is_write, dtype=bool)
-        pcs = np.array(private.pcs, dtype=np.int64)
-        addresses += core * CORE_ADDRESS_STRIDE
-        pcs += core * CORE_PC_STRIDE
+        private_addresses, private_writes, private_pcs, gaps = private.arrays()
+        addresses = private_addresses + core * CORE_ADDRESS_STRIDE
+        writes = private_writes.astype(bool)
+        pcs = private_pcs + core * CORE_PC_STRIDE
         mask = rng.random(num_accesses) < sharing.shared_fraction
         count = int(mask.sum())
         if count:
@@ -378,7 +377,7 @@ def generate_shared_mix(
                 addresses,
                 writes,
                 pcs,
-                np.array(private.instr_gaps, dtype=np.int64),
+                gaps,
                 name=f"{model.name}+{sharing.pattern}@c{core}",
                 address_space="global",
             )

@@ -53,6 +53,7 @@ from repro.sim.spec import (
 from repro.trace.access import Trace
 from repro.trace.decode import DecodedTrace
 from repro.trace.generator import LINE_SIZE
+from repro.trace.spec import make_model
 from repro.verify.differ import COMPARED_STATS, make_sut_cache, make_sut_policy
 from repro.verify.fuzzer import FUZZ_GEOMETRIES, fuzz_trace
 from repro.verify.system import small_hierarchy
@@ -906,18 +907,207 @@ class TestDefaultKernel:
         plain = RunJob("mcf", policy, _SMALL, kernel="dict")
         assert job.encode(result) == plain.encode(plain.execute())
 
-    def test_declined_dispatch_builds_no_streams(self):
-        from repro.experiments.runner import cached_trace
+    @needs_native
+    def test_only_dict_replays_build_lists(self, monkeypatch):
+        # Arrays are a trace's only representation up to the kernel; a
+        # list is built only when a Python replay path reads it.
+        views = []
+        offset = DecodedTrace.with_core_offset
 
-        simulate_cached.cache_clear()
-        job = RunJob("omnetpp", "srrip", _SMALL)
-        job.execute()
-        spec = SimulationSpec("omnetpp", "srrip", scale=_SMALL)
-        trace = cached_trace(
-            "omnetpp", _SMALL.llc_lines, _SMALL.total_accesses, _SMALL.seed
+        def recording(self, *args):
+            views.append(offset(self, *args))
+            return views[-1]
+
+        monkeypatch.setattr(DecodedTrace, "with_core_offset", recording)
+        lines = 256
+        config = default_hierarchy(llc_size=lines * LINE_SIZE, llc_ways=16)
+        traces = [
+            make_model(name, lines).generate(3072, seed=4099)
+            for name in ("mcf", "lbm", "soplex", "omnetpp")
+        ]
+        llc_runner = LLCRunner(config, make_llc_policy("rwp", lines))
+        attach_kernel(llc_runner.llc, "native")
+        llc_runner.run(traces[0], warmup=1024)
+        pcm = HierarchyRunner(
+            config,
+            make_llc_policy("rwp", lines),
+            backend=make_backend("pcm:write_mult=10", config),
         )
-        decoded = trace.decoded(spec.hierarchy_config().llc)
-        assert decoded._np_streams is None
+        attach_kernel(pcm.hierarchy, "native")
+        pcm.run(traces[1], warmup=1024)
+        shared_config = default_hierarchy(
+            llc_size=4 * lines * LINE_SIZE, llc_ways=16
+        )
+        system = SharedLLCSystem(
+            shared_config, 4, make_llc_policy("rwp-core", 4 * lines, 4)
+        )
+        attach_kernel(system, "native")
+        system.run(traces, warmup=512)
+        for runtime in (llc_runner.llc, pcm.hierarchy.llc, system.llc):
+            assert runtime.kernel.fallback_reason is None
+        assert len(views) == 4 and len(set(map(id, views))) == 4
+        for trace in traces:
+            assert _built_lists(trace, views) == []
+
+        # A declined dispatch builds lists on the decode it replays, and
+        # nowhere else.
+        fresh = make_model("omnetpp", lines).generate(3072, seed=4099)
+        srrip = LLCRunner(config, make_llc_policy("srrip", lines))
+        attach_kernel(srrip.llc, "native")
+        srrip.run(fresh, warmup=1024)
+        assert srrip.llc.kernel.fallback_reason is not None
+        decoded = fresh.decoded(config.llc)
+        assert _built_lists(fresh) == [
+            (decoded.name, "DecodedTrace", column) for column in (0, 1, 2)
+        ]
+
+
+def _built_lists(trace, views=()) -> list:
+    """``(name, holder type, column)`` of every list built on ``trace``,
+    its cached decodes and ``views``."""
+    holders = [trace, *trace._decoded.values(), *views]
+    return [
+        (holder.name, type(holder).__name__, column)
+        for holder in holders
+        for column, values in enumerate(holder._lists)
+        if values is not None
+    ]
+
+
+def _python_values(values: list, kind: type) -> bool:
+    return all(type(value) is kind for value in values)
+
+
+class TestArrayResidentTraces:
+    """Array-built traces and decodes: lists on demand, equal and typed."""
+
+    @staticmethod
+    def _generated(seed: int = 31) -> Trace:
+        return make_model("soplex", 256).generate(2048, seed=seed)
+
+    def test_lists_equal_arrays_and_hold_python_values(self):
+        trace = self._generated()
+        arrays = trace.arrays()
+        assert _built_lists(trace) == []
+        columns = (trace.addresses, trace.is_write, trace.pcs, trace.instr_gaps)
+        for values, array in zip(columns, arrays):
+            assert values == array.tolist()
+        assert _python_values(trace.addresses, int)
+        assert _python_values(trace.is_write, bool)
+        assert _python_values(trace.pcs, int)
+        assert _python_values(trace.instr_gaps, int)
+        assert any(trace.is_write) and not all(trace.is_write)
+
+        config = _config(64, 4)
+        decoded = trace.decoded(config)
+        mask = config.num_sets - 1
+        tag_shift = config.offset_bits + config.index_bits
+        assert decoded.set_indices == [
+            (a >> config.offset_bits) & mask for a in trace.addresses
+        ]
+        assert decoded.tags == [a >> tag_shift for a in trace.addresses]
+        assert decoded.is_write == trace.is_write
+        assert decoded.pcs == trace.pcs
+        assert decoded.instr_gaps == trace.instr_gaps
+        assert _python_values(decoded.set_indices, int)
+        assert _python_values(decoded.tags, int)
+        assert _python_values(decoded.is_write, bool)
+        assert _python_values(decoded.pcs, int)
+        assert _python_values(decoded.instr_gaps, int)
+        assert _python_values(decoded.gap_cumsum(), int)
+        assert _python_values(decoded.cycle_gaps(0.5), float)
+
+    def test_view_shares_base_streams(self):
+        from repro.multicore.shared import CORE_ADDRESS_STRIDE, CORE_PC_STRIDE
+
+        config = _config(64, 4)
+        base = self._generated().decoded(config)
+        cycles = base.kernel_cycles(0.5)
+        view = base.with_core_offset(3, CORE_ADDRESS_STRIDE, CORE_PC_STRIDE)
+        sets, tags, writes, gaps = base.kernel_streams()
+        view_sets, view_tags, view_writes, view_gaps = view.kernel_streams()
+        assert view_sets is sets and view_writes is writes and view_gaps is gaps
+        assert view._np_cycles is base._np_cycles
+        assert view.kernel_cycles(0.5) is cycles
+        tag_offset = 3 * (CORE_ADDRESS_STRIDE >> (6 + config.index_bits))
+        assert view.tags == [tag + tag_offset for tag in base.tags]
+        assert view.pcs == [pc + 3 * CORE_PC_STRIDE for pc in base.pcs]
+        assert _python_values(view.tags, int)
+        assert base.with_core_offset(0, CORE_ADDRESS_STRIDE, 0) is base
+        for array in (view_tags, view.kernel_pcs(), cycles, sets):
+            assert not array.flags.writeable
+
+    def test_view_past_the_offset_guard_keeps_lists(self):
+        # Tags near the int64 ceiling: the offset sum takes the exact
+        # list path, and the kernel cannot hold the view's tags.
+        from repro.multicore.shared import CORE_ADDRESS_STRIDE
+
+        num_sets = 4
+        trace = _max_width_trace(num_sets, length=64)
+        base = trace.decoded(_config(num_sets, 4))
+        view = base.with_core_offset(1, CORE_ADDRESS_STRIDE, 0)
+        tag_offset = CORE_ADDRESS_STRIDE >> (6 + 2)
+        assert view.tags == [tag + tag_offset for tag in base.tags]
+        assert max(view.tags) > MAX_TAG
+        assert view.set_indices is base.set_indices
+        assert view.kernel_streams() is None
+
+    def test_past_int64_trace_stays_list_only(self):
+        # The address does not fit int64 but its tag does: the exact
+        # list decode still hands the kernel its streams.
+        trace = Trace([64, 1 << 64], [False, True])
+        assert trace.arrays() is None
+        decoded = trace.decoded(_config(4, 4))
+        assert decoded.tags == [0, (1 << 64) >> 8]
+        assert decoded.kernel_streams()[1].tolist() == decoded.tags
+
+    @pytest.mark.parametrize("kernel", (None, "native"))
+    def test_from_arrays_normalizes_any_layout(self, kernel):
+        np = pytest.importorskip("numpy")
+        rng = np.random.default_rng(5)
+        n = 1536
+        wide = np.zeros((n, 2), dtype=np.int64)
+        wide[:, 0] = rng.integers(0, 4096, size=n) * LINE_SIZE
+        writes = rng.random(n) < 0.3
+        pcs = (rng.integers(0, 64, size=n) * 4).astype(np.uint32)
+        gaps = rng.integers(1, 9, size=n).astype(np.int32)
+        strided = wide[:, 0]
+        assert not strided.flags.c_contiguous
+        built = Trace.from_arrays(strided, writes, pcs, gaps)
+        listed = Trace(
+            strided.tolist(), writes.tolist(), pcs.tolist(), gaps.tolist()
+        )
+        addresses, is_write, pc_array, gap_array = built.arrays()
+        assert (addresses.dtype, is_write.dtype) == (np.int64, np.uint8)
+        assert (pc_array.dtype, gap_array.dtype) == (np.int64, np.int64)
+        assert all(a.flags.c_contiguous for a in built.arrays())
+        assert list(built) == list(listed)
+        config = _config(64, 4)
+        for policy in ("rwp", "ship", "srrip"):
+            assert_field_for_field(
+                _run(policy, built, config, kernel=kernel),
+                _run(policy, listed, config, kernel=kernel),
+            )
+
+    def test_pickle_is_the_list_five_tuple(self):
+        import pickle
+
+        trace = self._generated()
+        state = trace.__getstate__()
+        assert len(state) == 5 and state[4] == trace.name
+        assert all(type(column) is list for column in state[:4])
+        copy = pickle.loads(pickle.dumps(trace))
+        assert list(copy) == list(trace) and copy.name == trace.name
+        assert copy.address_space == "private"
+        assert [a.tolist() for a in copy.arrays()] == [
+            a.tolist() for a in trace.arrays()
+        ]
+
+    def test_slice_stays_array_resident(self):
+        trace = self._generated()
+        part = trace.slice(100, 400)
+        assert len(part) == 300 and _built_lists(part) == []
+        assert list(part) == list(trace)[100:400]
 
 
 class TestStreamChecks:

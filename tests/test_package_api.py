@@ -14,6 +14,21 @@ import repro
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this ``repro``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (_SRC, env.get("PYTHONPATH")) if path
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -50,16 +65,16 @@ class TestPublicSurface:
         # In-process imports hide circular-import bugs once any test has
         # loaded the other side of the cycle, so each module gets its
         # own interpreter.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            path for path in (_SRC, env.get("PYTHONPATH")) if path
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", f"import {module}"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
+        proc = _fresh_python(f"import {module}")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_imports_without_scipy(self):
+        # numpy is the only runtime dependency: scipy (the dev extra)
+        # serves one confidence interval and is imported there.
+        proc = _fresh_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import repro.cli, repro.experiments, repro.engine, repro.sim\n"
         )
         assert proc.returncode == 0, proc.stderr
 
