@@ -929,26 +929,10 @@ class SetAssociativeCache:
         Returns the number of demand reads forwarded.  Caller must
         check :meth:`lru_filter_eligible` first; state and statistics
         are bit-identical to the scalar walk (the conformance suite
-        holds the two together).
+        holds the two together).  This is the dict driver only: with a
+        kernel attached, the hierarchy offers its whole stage replay to
+        the kernel first, whose ``rw_lru_filter`` is this loop in C.
         """
-        if self.kernel is not None:
-            forwarded = self.kernel.try_lru_filter(
-                self,
-                set_stream,
-                tag_stream,
-                write_stream,
-                start,
-                stop,
-                out_blocks,
-                out_write,
-                out_origin,
-                origins,
-                levels,
-                level,
-                core,
-            )
-            if forwarded is not None:
-                return forwarded
         sets = self.sets
         lookups, getters = self._lookup_tables()
         stats = self.stats

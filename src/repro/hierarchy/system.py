@@ -152,12 +152,18 @@ class MemoryHierarchy:
         stream the L2 would have seen -- each dirty eviction as a
         write, each demand miss forwarded as a read, in the scalar
         walk's order -- the L2 filters that down again, and the LLC
-        stage replays the residue.  Every level's input sequence is
-        exactly the scalar walk's, so cache state, statistics, and
-        memory counters are bit-identical (the conformance suite holds
-        the two together); the win is that the pure-LRU L1/L2 loops
-        run fully inlined and each level's machinery is hoisted once
-        per run instead of consulted once per access.
+        stage (:meth:`_llc_stage`) replays the residue.  Every level's
+        input sequence is exactly the scalar walk's, so cache state,
+        statistics, and memory counters are bit-identical (the
+        conformance suite holds the two together); the win is that the
+        pure-LRU L1/L2 loops run fully inlined and each level's
+        machinery is hoisted once per run instead of consulted once per
+        access.
+
+        With the native kernel attached, the replay is first offered to
+        ``KernelRuntime.try_hierarchy_stages``, which filters L1 and L2
+        in C and replays the LLC there too when it ports the LLC's
+        policy (otherwise it hands the residue to :meth:`_llc_stage`).
 
         Returns the per-service-level access counts dict; with
         ``collect=True`` returns ``(counts, levels, mem_writes)`` where
@@ -168,7 +174,7 @@ class MemoryHierarchy:
 
         ``timing`` (collect mode only) is the caller's
         :class:`~repro.cpu.timing.TimingModel` for the replayed
-        accesses.  When the native kernel serves the whole stack and
+        accesses.  When the native kernel serves all three levels and
         its walk covers the model's memory (flat, or a ``PCMBackend``),
         it advances ``timing`` itself and ``levels`` and ``mem_writes``
         come back None; otherwise the caller walks them.
@@ -196,8 +202,8 @@ class MemoryHierarchy:
             and l1.kernel is not None
             and l2.kernel is not None
         ):
-            # All three levels under the kernel: replay the whole stack
-            # with the inter-stage streams kept as arrays end to end.
+            # Every level under the kernel: the private filters (and the
+            # LLC, when its policy is ported) run in C over arrays.
             staged = llc.kernel.try_hierarchy_stages(
                 self, l1, l2, llc, decoded, start, stop, collect, core,
                 timing=timing,
@@ -206,7 +212,6 @@ class MemoryHierarchy:
                 return staged
 
         levels = [0] * stop if collect else None
-        mem = [0] * stop if collect else None
 
         # Stage 1: L1 over the demand stream.
         l2_blocks: List[int] = []
@@ -247,16 +252,29 @@ class MemoryHierarchy:
             core=core,
         )
         l2_hits = fwd1 - fwd2
-
-        # Stage 3: the LLC (any policy) over the L2 residue.
-        set3, tag3 = _decode_blocks(
-            llc_blocks, llc.config.num_sets - 1, llc.config.index_bits
+        return self._llc_stage(
+            decoded, l1_hits, l2_hits, llc_blocks, llc_write, llc_origin,
+            levels, core,
         )
-        memory = self.memory
-        ob = llc.config.offset_bits
-        pcs = trace.pcs
 
-        if not collect and llc._should_bypass is None:
+    def _llc_stage(
+        self, decoded, l1_hits, l2_hits, blocks, write, origins, levels, core
+    ):
+        """Stage 3 of :meth:`run_trace`: the LLC (any policy) over the
+        L2 residue, in Python; returns :meth:`run_trace`'s result.
+
+        ``blocks``/``write``/``origins`` are the op stream (lists) the L2
+        stage emitted, ``levels`` the collect-mode attribution it began
+        (None for an untimed run).  The dict filters end here, and so
+        does the kernel's stage replay when it declines the LLC.
+        """
+        llc = self.llc
+        memory = self.memory
+        index_bits = llc.config.index_bits
+        ob = llc.config.offset_bits
+        set3, tag3 = _decode_blocks(blocks, llc.config.num_sets - 1, index_bits)
+
+        if levels is None and llc._should_bypass is None:
             # No per-access attribution needed and no bypass decisions
             # possible: replay the residue through the LLC's own batch
             # loop and derive the memory traffic from the statistics
@@ -265,21 +283,21 @@ class MemoryHierarchy:
             # nothing can bypass).
             from repro.trace.decode import DecodedTrace
 
-            count = len(llc_blocks)
-            pcs3 = (
-                [pcs[origin] for origin in llc_origin]
-                if llc._needs_pc
-                else [0] * count
-            )
+            count = len(blocks)
+            if llc._needs_pc:
+                pcs = decoded.pcs
+                pcs3 = [pcs[origin] for origin in origins]
+            else:
+                pcs3 = [0] * count
             decoded3 = DecodedTrace(
                 set3,
                 tag3,
-                llc_write,
+                write,
                 pcs3,
                 [0] * count,
                 ob,
-                llc.config.index_bits,
-                name=f"{trace.name}@llc-residue",
+                index_bits,
+                name=f"{decoded.name}@llc-residue",
             )
             stats = llc.stats
             base_rh = stats.read_hits
@@ -297,25 +315,11 @@ class MemoryHierarchy:
                 MEMORY: memory_reads,
             }
 
-        if llc.kernel is not None and levels is not None and mem is not None:
-            attributed = llc.kernel.try_llc_residue_collect(
-                llc, set3, tag3, llc_write, llc_origin, levels, mem, memory, core
-            )
-            if attributed is not None:
-                llc_hits, memory_reads = attributed
-                counts = {
-                    L1: l1_hits,
-                    L2: l2_hits,
-                    LLC: llc_hits,
-                    MEMORY: memory_reads,
-                }
-                return (counts, levels, mem) if collect else counts
-
+        mem = None if levels is None else [0] * len(levels)
+        pcs = decoded.pcs
         access = llc._access_decoded
         llc_hits = memory_reads = 0
-        for si, tag, block, w, origin in zip(
-            set3, tag3, llc_blocks, llc_write, llc_origin
-        ):
+        for si, tag, block, w, origin in zip(set3, tag3, blocks, write, origins):
             hit, bypassed, wb = access(si, tag, w, pcs[origin], core)
             if w:
                 if bypassed:
@@ -341,7 +345,7 @@ class MemoryHierarchy:
                     if levels is not None:
                         levels[origin] = 3
         counts = {L1: l1_hits, L2: l2_hits, LLC: llc_hits, MEMORY: memory_reads}
-        return (counts, levels, mem) if collect else counts
+        return counts if levels is None else (counts, levels, mem)
 
     def _batch_supported(self, core: int) -> bool:
         """True when the staged level-by-level replay is exact here."""

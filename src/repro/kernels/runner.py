@@ -2,14 +2,17 @@
 
 A :class:`KernelRuntime` is attached to a
 :class:`~repro.cache.cache.SetAssociativeCache` as its ``kernel``
-attribute (see :func:`repro.kernels.attach_kernel`); the cache's batch
-drivers then offer it every eligible replay via the ``try_*`` methods.
-Each ``try_*`` returns ``None`` when the configuration is outside the
-kernel's supported matrix -- the caller falls through to the dict-driven
-reference driver, which is always correct.  When a kernel does run, the
-result is bit-identical to the reference driver by construction (same
-operation order, same IEEE arithmetic); the conformance suite and the
-verify fuzzers hold that equivalence.
+attribute (see :func:`repro.kernels.attach_kernel`); the batch drivers
+then offer it every eligible replay, through one entry point per system
+shape: :meth:`~KernelRuntime.try_run_trace` (one cache),
+:meth:`~KernelRuntime.try_hierarchy_stages` (the L1/L2/LLC stack) and
+:meth:`~KernelRuntime.try_run_multicore` (the shared LLC).  Each returns
+``None`` when the configuration is outside the kernel's supported
+matrix -- the caller falls through to the dict-driven reference driver,
+which is always correct.  When a kernel does run, the result is
+bit-identical to the reference driver by construction (same operation
+order, same IEEE arithmetic); the conformance suite and the verify
+fuzzers hold that equivalence.
 
 Supported configurations (the ``native`` backend):
 
@@ -21,9 +24,11 @@ Supported configurations (the ``native`` backend):
   ``run_trace``'s single-lane replay only (``LLCRunner`` and the
   hierarchy's untimed LLC residue), with their set-dueling PSEL, coin,
   PC-indexed counter table and RRP's write bypass in C.  The hierarchy
-  stage replay, the LLC-residue collect replay and the multicore
-  interleave decline them, naming why: their lanes carry no PC stream
-  and no bypass attribution;
+  stage replay and the multicore interleave decline them, naming why:
+  their lanes carry no PC stream and no bypass attribution;
+* a hierarchy whose LLC the kernel declines (a comparator, SRRIP, UCP,
+  ...) still filters its private L1 and L2 in C and hands the L2
+  residue to the hierarchy's Python LLC stage;
 * no access/eviction listeners, except the
   :class:`~repro.multicore.shared.SharerDirectory` pair a data-sharing
   ``SharedLLCSystem`` run installs: the directory then travels as two
@@ -51,10 +56,7 @@ import ctypes
 from math import inf
 from typing import List, Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via tests stubbing numpy
-    np = None
+import numpy as np
 
 from repro.cache.dip import DIPPolicy
 from repro.cache.rrip import DRRIPPolicy
@@ -93,12 +95,11 @@ _POLICY_RRP = 4
 _STATUS_CALLBACK_ABORT = 2
 
 #: the decline when a decoded stream does not fit int64 (set indices are
-#: below the set count and writes are bits, so it is a tag or a gap);
-#: numpy's absence is declined earlier, by the binding
+#: below the set count and writes are bits, so it is a tag or a gap)
 _STREAM_OVERFLOW = "a tag or instruction gap overflows the int64 kernel ABI"
 
 #: the decline when a lane that emits block addresses (a filter stage,
-#: an attributed LLC replay) would build one beyond int64
+#: the attributed LLC stage) would build one beyond int64
 _BLOCK_OVERFLOW = "a block address overflows the int64 kernel ABI"
 
 #: clean_occ/dirty_occ in the C victim scan are fixed-size stack arrays,
@@ -355,8 +356,6 @@ def bind_cache(
             reasons.append(reason)
         return None
 
-    if np is None:
-        return decline("numpy is unavailable")
     directory = _directory_of(cache)
     comparator = _comparator_kind(cache)
     if comparator is not None and entry is not None:
@@ -627,7 +626,7 @@ def _fill_lane_timing(lane: LaneCtx, timing, cycles):
     """Hoist the TimingModel state into ``lane``; returns the wb ring.
 
     ``cycles`` is the per-access cycle-cost array of the lane's trace at
-    ``timing``'s CPI (:func:`soa.cycle_array`).
+    ``timing``'s CPI (``decoded.kernel_cycles``).
     """
     lane.timed = 1
     lane.cycle_stream = soa.ptr_double(cycles)
@@ -691,7 +690,7 @@ class _TimingWalk:
         lane.tag_stream = soa.ptr_int64(tag_arr)
         lane.write_stream = soa.ptr_uint8(write_arr)
         lane.gap_stream = soa.ptr_int64(gap_arr)
-        walk.cycles = soa.cycle_array(decoded, timing.core.base_cpi)
+        walk.cycles = decoded.kernel_cycles(timing.core.base_cpi)
         try:
             walk.ring = _fill_lane_timing(lane, timing, walk.cycles)
         except OverflowError:
@@ -772,7 +771,7 @@ class KernelRuntime:
             return None
         if binding.directory is not None and not 0 <= core < _MAX_POLICY_CORES:
             return self._fallback(f"core {core} does not fit a sharer mask")
-        streams = soa.stream_arrays(decoded)
+        streams = decoded.kernel_streams()
         if streams is None:
             return self._fallback(_STREAM_OVERFLOW)
         set_arr, tag_arr, write_arr, gap_arr = streams
@@ -783,7 +782,7 @@ class KernelRuntime:
                 return self._fallback("PC stream overflows the int64 kernel ABI")
         cycles = None
         if timing is not None:
-            cycles = soa.cycle_array(decoded, timing.core.base_cpi)
+            cycles = decoded.kernel_cycles(timing.core.base_cpi)
         soa.check_streams(
             cache.config.num_sets, start, stop,
             set=set_arr, tag=tag_arr, write=write_arr, gap=gap_arr,
@@ -816,97 +815,6 @@ class KernelRuntime:
         return ran
 
     # -- hierarchy stages --------------------------------------------------
-    def try_lru_filter(
-        self,
-        cache,
-        set_stream,
-        tag_stream,
-        write_stream,
-        start,
-        stop,
-        out_blocks,
-        out_write,
-        out_origin,
-        origins,
-        levels,
-        level,
-        core,
-    ) -> Optional[int]:
-        """Kernel counterpart of ``run_lru_filter``; None -> fallback.
-
-        The caller already guaranteed ``lru_filter_eligible()``; the
-        output streams are Python lists (the hierarchy ABI) extended
-        from the kernel's preallocated arrays.
-        """
-        if start >= stop:
-            return None
-        lib = load_native()
-        if lib is None or np is None:
-            return self._fallback("no native kernel library available")
-        try:
-            set_arr = np.asarray(set_stream, dtype=np.int64)
-            tag_arr = np.asarray(tag_stream, dtype=np.int64)
-            write_arr = np.asarray(write_stream, dtype=np.uint8)
-            origin_arr = (
-                np.asarray(origins, dtype=np.int64)
-                if origins is not None
-                else None
-            )
-            level_arr = (
-                np.asarray(levels, dtype=np.int64)
-                if levels is not None
-                else None
-            )
-        except (OverflowError, TypeError, ValueError):
-            return self._fallback("stream not coercible to the int64 ABI")
-        if level_arr is not None and origin_arr is None:
-            return self._fallback("service levels without origins")
-        binding = self._bind(cache, "the LRU filter")
-        if binding is None:
-            return None
-        if not soa.blocks_fit(
-            cache._index_bits, tag_arr[start:stop], binding.image.tag
-        ):
-            return self._fallback(_BLOCK_OVERFLOW)
-        soa.check_streams(
-            cache.config.num_sets, start, stop,
-            origin_limit=None if level_arr is None else len(level_arr),
-            set=set_arr, tag=tag_arr, write=write_arr, origin=origin_arr,
-        )
-
-        span = stop - start
-        blocks_out = np.empty(2 * span, dtype=np.int64)
-        write_out = np.empty(2 * span, dtype=np.uint8)
-        origin_out = np.empty(2 * span, dtype=np.int64)
-
-        fctx = FilterCtx()
-        fctx.set_stream = soa.ptr_int64(set_arr)
-        fctx.tag_stream = soa.ptr_int64(tag_arr)
-        fctx.write_stream = soa.ptr_uint8(write_arr)
-        if origin_arr is not None:
-            fctx.origins = soa.ptr_int64(origin_arr)
-        if level_arr is not None:
-            fctx.levels = soa.ptr_int64(level_arr)
-        fctx.level = level
-        fctx.core = core
-        fctx.out_blocks = soa.ptr_int64(blocks_out)
-        fctx.out_write = soa.ptr_uint8(write_out)
-        fctx.out_origin = soa.ptr_int64(origin_out)
-        fctx.out_count = 0
-
-        forwarded = lib.lru_filter(
-            ctypes.byref(binding.ctx), ctypes.byref(fctx), start, stop
-        )
-        cache.tick += span
-        count = fctx.out_count
-        out_blocks.extend(blocks_out[:count].tolist())
-        out_write.extend(write_out[:count].astype(bool).tolist())
-        out_origin.extend(origin_out[:count].tolist())
-        if level_arr is not None:
-            levels[:] = level_arr.tolist()
-        _finish(binding)
-        return forwarded
-
     def try_hierarchy_stages(
         self,
         hierarchy,
@@ -920,62 +828,73 @@ class KernelRuntime:
         core,
         timing=None,
     ) -> Optional[tuple]:
-        """Array-native staged replay of the whole L1/L2/LLC stack.
+        """Array-native staged replay of the L1/L2/LLC stack.
 
         Kernel counterpart of ``MemoryHierarchy.run_trace``'s staged
-        path with the inter-stage op streams kept as int64 arrays: the
-        L1 filter writes the L2's input directly into the buffer the
-        L2 filter reads, block decoding is two vector ops, and nothing
-        round-trips through Python lists until the final per-origin
-        ``levels``/``mem`` attribution (collect mode only).  Returns
-        the same ``counts`` / ``(counts, levels, mem)`` shape the
-        staged path produces, or None for any configuration outside
-        the kernel matrix (the caller falls through to the per-stage
-        dispatch, which can still accelerate stages individually).
+        path (the caller has checked ``lru_filter_eligible()`` on L1 and
+        L2).  The inter-stage op streams stay int64 arrays: the L1
+        filter writes the L2's input directly into the buffer the L2
+        filter reads, and block decoding is two vector ops.  Returns the
+        staged path's ``counts`` / ``(counts, levels, mem)``, or None --
+        naming why in ``fallback_reason`` -- when no library loads, L1
+        or L2 declines, or the demand stream or a private level's blocks
+        overflow int64; the dict filters then run.
+
+        When the LLC binds too, it replays the residue here and nothing
+        round-trips through lists until the collect-mode ``levels``/
+        ``mem``.  When it declines, the residue goes to the hierarchy's
+        Python LLC stage as lists: an untimed run replays it through
+        ``llc.run_trace`` (which serves the comparators, or records its
+        own decline); a collect-mode run records the LLC's decline here.
 
         ``timing`` (collect mode only) is the measured run's
-        :class:`~repro.cpu.timing.TimingModel`.  When its walk has a
-        kernel counterpart -- the flat model, or a ``PCMBackend`` --
-        ``rw_timing_walk`` advances it (and the backend) over the
-        replayed accesses straight from the stage arrays, and the
-        result carries None for ``levels`` and ``mem``: nothing is left
-        for the caller to walk.  Otherwise ``fallback_reason`` names the
-        backend and the lists come back as usual.
+        :class:`~repro.cpu.timing.TimingModel`.  When the LLC binds and
+        the walk has a kernel counterpart -- the flat model, or a
+        ``PCMBackend`` -- ``rw_timing_walk`` advances it (and the
+        backend) straight from the stage arrays, and the result carries
+        None for ``levels`` and ``mem``.  Otherwise ``fallback_reason``
+        names the backend and the caller walks the lists.
         """
+        if start >= stop:
+            return None
         lib = load_native()
-        if lib is None or np is None or start >= stop:
-            return None
-        if not (l1.lru_filter_eligible() and l2.lru_filter_eligible()):
-            return None
-        # Bind all three levels up front: binding only reads, so a
-        # failure here leaves every cache untouched for the fallback
-        # (and builds no stream arrays).
+        if lib is None:
+            return self._fallback("no native kernel library available")
+        # Bind every level up front: binding only reads, so a decline
+        # here leaves every cache untouched for the fallback (and builds
+        # no stream arrays).
         entry = "the hierarchy stage replay"
-        b1 = bind_cache(l1, entry=entry)
+        b1 = self._bind(l1, entry)
         if b1 is None:
             return None
-        b2 = bind_cache(l2, entry=entry)
+        b2 = self._bind(l2, entry)
         if b2 is None:
             return None
-        b3 = bind_cache(llc, entry=entry)
-        if b3 is None:
-            return None
-        streams = soa.stream_arrays(decoded)
+        llc_declined: List[str] = []
+        b3 = bind_cache(llc, llc_declined, entry)
+        streams = decoded.kernel_streams()
         if streams is None:
-            return None
-        set_arr, tag_arr, write_arr, _ = streams
+            return self._fallback(_STREAM_OVERFLOW)
+        set_arr, tag_arr, write_arr, gap_arr = streams
         # The L2 and LLC stages decode the blocks the stage above
         # emitted, which rebuild to the same blocks; only the demand
-        # tags and resident lines can emit one past int64.  The
-        # per-stage dispatch names the overflow.
+        # tags and resident lines can emit one past int64.
         if not (
             soa.blocks_fit(l1._index_bits, tag_arr[start:stop], b1.image.tag)
             and soa.blocks_fit(l2._index_bits, b2.image.tag)
-            and (not collect or soa.blocks_fit(llc._index_bits, b3.image.tag))
         ):
-            return None
+            return self._fallback(_BLOCK_OVERFLOW)
+        if (
+            b3 is not None
+            and collect
+            and not soa.blocks_fit(llc._index_bits, b3.image.tag)
+        ):
+            # The attributed LLC lane emits its writeback blocks; the
+            # Python LLC stage builds them exactly instead.
+            b3 = None
+            llc_declined.append(_BLOCK_OVERFLOW)
         walk = None
-        if timing is not None and collect:
+        if b3 is not None and timing is not None:
             walk = _TimingWalk.bind(timing, decoded, streams, llc._offset_bits)
             if isinstance(walk, str):
                 self._fallback(walk)
@@ -985,16 +904,11 @@ class KernelRuntime:
         soa.check_streams(
             l1.config.num_sets, start, stop,
             set=set_arr, tag=tag_arr, write=write_arr,
-            gap=None if walk is None else streams[3],
+            gap=None if walk is None else gap_arr,
             cycle=None if walk is None else walk.cycles,
         )
         span = stop - start
-        memory = hierarchy.memory
-
-        level_arr = mem_arr = None
-        if collect:
-            level_arr = np.zeros(stop, dtype=np.int64)
-            mem_arr = np.zeros(stop, dtype=np.int64)
+        level_arr = np.zeros(stop, dtype=np.int64) if collect else None
 
         # Stage 1: L1 over the demand stream (demand mode: origin = i).
         blocks1 = np.empty(2 * span, dtype=np.int64)
@@ -1039,6 +953,19 @@ class KernelRuntime:
         l2.tick += count1
         count2 = f2.out_count
         l2_hits = fwd1 - fwd2
+        _finish(b1)
+        _finish(b2)
+
+        if b3 is None:
+            levels = None
+            if collect:
+                self._fallback(llc_declined[0])
+                levels = level_arr.tolist()
+            return hierarchy._llc_stage(
+                decoded, l1_hits, l2_hits, blocks2[:count2].tolist(),
+                write2[:count2].view(bool).tolist(),
+                origin2[:count2].tolist(), levels, core,
+            )
 
         # Stage 3: the LLC over the L2 residue.
         set3 = blocks2[:count2] & (llc.config.num_sets - 1)
@@ -1050,7 +977,9 @@ class KernelRuntime:
         lane.core = core
         lane.cycle_limit = inf
         ctx3 = b3.ctx
+        memory = hierarchy.memory
         if collect:
+            mem_arr = np.zeros(stop, dtype=np.int64)
             wb_out = np.empty(count2 if count2 else 1, dtype=np.int64)
             lane.origin_stream = soa.ptr_int64(origin2)
             lane.levels = soa.ptr_int64(level_arr)
@@ -1082,8 +1011,6 @@ class KernelRuntime:
             memory_reads = ctx3.read_misses - base_rm
             memory.reads += memory_reads
             memory.writes += ctx3.writebacks - base_wb
-        _finish(b1)
-        _finish(b2)
         _finish(b3)
         counts = {
             "l1": l1_hits,
@@ -1098,80 +1025,6 @@ class KernelRuntime:
             return counts, level_arr.tolist(), mem_arr.tolist()
         return counts
 
-    def try_llc_residue_collect(
-        self,
-        cache,
-        set_stream,
-        tag_stream,
-        write_stream,
-        origins,
-        levels,
-        mem,
-        memory,
-        core,
-    ) -> Optional[tuple]:
-        """Collect-mode LLC residue replay with per-origin attribution.
-
-        Kernel counterpart of the hierarchy's scalar stage-3 loop:
-        returns ``(llc_hits, memory_reads)`` and updates ``levels`` /
-        ``mem`` / the :class:`~repro.hierarchy.memory.MainMemory`
-        counters (and ``write_log``, when armed) exactly as the scalar
-        walk does; None -> fallback.
-        """
-        lib = load_native()
-        if lib is None or np is None:
-            return self._fallback("no native kernel library available")
-        count = len(set_stream)
-        try:
-            set_arr = np.asarray(set_stream, dtype=np.int64)
-            tag_arr = np.asarray(tag_stream, dtype=np.int64)
-            write_arr = np.asarray(write_stream, dtype=np.uint8)
-            origin_arr = np.asarray(origins, dtype=np.int64)
-            level_arr = np.asarray(levels, dtype=np.int64)
-            mem_arr = np.asarray(mem, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return self._fallback("stream not coercible to the int64 ABI")
-        binding = self._bind(cache, "the LLC-residue collect replay")
-        if binding is None:
-            return None
-        if not soa.blocks_fit(cache._index_bits, tag_arr, binding.image.tag):
-            return self._fallback(_BLOCK_OVERFLOW)
-        soa.check_streams(
-            cache.config.num_sets, 0, count,
-            origin_limit=min(len(level_arr), len(mem_arr)),
-            set=set_arr, tag=tag_arr, write=write_arr, origin=origin_arr,
-        )
-
-        wb_out = np.empty(count if count else 1, dtype=np.int64)
-        lane = LaneCtx()
-        lane.set_stream = soa.ptr_int64(set_arr)
-        lane.tag_stream = soa.ptr_int64(tag_arr)
-        lane.write_stream = soa.ptr_uint8(write_arr)
-        lane.core = core
-        lane.cycle_limit = inf
-        lane.origin_stream = soa.ptr_int64(origin_arr)
-        lane.levels = soa.ptr_int64(level_arr)
-        lane.mem = soa.ptr_int64(mem_arr)
-        lane.wb_out = soa.ptr_int64(wb_out)
-        lane.wb_out_count = 0
-
-        ran = lib.run_trace(
-            ctypes.byref(binding.ctx), ctypes.byref(lane), 0, count
-        )
-        cache.tick += ran
-        levels[:] = level_arr.tolist()
-        mem[:] = mem_arr.tolist()
-        wb_count = lane.wb_out_count
-        memory.reads += lane.rm
-        memory.writes += wb_count
-        if memory.write_log is not None and wb_count:
-            offset_bits = cache._offset_bits
-            memory.write_log.extend(
-                (block << offset_bits) for block in wb_out[:wb_count].tolist()
-            )
-        _finish(binding)
-        return (lane.rh, lane.rm)
-
     # -- multicore ---------------------------------------------------------
     def try_run_multicore(self, system, traces, views, warmup):
         """Kernel counterpart of ``SharedLLCSystem.run``'s epoch loop.
@@ -1180,7 +1033,7 @@ class KernelRuntime:
         LLC image; returns a :class:`SharedRunResult` or None.
         """
         lib = load_native()
-        if lib is None or np is None:
+        if lib is None:
             return self._fallback("no native kernel library available")
         llc = system.llc
         timings = system.timings
@@ -1191,11 +1044,11 @@ class KernelRuntime:
         binding = self._bind(llc, "the multicore interleave")
         if binding is None:
             return None
-        stream_sets = [soa.stream_arrays(view) for view in views]
+        stream_sets = [view.kernel_streams() for view in views]
         if any(streams is None for streams in stream_sets):
             return self._fallback(_STREAM_OVERFLOW)
         cycle_sets = [
-            soa.cycle_array(view, timing.core.base_cpi)
+            view.kernel_cycles(timing.core.base_cpi)
             for view, timing in zip(views, timings)
         ]
         for trace, (set_arr, tag_arr, write_arr, gap_arr), cycles in zip(
@@ -1282,8 +1135,8 @@ def attach_kernel(target, spec: "KernelSpec | str") -> None:
     """Install a :class:`KernelRuntime` on every cache ``target`` owns.
 
     Accepts a bare :class:`SetAssociativeCache`, a ``MemoryHierarchy``
-    (every private level plus the LLC gets the runtime -- the filter
-    stages dispatch independently), or a ``SharedLLCSystem``.  ``spec``
+    (every private level plus the LLC gets the one runtime its stage
+    replay dispatches to), or a ``SharedLLCSystem``.  ``spec``
     may be a :class:`KernelSpec` or its string form.  The ``dict`` spec
     detaches instead, restoring the dict-driven batch drivers.
     """

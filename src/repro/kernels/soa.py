@@ -40,6 +40,10 @@ PSEL, the coin, the PC-indexed counter table.  Statistics, the policy
 clock, samplers, the policy image and the directory are still gathered
 and scattered eagerly around every call.
 
+The access streams need no gather: a kernel reads a decode's own
+arrays (``DecodedTrace.kernel_streams``, ``kernel_pcs``,
+``kernel_cycles``), and :func:`check_streams` validates them.
+
 Everything here returns ``None`` for state the SoA image cannot
 represent (tags beyond int64, foreign sampler shapes); callers treat
 that as "unsupported" and fall back to the dict driver.
@@ -55,10 +59,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via tests stubbing numpy
-    np = None
+import numpy as np
 
 from repro.cache.cache import CacheSet
 from repro.cache.dueling import (
@@ -737,14 +738,6 @@ def blocks_fit(index_bits: int, *tag_arrays) -> bool:
     return True
 
 
-
-def stream_arrays(decoded) -> Optional[Tuple]:
-    """(set, tag, write, gap) int64/uint8 arrays for a decoded trace."""
-    if np is None:
-        return None
-    return decoded.kernel_streams()
-
-
 #: the element type each kernel stream must have, by stream name
 _STREAM_DTYPES = {
     "set": "int64",
@@ -813,9 +806,3 @@ def _check_range(window, name: str, limit: int) -> None:
             f"{name} stream holds index {low if low < 0 else high}, "
             f"outside [0, {limit})"
         )
-
-
-def cycle_array(decoded, base_cpi: float) -> Optional["np.ndarray"]:
-    if np is None:
-        return None
-    return decoded.kernel_cycles(base_cpi)

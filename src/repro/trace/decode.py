@@ -14,8 +14,8 @@ plus the trace's own write, gap and PC arrays, which
 :meth:`~DecodedTrace.kernel_pcs` return without converting anything.
 A stream's Python list (``set_indices``, ``tags``, ...) is built only
 when the dict driver first reads it: CPython indexes a list faster than
-an array inside an interpreted loop.  Traces with a value past int64,
-and runs with numpy stubbed out, keep the pure-Python decode over lists.
+an array inside an interpreted loop.  Traces with a value past int64
+keep the pure-Python decode over lists.
 
 :meth:`~repro.trace.access.Trace.decoded` caches the result per
 geometry, so a sweep replaying one trace under many policies decodes it
@@ -26,10 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised with numpy stubbed out
-    np = None
+import numpy as np
 
 #: decode cache key: everything address decoding depends on.
 GeometryKey = Tuple[int, int]
@@ -161,10 +158,7 @@ class DecodedTrace:
         unboxed from the memoized :meth:`kernel_cycles` array, so a
         decode never holds the float stream twice.
         """
-        cycles = self.kernel_cycles(base_cpi)
-        if cycles is None:
-            return [gap * base_cpi for gap in self.instr_gaps]
-        return cycles.tolist()
+        return self.kernel_cycles(base_cpi).tolist()
 
     def _gap_array(self) -> "np.ndarray":
         """The int64 gap array (converted per call for list-built decodes;
@@ -182,12 +176,10 @@ class DecodedTrace:
         """
         cum = self._gap_cumsum
         if cum is None:
-            if np is not None:
-                try:
-                    cum = np.cumsum(self._gap_array()).tolist()
-                except (OverflowError, TypeError, ValueError):
-                    cum = None
-            if cum is None:
+            try:
+                cum = np.cumsum(self._gap_array()).tolist()
+            except (OverflowError, TypeError, ValueError):
+                # A gap past int64: the exact Python sum.
                 total = 0
                 cum = []
                 for gap in self.instr_gaps:
@@ -207,12 +199,10 @@ class DecodedTrace:
 
         int64 set/tag/gap streams plus a uint8 write stream.  A decode
         built from arrays returns its own; a list-built one converts its
-        lists on the first call and keeps the arrays.  ``None`` when
-        numpy is absent or a stream exceeds int64 -- the kernel layer
-        then falls back to the dict driver.
+        lists on the first call and keeps the arrays.  ``None`` when a
+        stream exceeds int64 -- the kernel layer then falls back to the
+        dict driver.
         """
-        if np is None:
-            return None
         streams = self._streams
         if streams is None:
             set_indices, tags, is_write, gaps, _ = self._lists
@@ -234,11 +224,8 @@ class DecodedTrace:
         A decode built from arrays holds the trace's own PC array (and
         each per-core view its offset copy), so returning it costs
         nothing; a list-built decode converts its list on the first call
-        and keeps the array.  ``None`` when numpy is absent or a PC
-        exceeds int64.
+        and keeps the array.  ``None`` when a PC exceeds int64.
         """
-        if np is None:
-            return None
         pcs = self._pc_array
         if pcs is None:
             try:
@@ -248,15 +235,14 @@ class DecodedTrace:
             pcs = self._pc_array = _sealed(pcs)
         return pcs
 
-    def kernel_cycles(self, base_cpi: float) -> Optional["np.ndarray"]:
+    def kernel_cycles(self, base_cpi: float) -> "np.ndarray":
         """Memoized float64 per-access cycle-cost array.
 
         Element ``i`` is the IEEE double ``gap * base_cpi`` of access
         ``i``: the int64-times-double product, left unboxed, so a
-        kernel-only replay never materializes the float list.
+        kernel-only replay never materializes the float list.  A gap
+        past int64 takes the same products in Python instead.
         """
-        if np is None:
-            return None
         cached = self._np_cycles.get(base_cpi)
         if cached is None:
             try:
@@ -361,7 +347,7 @@ def _offset_array(array: "np.ndarray", offset: int) -> Optional["np.ndarray"]:
 
 def _offset_stream(values: List[int], offset: int) -> List[int]:
     """``[v + offset for v in values]``, vectorized when int64-safe."""
-    if values and np is not None and offset < _OFFSET_GUARD:
+    if values and offset < _OFFSET_GUARD:
         try:
             array = np.asarray(values, dtype=np.int64)
             if int(array.max()) + offset < _OFFSET_GUARD:
@@ -382,15 +368,11 @@ def decode_addresses(
     """Split addresses into (set_indices, tags) for one geometry."""
     index_mask = (1 << index_bits) - 1
     tag_shift = offset_bits + index_bits
-    array = None
-    if np is not None:
-        try:
-            array = np.asarray(addresses, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            array = None
-    if array is None:
+    try:
+        array = np.asarray(addresses, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
         # Addresses beyond int64 (never produced by our generators, but
-        # legal in hand-written tests) or no numpy: pure-Python decode.
+        # legal in hand-written tests): pure-Python decode.
         return (
             [(address >> offset_bits) & index_mask for address in addresses],
             [address >> tag_shift for address in addresses],
@@ -404,7 +386,7 @@ def decode_trace(trace, config) -> DecodedTrace:
     """Decode one trace for one geometry (uncached; prefer ``trace.decoded``)."""
     offset_bits = config.offset_bits
     index_bits = config.index_bits
-    arrays = trace.arrays() if np is not None else None
+    arrays = trace.arrays()
     if arrays is None:
         set_indices, tags = decode_addresses(
             trace.addresses, offset_bits, index_bits

@@ -29,13 +29,24 @@ _TEXT_HEADER = "# repro-trace v1: address is_write pc instr_gap\n"
 
 
 def save_npz(trace: Trace, path: str | Path) -> None:
-    """Write a trace as a compressed numpy archive."""
+    """Write a trace as a compressed numpy archive.
+
+    Writes the trace's own arrays, so an array-resident trace builds no
+    Python list.  A trace with a value past int64 has no arrays; its
+    lists are converted instead, which raises ``OverflowError``.
+    """
+    addresses, is_write, pcs, instr_gaps = trace.arrays() or (
+        np.asarray(trace.addresses, dtype=np.int64),
+        np.asarray(trace.is_write, dtype=np.uint8),
+        np.asarray(trace.pcs, dtype=np.int64),
+        np.asarray(trace.instr_gaps, dtype=np.int64),
+    )
     np.savez_compressed(
         Path(path),
-        addresses=np.asarray(trace.addresses, dtype=np.int64),
-        is_write=np.asarray(trace.is_write, dtype=bool),
-        pcs=np.asarray(trace.pcs, dtype=np.int64),
-        instr_gaps=np.asarray(trace.instr_gaps, dtype=np.int64),
+        addresses=addresses,
+        is_write=is_write.view(bool),
+        pcs=pcs,
+        instr_gaps=instr_gaps,
         name=np.array(trace.name),
         address_space=np.array(trace.address_space),
     )

@@ -1,4 +1,11 @@
-"""The staged hierarchy replay against its scalar specification."""
+"""The staged hierarchy replay against its scalar specification.
+
+The batched-vs-scalar cases run on the dict filters and, with a C
+compiler, on the native kernel's stage replay: ``lru`` and ``rwp``
+exercise the whole stack in C, ``drrip`` and ``ship`` the path where
+the kernel filters L1 and L2 and hands the residue to the Python LLC
+stage.  A dict case keeps its plain id; a kernel case adds ``-native``.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +17,7 @@ from repro.common.config import CacheConfig
 from repro.cpu.core import HierarchyRunner, LLCRunner
 from repro.hierarchy.prefetch import NoPrefetcher
 from repro.hierarchy.system import MemoryHierarchy
+from repro.kernels import attach_kernel, native_available
 from repro.mem import make_backend
 from repro.trace.access import Trace
 from repro.verify.fuzzer import SCENARIOS, fuzz_trace
@@ -31,47 +39,84 @@ GEOMETRY = HIERARCHY_GEOMETRIES[0]
 CONFIG = fuzz_hierarchy_config(GEOMETRY)
 LLC_SETS, LLC_WAYS = GEOMETRY[2]
 
+#: the drivers the staged replay runs on here
+KERNELS = ("dict", "native") if native_available() else ("dict",)
 
-def replay_both_ways(policy, trace, config=CONFIG, collect=False):
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C compiler for the native kernel"
+)
+
+
+def on_both_kernels(*policies):
+    """``(policy, kernel)`` params: the dict filters, then the kernel."""
+    return [
+        pytest.param(policy, "dict", id=policy)
+        for policy in policies
+    ] + [
+        pytest.param(policy, "native", id=f"{policy}-native", marks=needs_native)
+        for policy in policies
+    ]
+
+
+def replay_both_ways(
+    policy, trace, config=CONFIG, collect=False, kernel="dict", start=0,
+    stop=None,
+):
     batched = MemoryHierarchy(config, make_policy(policy))
     scalar = MemoryHierarchy(config, make_policy(policy))
     assert batched._batch_supported(0), "fixture must hit the staged path"
-    got = batched.run_trace(trace, collect=collect)
+    attach_kernel(batched, kernel)
+    stop = len(trace) if stop is None else stop
+    got = batched.run_trace(trace, start=start, stop=stop, collect=collect)
+    if kernel == "native":
+        # L1 and L2 ran in C whatever the LLC's policy.
+        for cache in (batched.l1s[0], batched.l2s[0]):
+            assert "sets" not in cache.__dict__
     want = scalar._run_trace_scalar(
-        trace, core=0, start=0, stop=len(trace), collect=collect
+        trace, core=0, start=start, stop=stop, collect=collect
     )
     return batched, scalar, got, want
 
 
-@pytest.mark.parametrize("policy", ["lru", "drrip", "ship", "rwp"])
+@pytest.mark.parametrize(
+    "policy,kernel", on_both_kernels("lru", "drrip", "ship", "rwp")
+)
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_batched_equals_scalar(policy, scenario):
+def test_batched_equals_scalar(policy, kernel, scenario):
     trace = fuzz_trace(scenario, 1301, LLC_SETS, LLC_WAYS, LENGTH)
-    batched, scalar, got, want = replay_both_ways(policy, trace)
+    batched, scalar, got, want = replay_both_ways(policy, trace, kernel=kernel)
     assert got == want
     assert _hierarchy_snapshot(batched) == _hierarchy_snapshot(scalar)
+    if kernel == "native":
+        # An untimed run's LLC is served too: in the stage replay, or
+        # (DRRIP, SHiP) by llc.run_trace over the handed-over residue.
+        assert batched.llc.kernel.fallback_reason is None
 
 
 def test_collect_mode_equals_scalar():
     trace = fuzz_trace("dirty_storm", 1302, LLC_SETS, LLC_WAYS, LENGTH)
-    batched, scalar, got, want = replay_both_ways("rwp", trace, collect=True)
-    got_counts, got_levels, got_mem = got
-    want_counts, want_levels, want_mem = want
-    assert got_counts == want_counts
-    assert got_levels == want_levels
-    assert got_mem == want_mem
-    assert _hierarchy_snapshot(batched) == _hierarchy_snapshot(scalar)
+    for policy in ("rwp", "drrip"):
+        for kernel in KERNELS:
+            batched, scalar, got, want = replay_both_ways(
+                policy, trace, collect=True, kernel=kernel
+            )
+            got_counts, got_levels, got_mem = got
+            want_counts, want_levels, want_mem = want
+            assert got_counts == want_counts
+            assert got_levels == want_levels
+            assert got_mem == want_mem
+            assert _hierarchy_snapshot(batched) == _hierarchy_snapshot(scalar)
 
 
 def test_partial_window_equals_scalar():
     trace = fuzz_trace("mixed", 1303, LLC_SETS, LLC_WAYS, LENGTH)
-    batched = MemoryHierarchy(CONFIG, make_policy("lru"))
-    scalar = MemoryHierarchy(CONFIG, make_policy("lru"))
     start, stop = LENGTH // 3, 2 * LENGTH // 3
-    got = batched.run_trace(trace, start=start, stop=stop)
-    want = scalar._run_trace_scalar(trace, 0, start, stop, collect=False)
-    assert got == want
-    assert _hierarchy_snapshot(batched) == _hierarchy_snapshot(scalar)
+    for kernel in KERNELS:
+        batched, scalar, got, want = replay_both_ways(
+            "lru", trace, kernel=kernel, start=start, stop=stop
+        )
+        assert got == want
+        assert _hierarchy_snapshot(batched) == _hierarchy_snapshot(scalar)
 
 
 def test_hierarchy_runner_timing_equals_scalar_replay(small_hierarchy):
@@ -224,14 +269,17 @@ if HAVE_HYPOTHESIS:
             max_size=300,
         ),
         policy=st.sampled_from(["lru", "drrip", "rwp"]),
+        kernel=st.sampled_from(KERNELS),
     )
-    def test_property_batched_equals_scalar(data, policy):
+    def test_property_batched_equals_scalar(data, policy, kernel):
         trace = Trace(
             [line * 64 for line, _ in data],
             [w for _, w in data],
             pcs=[(line * 2654435761) & 0xFFFF for line, _ in data],
             name="hyp",
         )
-        batched, scalar, got, want = replay_both_ways(policy, trace)
+        batched, scalar, got, want = replay_both_ways(
+            policy, trace, kernel=kernel
+        )
         assert got == want
         assert _hierarchy_snapshot(batched) == _hierarchy_snapshot(scalar)

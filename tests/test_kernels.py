@@ -8,8 +8,8 @@ including stamps and read/write-seen bits), lookup tables (as key sets
 -- insertion order is driver-dependent and not semantically
 observable), and downstream writeback streams.  And for every
 *unsupported* configuration -- a policy outside the kernel matrix, a
-missing compiler, numpy absent -- the kernel layer must fall back
-silently and change nothing.
+missing compiler, a value past int64 -- the kernel layer must fall back,
+name why, and change nothing.
 
 Runs under the tier-1 suite at modest Hypothesis example counts and
 under the deep-conformance CI job (``REPRO_DEEP_TESTS=1``) at many
@@ -36,6 +36,7 @@ from repro.experiments.runner import (
     make_llc_policy,
 )
 from repro.engine.sweepspec import SweepSpec
+from repro.hierarchy.system import MemoryHierarchy
 from repro.kernels import (
     KernelSpec,
     attach_kernel,
@@ -56,7 +57,7 @@ from repro.trace.generator import LINE_SIZE
 from repro.trace.spec import make_model
 from repro.verify.differ import COMPARED_STATS, make_sut_cache, make_sut_policy
 from repro.verify.fuzzer import FUZZ_GEOMETRIES, fuzz_trace
-from repro.verify.system import small_hierarchy
+from repro.verify.system import _system_policy, small_hierarchy
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -197,6 +198,26 @@ def assert_field_for_field(kern, ref, scalar=None):
         assert _policy_state(kern) == _policy_state(scalar)
 
 
+#: a fuzz-scale stack whose LLC the 16-set fuzz traces overflow
+_STACK = small_hierarchy(((8, 2), (16, 2), (16, 4)))
+
+
+def _stack_state(hierarchy) -> list:
+    """Every level's statistics, lines, lookup keys, set counters, clock,
+    policy and tick, plus the hierarchy's and memory's counters."""
+    return [
+        (_stats(cache), _full_line_state(cache), _lookup_keysets(cache),
+         _set_invariants(cache), _clock(cache), _policy_state(cache),
+         cache.tick)
+        for cache in hierarchy.all_caches()
+    ] + [hierarchy.snapshot()]
+
+
+def _resident(caches) -> bool:
+    """True when every cache's lines are still in the kernel's arrays."""
+    return not any("sets" in cache.__dict__ for cache in caches)
+
+
 class TestKernelConformance:
     """native kernel == dict driver == scalar, field for field."""
 
@@ -313,39 +334,35 @@ class TestKernelConformance:
 
     @needs_native
     def test_split_filter_matches_one_dict_run(self):
-        # The same ownership hand-offs through run_lru_filter, whose
-        # dict loop also trusts the lookup dicts' recency order.
-        config = _config(8, 2)
-        trace = fuzz_trace("conflict", 17, 8, 2, 1600)
-        decoded = trace.decoded(config)
+        # The same ownership hand-offs through the hierarchy's stage
+        # replay, whose dict filters also trust the lookup dicts'
+        # recency order.
+        trace = fuzz_trace("conflict", 17, 16, 4, 1600)
         outputs = []
         for kernel in ("native", "dict"):
-            cache = make_sut_cache("lru", config)
-            emitted = ([], [], [])
+            stack = MemoryHierarchy(_STACK, make_sut_policy("lru"))
 
             def replay(start, stop):
-                return cache.run_lru_filter(
-                    decoded.set_indices, decoded.tags, decoded.is_write,
-                    start, stop, *emitted,
+                return stack.run_trace(
+                    trace, start=start, stop=stop, collect=True
                 )
 
             served = [replay(0, 200)]
-            attach_kernel(cache, kernel)
+            attach_kernel(stack, kernel)
             served.append(replay(200, 500))
+            if kernel == "native":
+                assert _resident(stack.all_caches())
             for i in range(500, 800):
-                cache.access(
+                stack.access(
                     trace.addresses[i], trace.is_write[i], trace.pcs[i]
                 )
             served.append(replay(800, 1200))
             if kernel == "native":
-                assert cache.kernel.fallback_reason is None
-            attach_kernel(cache, "dict")
-            served.append(replay(1200, len(decoded)))
-            outputs.append(
-                (served, emitted, _stats(cache), _full_line_state(cache),
-                 _lookup_keysets(cache), _set_invariants(cache),
-                 _clock(cache), cache.tick)
-            )
+                assert _resident(stack.all_caches())
+                assert stack.llc.kernel.fallback_reason is None
+            attach_kernel(stack, "dict")
+            served.append(replay(1200, len(trace)))
+            outputs.append((served, _stack_state(stack)))
         assert outputs[0] == outputs[1]
 
     if HAVE_HYPOTHESIS:
@@ -452,7 +469,8 @@ class TestKernelFallback:
     @pytest.mark.parametrize("policy", COMPARATOR_POLICIES)
     def test_comparator_declines_collect_replay(self, policy):
         # A timed hierarchy run attributes every LLC access to its
-        # demand access; that entry point names itself when it declines.
+        # demand access; the stage replay names itself when it declines
+        # the LLC (and still filters L1 and L2).
         simulate_cached.cache_clear()
         spec = SimulationSpec(
             "mcf", policy, mode="hierarchy", scale=_SMALL, kernel="native"
@@ -460,8 +478,8 @@ class TestKernelFallback:
         result = simulate(spec)
         name = type(make_policy(policy)).__name__
         assert last_kernel_info()["fallback"] == (
-            f"{name} runs natively only through run_trace: the LLC-residue "
-            "collect replay carries no PC stream or bypass attribution"
+            f"{name} runs natively only through run_trace: the hierarchy "
+            "stage replay carries no PC stream or bypass attribution"
         )
         assert result == simulate(
             SimulationSpec(
@@ -539,6 +557,27 @@ class TestKernelFallback:
             monkeypatch.delenv("REPRO_NO_NATIVE")
             reset_native_cache()
 
+    def test_forced_fallback_hierarchy(self, monkeypatch):
+        # The stage replay names a missing library itself, so a run
+        # with no warmup window still says why the dict filters ran.
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        reset_native_cache()
+        try:
+            trace = fuzz_trace("mixed", 6, 16, 4, 1024)
+            results = []
+            for kernel in ("native", "dict"):
+                runner = HierarchyRunner(_STACK, make_sut_policy("rwp"))
+                attach_kernel(runner.hierarchy, kernel)
+                results.append(runner.run(trace, warmup=0))
+                if kernel == "native":
+                    assert runner.hierarchy.llc.kernel.fallback_reason == (
+                        "no native kernel library available"
+                    )
+            assert results[0] == results[1]
+        finally:
+            monkeypatch.delenv("REPRO_NO_NATIVE")
+            reset_native_cache()
+
     def test_attach_dict_detaches(self):
         config = _config(16, 4)
         cache = make_sut_cache("lru", config)
@@ -548,41 +587,43 @@ class TestKernelFallback:
 
 
 class TestFilterStream:
-    """run_lru_filter: kernel and dict emit identical downstream ops."""
+    """The stage replay's C filters emit the dict filters' op stream."""
 
     @needs_native
-    def test_filter_streams_identical(self):
-        config = _config(8, 2)
-        trace = fuzz_trace("conflict", 17, 8, 2, 512)
-        decoded = trace.decoded(config)
+    def test_filter_streams_identical(self, monkeypatch):
+        # An SRRIP LLC, which the stage replay declines, so both drivers
+        # hand the L2's downstream op stream to the Python LLC stage.
+        handed = []
+        llc_stage = MemoryHierarchy._llc_stage
+
+        def recording(self, decoded, l1_hits, l2_hits, blocks, write,
+                      origins, levels, core):
+            handed.append(
+                (l1_hits, l2_hits, blocks, write, origins,
+                 None if levels is None else list(levels))
+            )
+            return llc_stage(self, decoded, l1_hits, l2_hits, blocks,
+                             write, origins, levels, core)
+
+        monkeypatch.setattr(MemoryHierarchy, "_llc_stage", recording)
+        trace = fuzz_trace("conflict", 17, 16, 4, 1024)
         outputs = []
-        for kernel in (None, "native"):
-            cache = make_sut_cache("lru", config)
-            if kernel is not None:
-                attach_kernel(cache, kernel)
-            assert cache.lru_filter_eligible()
-            out_blocks: list = []
-            out_write: list = []
-            out_origin: list = []
-            levels = [0] * len(decoded)
-            served = cache.run_lru_filter(
-                decoded.set_indices,
-                decoded.tags,
-                decoded.is_write,
-                0,
-                len(decoded),
-                out_blocks,
-                out_write,
-                out_origin,
-                origins=list(range(len(decoded))),
-                levels=levels,
-                level=1,
-            )
-            outputs.append(
-                (served, out_blocks, out_write, out_origin, levels,
-                 _stats(cache), _full_line_state(cache))
-            )
+        for kernel in ("native", "dict"):
+            handed.clear()
+            stack = MemoryHierarchy(_STACK, make_policy("srrip"))
+            attach_kernel(stack, kernel)
+            served = [
+                stack.run_trace(trace, stop=512),
+                stack.run_trace(trace, start=512, collect=True),
+            ]
+            if kernel == "native":
+                assert _resident(stack.l1s + stack.l2s)
+            outputs.append((served, list(handed), _stack_state(stack)))
         assert outputs[0] == outputs[1]
+        for _, _, blocks, write, origins, _ in outputs[0][1]:
+            assert blocks and _python_values(blocks, int)
+            assert _python_values(write, bool) and any(write)
+            assert _python_values(origins, int)
 
 
 class TestSystemKernels:
@@ -1061,6 +1102,24 @@ class TestArrayResidentTraces:
         assert decoded.tags == [0, (1 << 64) >> 8]
         assert decoded.kernel_streams()[1].tolist() == decoded.tags
 
+    def test_gap_past_int64_keeps_python_arithmetic(self):
+        # No int64 gap array: the cycle products and the cumsum fall
+        # back to Python, with the values the vector paths would give,
+        # and the kernel gets no streams.
+        gaps = [3, 1 << 64, 5, 7]
+        trace = Trace([64, 128, 192, 256], [False, True, False, True],
+                      instr_gaps=gaps)
+        decoded = trace.decoded(_config(4, 4))
+        assert decoded.kernel_streams() is None
+        products = [gap * 0.5 for gap in gaps]
+        assert decoded.kernel_cycles(0.5).tolist() == products
+        assert decoded.cycle_gaps(0.5) == products
+        assert _python_values(decoded.cycle_gaps(0.5), float)
+        assert decoded.gap_cumsum() == [3, 3 + gaps[1], 8 + gaps[1],
+                                        15 + gaps[1]]
+        assert _python_values(decoded.gap_cumsum(), int)
+        assert decoded.gap_total(1, 3) == gaps[1] + 5
+
     @pytest.mark.parametrize("kernel", (None, "native"))
     def test_from_arrays_normalizes_any_layout(self, kernel):
         np = pytest.importorskip("numpy")
@@ -1102,6 +1161,61 @@ class TestArrayResidentTraces:
         assert [a.tolist() for a in copy.arrays()] == [
             a.tolist() for a in trace.arrays()
         ]
+
+    def test_save_npz_builds_no_lists(self, tmp_path):
+        import numpy as np
+
+        from repro.trace.ingest import load_npz, save_npz
+
+        trace = self._generated()
+        save_npz(trace, tmp_path / "t.npz")
+        assert _built_lists(trace) == []
+        # The archive holds what converting the list columns gives.
+        expected = {
+            "addresses": np.asarray(trace.addresses, dtype=np.int64),
+            "is_write": np.asarray(trace.is_write, dtype=bool),
+            "pcs": np.asarray(trace.pcs, dtype=np.int64),
+            "instr_gaps": np.asarray(trace.instr_gaps, dtype=np.int64),
+            "name": np.array(trace.name),
+            "address_space": np.array(trace.address_space),
+        }
+        with np.load(tmp_path / "t.npz") as saved:
+            assert sorted(saved.files) == sorted(expected)
+            for name, want in expected.items():
+                assert saved[name].dtype == want.dtype
+                assert np.array_equal(saved[name], want)
+        loaded = load_npz(tmp_path / "t.npz")
+        assert [a.dtype for a in loaded.arrays()] == [
+            a.dtype for a in trace.arrays()
+        ]
+        assert list(loaded) == list(trace) and loaded.name == trace.name
+
+    def test_phased_trace_is_array_resident(self):
+        from repro.trace.generator import MixtureGenerator
+        from repro.trace.phases import PHASE_ADDRESS_STRIDE, PhasedWorkload
+
+        workload = PhasedWorkload.of(
+            (make_model("micro_dead_writes", 256), 700),
+            (make_model("micro_rmw", 256), 500),
+            (make_model("mcf", 256), 300),
+        )
+        trace = workload.generate(seed=9)
+        assert trace._arrays is not None and _built_lists(trace) == []
+        # The list construction phase by phase.
+        columns = ([], [], [], [])
+        for index, phase in enumerate(workload.phases):
+            segment = MixtureGenerator(phase.model, seed=9 + index).generate(
+                phase.accesses
+            )
+            columns[0].extend(
+                a + index * PHASE_ADDRESS_STRIDE for a in segment.addresses
+            )
+            columns[1].extend(segment.is_write)
+            columns[2].extend(p + index * (1 << 24) for p in segment.pcs)
+            columns[3].extend(segment.instr_gaps)
+        assert [trace.addresses, trace.is_write, trace.pcs,
+                trace.instr_gaps] == list(columns)
+        assert _python_values(trace.is_write, bool)
 
     def test_slice_stays_array_resident(self):
         trace = self._generated()
@@ -1352,46 +1466,108 @@ class TestTimingWalk:
         assert _typed(native.to_dict()) == _typed(reference.to_dict())
 
 
-class TestNumpyAbsent:
-    """With numpy stubbed out everything degrades, bit-identically."""
+#: LLC policies the stage replay declines: SRRIP and UCP have no kernel
+#: counterpart, DRRIP and RRP (which bypasses writes) run natively only
+#: through run_trace
+DECLINED_LLC_POLICIES = ("srrip", "drrip", "rrp", "ucp")
 
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        import repro.kernels.runner as kernels_runner
-        import repro.kernels.soa as kernels_soa
-        import repro.trace.decode as trace_decode
 
-        monkeypatch.setattr(trace_decode, "np", None)
-        monkeypatch.setattr(kernels_soa, "np", None)
-        monkeypatch.setattr(kernels_runner, "np", None)
-
-    def test_decode_pure_python_parity(self, no_numpy):
-        trace = fuzz_trace("mixed", 2024, 16, 4, 512)
-        config = _config(16, 4)
-        stubbed = trace.decoded(config)
-        assert stubbed.kernel_streams() is None
-        assert stubbed.kernel_cycles(0.5) is None
-        pure_cycles = stubbed.cycle_gaps(0.5)
-        pure_cumsum = stubbed.gap_cumsum()
-
-        # A second decode of the same records with numpy restored must
-        # produce the same values (the fallback mirrors the vector
-        # path's IEEE arithmetic element by element).
-        fresh = Trace(
-            list(trace.addresses), list(trace.is_write), list(trace.pcs)
+def _stage_decline(policy: str) -> str:
+    """The reason the stage replay records for ``policy``'s LLC."""
+    name = type(_system_policy(policy)).__name__
+    if policy in COMPARATOR_POLICIES:
+        return (
+            f"{name} runs natively only through run_trace: the hierarchy "
+            "stage replay carries no PC stream or bypass attribution"
         )
-        import numpy  # noqa: F401  (restored outside the fixture scope)
-        import repro.trace.decode as trace_decode
+    return f"{name} has no kernel counterpart"
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trace_decode, "np", numpy)
-            vectored = fresh.decoded(config)
-            assert vectored.cycle_gaps(0.5) == pure_cycles
-            assert vectored.gap_cumsum() == pure_cumsum
 
-    def test_kernel_layer_falls_back(self, no_numpy):
-        config = _config(16, 4)
-        trace = fuzz_trace("dirty_storm", 11, 16, 4, 512)
-        kern = _run("rwp", trace, config, kernel="native")
-        ref = _run("rwp", trace, config)
-        assert_field_for_field(kern, ref)
+class TestDeclinedLLC:
+    """A declined LLC: L1 and L2 still filter in C, the LLC in Python."""
+
+    @needs_native
+    @pytest.mark.parametrize("collect", (False, True), ids=("counts", "collect"))
+    @pytest.mark.parametrize("policy", DECLINED_LLC_POLICIES)
+    def test_matches_dict_and_scalar(self, policy, collect):
+        trace = fuzz_trace("dirty_storm", 4242, 16, 4, 2048)
+        outputs = {}
+        for side in ("native", "dict", "scalar"):
+            stack = MemoryHierarchy(_STACK, _system_policy(policy))
+            if side == "scalar":
+                got = stack._run_trace_scalar(
+                    trace, 0, 0, len(trace), collect
+                )
+            else:
+                attach_kernel(stack, side)
+                got = stack.run_trace(trace, collect=collect)
+            if side == "native":
+                assert _resident(stack.l1s + stack.l2s)
+                reason = stack.llc.kernel.fallback_reason
+            outputs[side] = (got, _stack_state(stack))
+        assert outputs["native"] == outputs["dict"] == outputs["scalar"]
+        assert outputs["native"][1][-1]["memory.writes"] > 0
+        if collect:
+            assert reason == _stage_decline(policy)
+        elif policy in COMPARATOR_POLICIES:
+            # The residue replays through llc.run_trace, which serves
+            # DRRIP; RRP's bypassing LLC walks it access by access.
+            assert reason is None
+        else:
+            # llc.run_trace declines the residue in its own words.
+            assert reason == _stage_decline(policy)
+
+    @needs_native
+    @pytest.mark.parametrize("policy", DECLINED_LLC_POLICIES)
+    def test_timed_pcm_run_matches_dict(self, policy):
+        results = []
+        for kernel in ("native", "dict"):
+            runner = HierarchyRunner(
+                _WALK_CONFIG,
+                _system_policy(policy),
+                backend=make_backend("pcm:write_mult=4", _WALK_CONFIG),
+            )
+            attach_kernel(runner.hierarchy, kernel)
+            results.append(
+                runner.run(cached_trace("lbm", 256, 6144, 7), warmup=1024)
+            )
+            if kernel == "native":
+                hierarchy = runner.hierarchy
+                assert _resident(hierarchy.l1s + hierarchy.l2s)
+                assert hierarchy.llc.kernel.fallback_reason == (
+                    _stage_decline(policy)
+                )
+        native, reference = results
+        assert native == reference
+        assert _typed(native.to_dict()) == _typed(reference.to_dict())
+        assert reference.extra["backend"]["pcm.writes"] > 0
+
+    @needs_native
+    def test_llc_block_overflow_declines_only_the_llc(self):
+        # Lines from an earlier replay at tags near 2^63 survive only in
+        # the LLC: its attributed lane would build writeback blocks past
+        # int64, so the Python LLC stage takes the residue while L1 and
+        # L2 still filter in C.
+        config = small_hierarchy(((4, 2), (8, 2), (16, 8)))
+        wide = _max_width_trace(16, length=256)
+        # Lines of LLC sets 0-7 only: every L1 and L2 set, half the LLC.
+        flush = Trace([(16 * k + s) * 64 for k in range(8) for s in range(8)],
+                      [False] * 64)
+        narrow = fuzz_trace("dirty_storm", 77, 16, 8, 1024)
+        outputs = []
+        for kernel in ("native", "dict"):
+            stack = MemoryHierarchy(config, make_sut_policy("rwp"))
+            attach_kernel(stack, kernel)
+            stack.run_trace(wide)
+            stack.run_trace(flush)
+            stack.memory.write_log = []
+            got = stack.run_trace(narrow, collect=True)
+            if kernel == "native":
+                assert _resident(stack.l1s + stack.l2s)
+                assert stack.llc.kernel.fallback_reason == (
+                    "a block address overflows the int64 kernel ABI"
+                )
+            outputs.append((got, stack.memory.write_log, _stack_state(stack)))
+        assert outputs[0] == outputs[1]
+        # A surviving wide line was written back, block and all.
+        assert max(outputs[0][1]) >> 6 > MAX_TAG
