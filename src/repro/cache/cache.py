@@ -29,7 +29,6 @@ equivalence property tests.
 from __future__ import annotations
 
 from itertools import repeat
-from math import inf
 from typing import Dict, Iterator, List, Tuple
 
 from repro.cache.line import CacheLine
@@ -383,7 +382,6 @@ class SetAssociativeCache:
         timing=None,
         core: int = 0,
         step=None,
-        cycle_limit: float | None = None,
     ) -> int:
         """Replay decoded accesses ``[start, stop)``; returns the count run.
 
@@ -404,15 +402,6 @@ class SetAssociativeCache:
         differential harness uses this for lockstep comparison).  The
         callback must not mutate this cache.
 
-        ``cycle_limit``: optional exclusive bound on ``timing.cycles``,
-        checked *before* each access advances the clock -- the replay
-        stops at the first access whose pre-advance cycle count is
-        ``>= cycle_limit`` and returns how many accesses actually ran.
-        This mirrors the scalar multicore loop, which selects a core by
-        its current cycle count and only then advances it, so the epoch
-        driver can hand a whole bounded run to this loop.  Requires
-        ``timing``.
-
         During a (non-``step``) batch replay the statistics counters,
         ``tick``, and a recency-stamped policy's clock live in loop
         locals and are flushed on return -- policy hooks fired mid-run
@@ -432,15 +421,11 @@ class SetAssociativeCache:
                 f"match cache geometry ({self.config.offset_bits}, "
                 f"{self.config.index_bits})"
             )
-        if cycle_limit is not None and timing is None:
-            raise ValueError("cycle_limit requires a timing model")
         if step is not None:
-            return self._run_trace_step(
-                decoded, start, stop, timing, core, step, cycle_limit
-            )
+            return self._run_trace_step(decoded, start, stop, timing, core, step)
         if self.kernel is not None:
             ran = self.kernel.try_run_trace(
-                self, decoded, start, stop, timing, core, cycle_limit
+                self, decoded, start, stop, timing, core
             )
             if ran is not None:
                 return ran
@@ -529,8 +514,6 @@ class SetAssociativeCache:
             cycle_stream = None
             cycles = 0.0
 
-        limit = inf if cycle_limit is None else cycle_limit
-        ran = 0
         pos = start
         while pos < stop:
             end = min(pos + RUN_TRACE_CHUNK, stop)
@@ -543,9 +526,6 @@ class SetAssociativeCache:
             )
             pos = end
             for si, tag, w, pc, cgap in chunk:
-                if cycles >= limit:
-                    break
-                ran += 1
                 if timed:
                     cycles += cgap
                 if pre_active:
@@ -696,10 +676,8 @@ class SetAssociativeCache:
                         ) + wb_drain
                         wb_append(wb_server_free)
                         wb_writes += 1
-            else:
-                continue
-            break  # cycle_limit reached mid-chunk
 
+        ran = stop - start
         self.tick += ran
         if stamping:
             stamp._clock = clock
@@ -719,7 +697,7 @@ class SetAssociativeCache:
         self._epoch_left = epoch_left
         if timed:
             timing.cycles = cycles
-            timing.instructions += decoded.gap_total(start, start + ran)
+            timing.instructions += decoded.gap_total(start, stop)
             timing.read_stall_cycles = read_stall
             timing.write_stall_cycles = write_stall
             write_buffer._server_free = wb_server_free
@@ -735,7 +713,6 @@ class SetAssociativeCache:
         timing,
         core: int,
         step,
-        cycle_limit: float | None = None,
     ) -> int:
         """run_trace with a per-access callback (lockstep verification)."""
         set_stream = decoded.set_indices
@@ -745,8 +722,6 @@ class SetAssociativeCache:
         gap_stream = decoded.instr_gaps
         access_decoded = self._access_decoded
         for i in range(start, stop):
-            if cycle_limit is not None and timing.cycles >= cycle_limit:
-                return i - start
             is_write = write_stream[i]
             if timing is not None:
                 timing.advance(gap_stream[i])
@@ -766,100 +741,6 @@ class SetAssociativeCache:
             if step(i, hit, bypassed, wb):
                 return i + 1 - start
         return stop - start
-
-    def run_trace_session(self, decoded, timing, core: int = 0):
-        """Resumable batched replay: bounded epochs over one decoded trace.
-
-        Returns a primed generator.  Each
-        ``send((start, stop, cycle_limit, reset))`` replays decoded
-        accesses from ``start`` until ``stop`` or until the first access
-        whose pre-advance ``timing.cycles`` is ``>= cycle_limit``
-        (pass ``math.inf`` for unbounded), then yields
-        ``(ran, cycles)``.  The first access of every epoch runs
-        unconditionally -- the caller selected this core, mirroring the
-        scalar interleave which always issues for the core it picked --
-        so ``ran >= 1`` whenever ``start < stop``.  A true ``reset``
-        runs ``timing.reset()`` before the epoch (the multicore warmup
-        boundary).  ``send(None)`` runs nothing and yields the
-        session's cumulative per-core ``(read_hits, read_misses,
-        write_hits, write_misses)`` tallies.  Cache state, statistics,
-        ``tick`` and the ``timing`` attributes are current after every
-        epoch.  Per-access semantics and operation order are exactly
-        :meth:`access`'s.
-
-        The point is amortization: the multicore epoch driver issues
-        tens of thousands of 1-2 access epochs, and a :meth:`run_trace`
-        call per epoch would pay the full validation and hoisting
-        prologue every time.  A session pays it once and keeps the loop
-        state alive in generator locals between epochs.
-        """
-        if timing is None:
-            raise ValueError("run_trace_session requires a timing model")
-        if not decoded.matches(self.config):
-            raise ValueError(
-                f"decoded trace geometry {decoded.geometry_key} does not "
-                f"match cache geometry ({self.config.offset_bits}, "
-                f"{self.config.index_bits})"
-            )
-        session = self._session_generic(decoded, timing, core)
-        next(session)
-        return session
-
-    def _session_generic(self, decoded, timing, core: int):
-        """The session loop behind :meth:`run_trace_session`.
-
-        Every access goes through ``_access_decoded`` and the public
-        timing methods -- the scalar semantics by construction, with
-        the address decode and call dispatch hoisted.  Cache-wide
-        statistics stay current per access on this path; only the
-        per-core tallies live in the generator.
-        """
-        set_stream = decoded.set_indices
-        tag_stream = decoded.tags
-        write_stream = decoded.is_write
-        pc_stream = decoded.pcs
-        gap_stream = decoded.instr_gaps
-        access_decoded = self._access_decoded
-        advance = timing.advance
-        read_hit = timing.read_hit
-        read_miss = timing.read_miss
-        memory_write = timing.memory_write
-        rh = rm = wh = wm = 0
-
-        request = yield None
-        while True:
-            if request is None:
-                request = yield (rh, rm, wh, wm)
-                continue
-            start, stop, limit, reset = request
-            if reset:
-                timing.reset()
-            ran = 0
-            for i in range(start, stop):
-                if ran and timing.cycles >= limit:
-                    break
-                ran += 1
-                w = write_stream[i]
-                advance(gap_stream[i])
-                hit, bypassed, wb = access_decoded(
-                    set_stream[i], tag_stream[i], w, pc_stream[i], core
-                )
-                if w:
-                    if hit:
-                        wh += 1
-                    else:
-                        wm += 1
-                    if bypassed:
-                        memory_write()
-                elif hit:
-                    rh += 1
-                    read_hit()
-                else:
-                    rm += 1
-                    read_miss()
-                if wb >= 0:
-                    memory_write()
-            request = yield (ran, timing.cycles)
 
     # -- the hierarchy filter stage ---------------------------------------
     def lru_filter_eligible(self) -> bool:

@@ -165,7 +165,7 @@ def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
         default="native",
         help=(
             "batch-replay kernel: 'native' (default, the compiled "
-            "kernel; falls back to the dict driver per replay on "
+            "kernel; falls back to the Python drivers per replay on "
             "unsupported shapes or without a C compiler) or 'dict'.  "
             "Both are bit-identical and share store entries"
         ),
@@ -1391,9 +1391,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_kernel_arg,
         default="native",
         help=(
-            "batch kernel pinned by every third system-fuzz job and "
-            "every other shared one (default: native; 'dict' plans a "
-            "dict-only slate)"
+            "batch kernel pinned by every third hierarchy system-fuzz "
+            "job and every multicore one (default: native; 'dict' plans "
+            "hierarchy jobs only)"
         ),
     )
     verify_parser.add_argument(

@@ -118,8 +118,7 @@ def _log_fallback(row: str, reason: "str | None") -> None:
     """One visible line when a requested kernel fell back -- no silent caps."""
     if reason:
         print(
-            f"bench note: {row}: kernel fell back to the dict driver "
-            f"-- {reason}",
+            f"bench note: {row}: kernel fell back to Python -- {reason}",
             file=sys.stderr,
         )
 
@@ -283,6 +282,8 @@ def run_multicore_bench(
     Results are keyed ``multicore4:<policy>``; the rate is normalized to
     the nominal ``cores * accesses_per_core`` issue count (the wrapping
     replay issues more, identically on every run, so rates compare).
+    The bare ``dict`` row times ``SharedLLCSystem.run_scalar``: without
+    a kernel, ``run`` is the scalar interleave.
     """
     from repro.common.config import default_hierarchy
     from repro.multicore.shared import SharedLLCSystem
@@ -338,11 +339,11 @@ def run_shared_multicore_bench(
     Global-address traces install a sharer directory (access + eviction
     listeners) on the LLC, so this row times the sharing hot path:
     directory updates and rwp-core's shared-claimant sampling and victim
-    scan.  On the dict driver the listeners force the generic batch
-    path; the native kernel keeps the directory as per-line columns and
-    replays the whole interleave in C.  Results are keyed
-    ``multicore8shared:<policy>``; a requested kernel's recorded
-    fallback reason is logged, never swallowed.
+    scan.  The bare ``dict`` row times ``run_scalar``, which calls the
+    listeners per access; the native kernel keeps the directory as
+    per-line columns and replays the whole interleave in C.  Results
+    are keyed ``multicore8shared:<policy>``; a requested kernel's
+    recorded fallback reason is logged, never swallowed.
     """
     from repro.common.config import default_hierarchy
     from repro.experiments.runner import cached_shared_mix

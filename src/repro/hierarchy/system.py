@@ -315,6 +315,13 @@ class MemoryHierarchy:
                 MEMORY: memory_reads,
             }
 
+        if levels is None and llc.kernel is not None:
+            # The statistics count bypassed writes (memory writes) with
+            # bypassed reads, so only the per-access walk splits them.
+            llc.kernel.fallback_reason = (
+                f"{type(llc.policy).__name__} can bypass, so the "
+                "hierarchy's LLC stage walks the residue per access"
+            )
         mem = None if levels is None else [0] * len(levels)
         pcs = decoded.pcs
         access = llc._access_decoded

@@ -10,7 +10,7 @@
  *                       plans and the DIP/DRRIP/SHiP/RRP comparators
  *                       (timed or untimed)
  *   rw_lru_filter  <->  SetAssociativeCache.run_lru_filter
- *   rw_multicore   <->  SharedLLCSystem.run over run_trace_session
+ *   rw_multicore   <->  SharedLLCSystem.run_scalar's interleave, in epochs
  *   rw_timing_walk <->  HierarchyRunner.run's measured timing walk, over
  *                       the flat TimingModel or a PCMBackend
  *
@@ -570,10 +570,11 @@ ALWAYS_INLINE int64_t comparator_victim(CacheCtx *c, int64_t base) {
 }
 
 /* One bounded replay of lane accesses [start, stop): the shared inner
- * loop of rw_run_trace and rw_multicore.  Mirrors run_trace /
- * run_trace_session access-for-access; with ``track`` (a compile-time
- * constant) it also runs SharerDirectory.observe before the sampler and
- * SharerDirectory.on_evict on every eviction, as the scalar walk does.
+ * loop of rw_run_trace and rw_multicore.  Mirrors run_trace and
+ * run_scalar's per-access step access-for-access; with ``track`` (a
+ * compile-time constant) it also runs SharerDirectory.observe before
+ * the sampler and SharerDirectory.on_evict on every eviction, as the
+ * scalar walk does.
  * With ``comparator`` (also constant) the policy hooks are the
  * comparator_* ports instead of the recency stamp and select_victim. */
 ALWAYS_INLINE int64_t lane_loop(
@@ -997,7 +998,20 @@ int64_t rw_lru_filter(CacheCtx *c, FilterCtx *f, int64_t start, int64_t stop) {
     return forwarded;
 }
 
-/* multicore/shared.py: _first_violation / _selection_limit, verbatim. */
+/* first_violation: the smallest raw x with x + penalty >= bound (>
+ * when strict).  cycles + 1.0 < bound cannot be folded to
+ * cycles < bound - 1.0 in doubles (the addition rounds), so for a
+ * nonzero penalty the threshold is found by an ulp walk around
+ * bound - penalty: adding a constant is monotone non-decreasing, so the
+ * predicate is a step function of x and the walk ends in O(1) steps.
+ *
+ * selection_limit: the exclusive raw-cycles bound under which
+ * run_scalar's argmin scan keeps picking the running core.  Its
+ * effective cycles (raw + done-penalty) must stay strictly below every
+ * lower-indexed core's (they win ties) and at most every
+ * higher-indexed core's (it wins those ties).  Only the running core's
+ * cycles move during its epoch, so both bounds are constants and the
+ * test collapses to raw < limit, the lane's cycle_limit. */
 static double first_violation(double bound, double penalty, int strict) {
     double x;
     if (isinf(bound) && bound > 0.0) return INFINITY;
@@ -1019,8 +1033,9 @@ static double selection_limit(double bound_lo, double bound_hi, double penalty) 
     return t1 < t2 ? t1 : t2;
 }
 
-/* SharedLLCSystem.run's epoch interleave over per-core lanes.  Returns
- * 0 on completion, nonzero when the epoch callback aborted. */
+/* SharedLLCSystem.run_scalar's interleave over per-core lanes, one
+ * epoch (a maximal run of one core) per lane_loop call.  Returns 0 on
+ * completion, nonzero when the epoch callback aborted. */
 int64_t rw_multicore(CacheCtx *c, MultiCtx *m) {
     int64_t num_cores = m->num_cores;
     int64_t (*lane_fn)(CacheCtx *, LaneCtx *, int64_t, int64_t) =

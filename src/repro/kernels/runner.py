@@ -8,7 +8,8 @@ shape: :meth:`~KernelRuntime.try_run_trace` (one cache),
 :meth:`~KernelRuntime.try_hierarchy_stages` (the L1/L2/LLC stack) and
 :meth:`~KernelRuntime.try_run_multicore` (the shared LLC).  Each returns
 ``None`` when the configuration is outside the kernel's supported
-matrix -- the caller falls through to the dict-driven reference driver,
+matrix -- the caller falls through to its Python driver (the dict-driven
+batch loops, or ``SharedLLCSystem.run_scalar`` for the shared LLC),
 which is always correct.  When a kernel does run, the result is
 bit-identical to the reference driver by construction (same operation
 order, same IEEE arithmetic); the conformance suite and the verify
@@ -101,6 +102,13 @@ _STREAM_OVERFLOW = "a tag or instruction gap overflows the int64 kernel ABI"
 #: the decline when a lane that emits block addresses (a filter stage,
 #: the attributed LLC stage) would build one beyond int64
 _BLOCK_OVERFLOW = "a block address overflows the int64 kernel ABI"
+
+#: the decline when a timed lane's retired-instruction count could pass
+#: int64 (the lanes sum a window's gaps in int64, then add the count)
+_INSTRUCTION_OVERFLOW = "retired instructions could overflow the int64 kernel ABI"
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
 
 #: clean_occ/dirty_occ in the C victim scan are fixed-size stack arrays,
 #: and a sharer mask is one uint64
@@ -622,6 +630,24 @@ def _finish(binding: _CacheBinding) -> None:
         raise binding.errors[0]
 
 
+def _instructions_fit(instructions: int, gaps, start: int, stop: int) -> bool:
+    """True when a lane may sum ``gaps[start:stop]`` into ``instructions``.
+
+    The lanes add the window's gaps (``start < stop``) into an int64
+    partial sum and that sum into the int64 counter.  Every partial sum
+    of ``n`` gaps lies within ``n`` times the window's extreme gaps, so
+    two vector reductions bound all of them.
+    """
+    window = gaps[start:stop]
+    n = len(window)
+    low = min(int(window.min()), 0) * n
+    high = max(int(window.max()), 0) * n
+    return (
+        _INT64_MIN <= min(instructions, 0) + low
+        and max(instructions, 0) + high <= _INT64_MAX
+    )
+
+
 def _fill_lane_timing(lane: LaneCtx, timing, cycles):
     """Hoist the TimingModel state into ``lane``; returns the wb ring.
 
@@ -663,8 +689,10 @@ class _TimingWalk:
     )
 
     @classmethod
-    def bind(cls, timing, decoded, streams, offset_bits: int):
-        """A ready walk, or the reason the walk stays in Python."""
+    def bind(cls, timing, decoded, streams, offset_bits: int, start, stop):
+        """A ready walk over ``[start, stop)``, or why it stays in Python."""
+        if not _instructions_fit(timing.instructions, streams[3], start, stop):
+            return _INSTRUCTION_OVERFLOW
         backend = timing.backend
         shift = 0
         if backend is not None:
@@ -728,14 +756,14 @@ class KernelRuntime:
     """Dispatches eligible batch replays to the native kernel."""
 
     def __init__(self) -> None:
-        #: why the most recent ``try_*`` dispatch fell back to the dict
+        #: why the most recent ``try_*`` dispatch fell back to a Python
         #: driver (None while every dispatch ran on a kernel).  Surfaced
         #: by ``repro run`` and logged by the bench harness, so a
         #: requested kernel never degrades silently.
         self.fallback_reason: Optional[str] = None
 
     def _fallback(self, reason: str) -> None:
-        """Record why this dispatch uses the dict driver; returns None."""
+        """Record why this dispatch runs in Python; returns None."""
         self.fallback_reason = reason
         return None
 
@@ -754,7 +782,7 @@ class KernelRuntime:
 
     # -- single-cache replay ----------------------------------------------
     def try_run_trace(
-        self, cache, decoded, start, stop, timing, core, cycle_limit
+        self, cache, decoded, start, stop, timing, core
     ) -> Optional[int]:
         """Kernel counterpart of ``run_trace``; None -> dict fallback."""
         if start >= stop:
@@ -782,6 +810,8 @@ class KernelRuntime:
                 return self._fallback("PC stream overflows the int64 kernel ABI")
         cycles = None
         if timing is not None:
+            if not _instructions_fit(timing.instructions, gap_arr, start, stop):
+                return self._fallback(_INSTRUCTION_OVERFLOW)
             cycles = decoded.kernel_cycles(timing.core.base_cpi)
         soa.check_streams(
             cache.config.num_sets, start, stop,
@@ -796,7 +826,7 @@ class KernelRuntime:
         if pcs is not None:
             lane.pc_stream = soa.ptr_int64(pcs)
         lane.core = core
-        lane.cycle_limit = inf if cycle_limit is None else cycle_limit
+        lane.cycle_limit = inf
         ring = None
         if timing is not None:
             try:
@@ -895,7 +925,9 @@ class KernelRuntime:
             llc_declined.append(_BLOCK_OVERFLOW)
         walk = None
         if b3 is not None and timing is not None:
-            walk = _TimingWalk.bind(timing, decoded, streams, llc._offset_bits)
+            walk = _TimingWalk.bind(
+                timing, decoded, streams, llc._offset_bits, start, stop
+            )
             if isinstance(walk, str):
                 self._fallback(walk)
                 walk = None
@@ -1027,10 +1059,11 @@ class KernelRuntime:
 
     # -- multicore ---------------------------------------------------------
     def try_run_multicore(self, system, traces, views, warmup):
-        """Kernel counterpart of ``SharedLLCSystem.run``'s epoch loop.
+        """Kernel counterpart of ``SharedLLCSystem.run_scalar``.
 
         Runs the whole progress-driven interleave in C over one gathered
-        LLC image; returns a :class:`SharedRunResult` or None.
+        LLC image; returns a :class:`SharedRunResult`, or None (naming
+        why in ``fallback_reason``) and the caller runs ``run_scalar``.
         """
         lib = load_native()
         if lib is None:

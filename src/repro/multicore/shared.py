@@ -15,21 +15,17 @@ multiprogrammed methodology).
 
 Two drivers produce that interleave.  :meth:`SharedLLCSystem.run_scalar`
 is the reference: one ``access()`` per step, re-selecting the laggard
-core every time.  :meth:`SharedLLCSystem.run` is the epoch driver the
-experiments use: it observes that while one core runs, no other core's
-cycle count moves, so the scalar argmin scan keeps picking the same core
-until its own cycles cross a precomputed threshold.  Each such maximal
-run ("epoch") is handed to the batched LLC driver
-(:meth:`~repro.cache.cache.SetAssociativeCache.run_trace` with
-``cycle_limit``) over a shared per-core :class:`DecodedTrace` view --
-same global interleave, batched hot loop.  The equivalence is ulp-exact
-(see :func:`_selection_limit`) and pinned by Hypothesis tests.
+core every time.  :meth:`SharedLLCSystem.run` is the entry the
+experiments use: it offers the whole run to an attached native kernel
+(``rw_multicore`` replays the same interleave in C over per-core
+:class:`DecodedTrace` views) and otherwise calls :meth:`run_scalar`.
+The kernel is bit-identical to the scalar interleave, which the
+Hypothesis tests and the system fuzzer pin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, nextafter
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.cache import SetAssociativeCache
@@ -50,14 +46,11 @@ class SharerDirectory:
     field is wrong the moment a second core touches a line, so the
     system installs this directory on the LLC as its access/eviction
     listener pair.  ``observe`` fires before every demand access and
-    ``on_evict`` on every eviction -- in both the scalar walk and the
-    dict batch drivers (the listener hooks force the generic,
-    per-access-identical batch paths), so directory state is
-    bit-identical between the two by construction.  The native kernel
-    recognizes this pair and keeps the same state as two per-line
-    columns of its SoA image, updated inline in the same order (see
-    :mod:`repro.kernels.soa`); this class stays the reference it is
-    checked against.
+    ``on_evict`` on every eviction of the scalar walk.  The native
+    kernel recognizes this pair and keeps the same state as two
+    per-line columns of its SoA image, updated inline in the same order
+    (see :mod:`repro.kernels.soa`); this class stays the reference it
+    is checked against.
 
     Each tracked line carries a sharer bitmask (bit per core) and the
     last writing core.  An entry lives from a line's first touch to its
@@ -161,49 +154,6 @@ class SharerDirectory:
         }
 
 
-def _first_violation(bound: float, penalty: float, strict: bool) -> float:
-    """Smallest raw x with ``x + penalty >= bound`` (``>`` when strict).
-
-    ``cycles + 1.0 < bound`` cannot be folded to ``cycles < bound - 1.0``
-    in floats (the addition rounds), so for a nonzero penalty the
-    threshold is found by an ulp walk around ``bound - penalty``: float
-    addition of a constant is monotone non-decreasing, so the predicate
-    is a step function of x and the walk terminates in O(1) steps.
-    """
-    if bound == inf:
-        return inf
-    if not penalty:
-        return nextafter(bound, inf) if strict else bound
-    x = bound - penalty
-    if strict:
-        while x + penalty > bound:
-            x = nextafter(x, -inf)
-        while x + penalty <= bound:
-            x = nextafter(x, inf)
-    else:
-        while x + penalty >= bound:
-            x = nextafter(x, -inf)
-        while x + penalty < bound:
-            x = nextafter(x, inf)
-    return x
-
-
-def _selection_limit(bound_lo: float, bound_hi: float, penalty: float) -> float:
-    """Exclusive raw-cycles bound under which the scalar scan re-picks.
-
-    The selected core stays the argmin of the scalar scan while its
-    effective cycles (raw + done-penalty) are strictly below every
-    lower-indexed core's (they win ties) and at most every
-    higher-indexed core's (it wins those ties).  Only the running
-    core's cycles move during its epoch, so both bounds are constants
-    and the continuation condition collapses to ``raw < limit`` --
-    exactly the ``cycle_limit`` contract of the batched driver.
-    """
-    t1 = _first_violation(bound_lo, penalty, strict=False)
-    t2 = _first_violation(bound_hi, penalty, strict=True)
-    return t1 if t1 < t2 else t2
-
-
 @dataclass(frozen=True)
 class CoreResult:
     """Per-core outcome of a shared run."""
@@ -230,7 +180,7 @@ class SharedRunResult:
     global-address (data-sharing) runs; None for private-address runs.
     (Kernel fallback reasons deliberately live on the runtime --
     :attr:`repro.kernels.runner.KernelRuntime.fallback_reason` -- not
-    here, so kernel results stay bit-comparable to dict results.)
+    here, so kernel results stay bit-comparable to scalar results.)
     """
 
     policy: str
@@ -264,8 +214,8 @@ class SharedLLCSystem:
         self.llc = SetAssociativeCache(config.llc, policy)
         #: optional per-core :class:`~repro.mem.backend.MemoryBackend`
         #: instances (one each, matching the private write buffers of the
-        #: flat model).  When installed, :meth:`run` routes through the
-        #: scalar interleave -- the epoch driver inlines the flat timing.
+        #: flat model).  The kernel's lanes inline the flat timing, so it
+        #: declines them and :meth:`run` takes the scalar interleave.
         self.backends = list(backends) if backends is not None else None
         self.timings = [
             TimingModel(
@@ -302,12 +252,10 @@ class SharedLLCSystem:
     def _bind_directory(self) -> SharerDirectory:
         """Fresh sharer tracking for one global-address run.
 
-        The dict driver calls the listener hooks per access in scalar
-        order, which is what makes batch==scalar hold for sharing runs
-        by construction.  The native kernel accepts exactly this
-        listener pair (and the policy's shared-claimant sampling),
-        keeping the directory as per-line columns so the whole run
-        stays in C.
+        The scalar walk calls the listener hooks per access.  The
+        native kernel accepts exactly this listener pair (and the
+        policy's shared-claimant sampling), keeping the directory as
+        per-line columns so the whole run stays in C.
         """
         directory = SharerDirectory(self.config.llc, self.num_cores)
         self.sharer_directory = directory
@@ -335,24 +283,22 @@ class SharedLLCSystem:
     ) -> SharedRunResult:
         """Run one trace per core to completion of its measured window.
 
-        Epoch-batched driver: produces results identical field-for-field
-        to :meth:`run_scalar` (same interleave, same statistics, same
-        timing floats), replaying each epoch through the batched LLC
-        driver.  Falls back to the scalar loop if the per-core address
-        stride cannot be expressed as a pure tag offset at this
-        geometry (never true for the shipped configs).
+        With a native kernel attached (``llc.kernel``), offers the whole
+        run to :meth:`~repro.kernels.runner.KernelRuntime.try_run_multicore`
+        over per-core decoded views; when the kernel declines, the
+        runtime's ``fallback_reason`` says why.  Everything else -- no
+        kernel, a declined run -- is :meth:`run_scalar`, which the
+        kernel matches field for field (same interleave, same
+        statistics, same timing floats).
 
         Global-address (data-sharing) traces replay without per-core
         offsets and with a fresh :class:`SharerDirectory` installed on
-        the LLC; a dict-driver replay calls its listener hooks per
-        access, while an attached native kernel runs it with the
-        directory in its SoA image.
+        the LLC; the kernel keeps the directory in its SoA image.
         """
-        shared = self._check_traces(traces, warmup)
-        if self.backends is not None:
-            # Request-level backends need per-access addresses and live
-            # cycle counts; the epoch sessions inline the flat timing.
+        kernel = self.llc.kernel
+        if kernel is None:
             return self.run_scalar(traces, warmup)
+        shared = self._check_traces(traces, warmup)
         if shared:
             self._bind_directory()
         else:
@@ -366,152 +312,13 @@ class SharedLLCSystem:
                 )
                 for core, trace in enumerate(traces)
             ]
-        except ValueError:
-            return self.run_scalar(traces, warmup)
-
-        if self.llc.kernel is not None:
-            result = self.llc.kernel.try_run_multicore(self, traces, views, warmup)
+        except ValueError as error:
+            kernel.fallback_reason = str(error)
+        else:
+            result = kernel.try_run_multicore(self, traces, views, warmup)
             if result is not None:
                 return result
-
-        num_cores = self.num_cores
-        llc = self.llc
-        timings = self.timings
-        lengths = [len(trace) for trace in traces]
-
-        # One resumable batched-driver session per core: the replay
-        # loop's hoisted state survives across epochs, so a 1-access
-        # epoch costs one generator send, not a full run_trace call.
-        sessions = [
-            llc.run_trace_session(views[core], timings[core], core=core)
-            for core in range(num_cores)
-        ]
-        sends = [session.send for session in sessions]
-
-        position = [0] * num_cores  # raw index into the (wrapping) trace
-        done = [False] * num_cores
-        # Effective cycles per core (raw + 1.0 done-penalty), kept as a
-        # plain float list so the argmin scan never touches the timing
-        # objects.
-        effective = [0.0] * num_cores
-        # Measured-window bookkeeping: per-core tallies are synced from
-        # the sessions only at the two window boundaries (warmup open,
-        # freeze close); the window is the difference.
-        baseline = [(0, 0, 0, 0)] * num_cores
-        counts = [[0, 0, 0, 0] for _ in range(num_cores)]
-        frozen: List[tuple] = [(0, 0.0)] * num_cores  # (instr, cycles) at done
-        remaining = num_cores
-
-        four = num_cores == 4  # the paper's standard mix width
-        try:
-            while remaining:
-                # Scalar-identical argmin scan (first index wins ties),
-                # folding out the two epoch bounds in the same pass:
-                # bound_lo = min effective cycles over lower-indexed
-                # cores (they win ties against us), bound_hi = min over
-                # higher-indexed cores (we win those ties).  The scan
-                # runs once per epoch (~1.6 accesses), so the unrolled
-                # 4-core variant is worth its ugliness.
-                if four:
-                    e0, e1, e2, e3 = effective
-                    core = 0
-                    best = e0
-                    if e1 < best:
-                        core = 1
-                        best = e1
-                    if e2 < best:
-                        core = 2
-                        best = e2
-                    if e3 < best:
-                        core = 3
-                    if core == 0:
-                        bound_lo = inf
-                        bound_hi = e1 if e1 < e2 else e2
-                        if e3 < bound_hi:
-                            bound_hi = e3
-                    elif core == 1:
-                        bound_lo = e0
-                        bound_hi = e2 if e2 < e3 else e3
-                    elif core == 2:
-                        bound_lo = e0 if e0 < e1 else e1
-                        bound_hi = e3
-                    else:
-                        bound_lo = e0 if e0 < e1 else e1
-                        if e2 < bound_lo:
-                            bound_lo = e2
-                        bound_hi = inf
-                else:
-                    core = 0
-                    best = effective[0]
-                    bound_lo = inf
-                    bound_hi = inf
-                    for candidate in range(1, num_cores):
-                        eff = effective[candidate]
-                        if eff < best:
-                            bound_lo = best
-                            best = eff
-                            core = candidate
-                            bound_hi = inf
-                        elif eff < bound_hi:
-                            bound_hi = eff
-
-                index = position[core]
-                length = lengths[core]
-                core_done = done[core]
-                # Scalar semantics: the warmup reset fires when the core
-                # is *selected* at the boundary -- exactly the start of
-                # its next epoch (epochs never straddle the boundary),
-                # and the measured window opens here.
-                reset = not core_done and index == warmup
-                if reset:
-                    baseline[core] = sends[core](None)
-                # Live cores never wrap (they freeze first), so the
-                # modulo only runs for done cores replaying for pressure.
-                wrapped = index if index < length else index % length
-                # Epochs stop at every boundary where the per-access
-                # bookkeeping changes: the wraparound, the warmup reset,
-                # and the freeze at trace completion (a live core has
-                # index < length, so wrapped == index and the freeze
-                # subsumes the wrap).
-                segment = length - wrapped
-                if not core_done and index < warmup:
-                    segment = warmup - index
-                if core_done:
-                    limit = _selection_limit(bound_lo, bound_hi, 1.0)
-                else:
-                    # Zero penalty: the thresholds are the bounds
-                    # themselves (ties with higher indices still run,
-                    # hence one ulp past bound_hi).
-                    limit = (
-                        bound_lo
-                        if bound_lo <= bound_hi
-                        else nextafter(bound_hi, inf)
-                    )
-                ran, cycles = sends[core](
-                    (wrapped, wrapped + segment, limit, reset)
-                )
-                if core_done:
-                    cycles += 1.0
-                effective[core] = cycles
-                position[core] = index + ran
-                if not core_done and position[core] >= length:
-                    # Freeze this core: it keeps replaying to pressure
-                    # the cache, but only the measured window counts.
-                    done[core] = True
-                    effective[core] = cycles + 1.0
-                    b = baseline[core]
-                    rh, rm, wh, wm = sends[core](None)
-                    timing = timings[core]
-                    frozen[core] = (timing.instructions, timing.cycles)
-                    counts[core] = [
-                        rh - b[0], rm - b[1], wh - b[2], wm - b[3]
-                    ]
-                    remaining -= 1
-        finally:
-            for session in sessions:
-                session.close()
-
-        return self._collect(traces, counts, frozen)
+        return self.run_scalar(traces, warmup)
 
     def run_scalar(
         self, traces: Sequence[Trace], warmup: int = 0

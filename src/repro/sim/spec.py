@@ -2,9 +2,9 @@
 
 A :class:`SimulationSpec` is a frozen, hashable, picklable description
 of one run -- which **mode** (LLC-level replay, full L1/L2/LLC
-hierarchy, or the epoch-interleaved multicore system), which workload,
-which policy, at which :class:`~repro.experiments.runner.ExperimentScale`
-and geometry.  :func:`simulate` executes it; :func:`simulate_cached`
+hierarchy, or the shared-LLC multicore system), which workload, which
+policy, at which :class:`~repro.experiments.runner.ExperimentScale` and
+geometry.  :func:`simulate` executes it; :func:`simulate_cached`
 memoizes it.  Every harness in ``repro.experiments`` and every engine
 job routes through here, so there is exactly one place that knows how
 to turn a spec into traces, caches, runners, and results.
@@ -21,9 +21,10 @@ Modes
                staged batched replay).
 ``multicore``  ``workload`` names a registered mix (one benchmark per
                core, any core count); each core replays its
-               benchmark through the shared LLC under the
-               epoch-interleaved batched driver
-               (:class:`~repro.multicore.shared.SharedLLCSystem`).
+               benchmark through the shared LLC, interleaved by
+               progress (:class:`~repro.multicore.shared.SharedLLCSystem`:
+               the native kernel, or the scalar interleave where it
+               declines).
                Returns a ``SharedRunResult`` (per-core ``RunResult``
                list); metric math (weighted speedup etc.) stays in
                ``repro.experiments.multicore_exp``.
@@ -76,8 +77,9 @@ class SimulationSpec:
     the flat-latency fast paths and is bit-identical to having no
     backend at all.  ``kernel`` selects the batch-replay driver the same
     way (see :class:`~repro.kernels.spec.KernelSpec`): the default
-    ``"native"`` kernel falls back per replay to the ``"dict"`` driver
-    on unsupported shapes, and both are bit-identical, so the kernel is
+    ``"native"`` kernel falls back per replay to the Python drivers (the
+    ``"dict"`` batch loops; the scalar interleave for a multicore run)
+    on unsupported shapes, and all are bit-identical, so the kernel is
     an execution choice that stays out of :attr:`label`.
     """
 
@@ -240,7 +242,7 @@ def last_kernel_info() -> Optional[dict]:
     """Disposition of the most recent kernel-backed :func:`simulate`.
 
     ``{"requested": <kernel key>, "backend": <active backend>}`` plus a
-    ``"fallback"`` reason when the runtime declined the run and the dict
+    ``"fallback"`` reason when the runtime declined the run and a Python
     driver served it instead; ``None`` when the last run used the
     ``dict`` kernel.  Lets ``repro run`` report a requested kernel
     that silently fell back, without polluting result equality.
@@ -271,7 +273,7 @@ def _record_kernel(target, spec: SimulationSpec) -> None:
 
 
 def _simulate_multicore(spec: SimulationSpec):
-    """One mix through the epoch-interleaved shared-LLC system."""
+    """One mix through the shared-LLC system (kernel, else scalar)."""
     from repro.multicore.shared import SharedLLCSystem
     from repro.trace.mixes import get_mix
 

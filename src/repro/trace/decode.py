@@ -38,6 +38,8 @@ _SET, _TAG, _WRITE, _GAP, _PC = range(5)
 #: this bound (numpy's int64 addition wraps silently)
 _OFFSET_GUARD = 1 << 62
 
+_INT64_MAX = (1 << 63) - 1
+
 
 def _sealed(array: "np.ndarray") -> "np.ndarray":
     """Mark a freshly computed stream read-only; views share it."""
@@ -64,7 +66,6 @@ class DecodedTrace:
         "_lists",
         "_streams",
         "_pc_array",
-        "_gap_cumsum",
         "_np_cycles",
     )
 
@@ -110,7 +111,6 @@ class DecodedTrace:
         self._length = length
         self._streams = None
         self._pc_array = None
-        self._gap_cumsum = None
         self._np_cycles: dict = {}
 
     def __len__(self) -> int:
@@ -167,32 +167,21 @@ class DecodedTrace:
             return self._streams[_GAP]
         return np.asarray(self._lists[_GAP], dtype=np.int64)
 
-    def gap_cumsum(self) -> List[int]:
-        """Memoized inclusive cumsum of ``instr_gaps`` as a plain list.
-
-        A plain Python list (not a numpy array) so per-epoch consumers
-        -- the multicore session flushes retired instructions at every
-        epoch -- index native ints with no scalar boxing.
-        """
-        cum = self._gap_cumsum
-        if cum is None:
-            try:
-                cum = np.cumsum(self._gap_array()).tolist()
-            except (OverflowError, TypeError, ValueError):
-                # A gap past int64: the exact Python sum.
-                total = 0
-                cum = []
-                for gap in self.instr_gaps:
-                    total += gap
-                    cum.append(total)
-            self._gap_cumsum = cum
-        return cum
-
     def gap_total(self, start: int, stop: int) -> int:
-        """Instructions retired in ``[start, stop)`` (memoized cumsum)."""
-        cum = self.gap_cumsum()
-        total = cum[stop - 1] if stop else 0
-        return total - (cum[start - 1] if start else 0)
+        """Instructions retired in ``[start, stop)``: the exact sum.
+
+        Summed in int64 while the window's extreme gap times its length
+        fits (no partial sum can wrap), else over Python ints.
+        """
+        if self._streams is None:
+            return sum(self._lists[_GAP][start:stop])
+        window = self._streams[_GAP][start:stop]
+        if not len(window):
+            return 0
+        bound = len(window) * max(-int(window.min()), int(window.max()))
+        if bound > _INT64_MAX:
+            return sum(window.tolist())
+        return int(window.sum())
 
     def kernel_streams(self) -> Optional[Tuple]:
         """The ``(set, tag, write, gap)`` arrays for the C kernels.
@@ -312,7 +301,6 @@ class DecodedTrace:
                 name=name,
             )
         # The gap stream is the same, so its derived products are too.
-        view._gap_cumsum = self._gap_cumsum
         view._np_cycles = self._np_cycles
         return view
 

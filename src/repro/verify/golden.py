@@ -202,9 +202,11 @@ def system_golden_record(
     """Run one system-level cell (production batched path) and pin it.
 
     With ``check_scalar`` (regeneration time), the batched-vs-scalar
-    system differ must pass first -- for the dict driver *and* for the
-    ``native`` SoA batch kernel -- so a golden is never written from a
-    driver that disagrees with its own scalar specification.  With
+    system differ must pass first -- on a hierarchy for the dict driver
+    *and* the ``native`` SoA batch kernel, on a shared LLC for the
+    kernel (without one, ``run`` is the scalar interleave) -- so a
+    golden is never written from a driver that disagrees with its own
+    scalar specification.  With
     ``kernel``, the pinned replay itself runs under that batch kernel
     (used by the conformance tests; the checked-in corpus is recorded
     kernel-free).
@@ -292,13 +294,11 @@ def system_golden_record(
         traces = [_as_global(trace) for trace in traces]
     warmup = spec.length // 4
     if check_scalar:
-        for check_kernel in (None, "native"):
-            divergence = diff_multicore(
-                policy, traces, config, num_cores, warmup,
-                kernel=check_kernel,
-            )
-            if divergence is not None:
-                raise AssertionError(divergence.describe())
+        divergence = diff_multicore(
+            policy, traces, config, num_cores, warmup, kernel="native"
+        )
+        if divergence is not None:
+            raise AssertionError(divergence.describe())
     system = SharedLLCSystem(config, num_cores, _system_policy(policy, num_cores))
     if kernel is not None:
         from repro.kernels import attach_kernel

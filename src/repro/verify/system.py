@@ -12,11 +12,12 @@ batched pipeline:
   set contents and statistics, the memory read/write counters, and (in
   collect mode) the per-access service levels and memory-write
   attribution the timing replay consumes.
-* :func:`diff_multicore` -- the epoch-interleaved shared-LLC driver
-  (:meth:`~repro.multicore.shared.SharedLLCSystem.run`) against its
-  scalar interleave specification (:meth:`run_scalar`), comparing every
-  per-core result field (instructions, exact cycle floats, hit/miss
-  counts), the shared LLC's final state and statistics.
+* :func:`diff_multicore` -- the shared-LLC interleave on the native
+  kernel (:meth:`~repro.multicore.shared.SharedLLCSystem.run` with a
+  kernel attached) against its scalar specification
+  (:meth:`run_scalar`), comparing every per-core result field
+  (instructions, exact cycle floats, hit/miss counts), the shared LLC's
+  final state and statistics.
 
 ``repro verify --system-fuzz N`` fans :class:`SystemFuzzJob`\\ s out
 through the engine; geometry and scenario rotate per job, so a handful
@@ -61,8 +62,8 @@ MULTICORE_VERIFY_POLICIES = (
 )
 
 #: shared-mix (global-address) policy rotation: the kernel-supported
-#: policies first, so a 48-job slate runs each of them shared on both
-#: the dict driver and the kernel, then the rest of the multicore menu.
+#: policies first, so a 48-job slate runs each of them shared on the
+#: kernel twice, then the rest of the multicore menu.
 SHARED_VERIFY_POLICIES = ("lru", "rwp", "rwp-core") + tuple(
     policy
     for policy in MULTICORE_VERIFY_POLICIES
@@ -80,7 +81,7 @@ HIERARCHY_GEOMETRIES: Tuple[Tuple[Tuple[int, int], ...], ...] = (
 )
 
 #: (num_cores, llc sets, ways) menu for multicore jobs.  Includes a
-#: single-core row (the epoch driver must degenerate cleanly) and an
+#: single-core row (the interleave must degenerate cleanly) and an
 #: oversubscribed 6-core row.
 MULTICORE_GEOMETRIES: Tuple[Tuple[int, int, int], ...] = (
     (1, 16, 4),
@@ -307,9 +308,9 @@ def diff_multicore(
     config: HierarchyConfig,
     num_cores: int,
     warmup: int = 0,
-    kernel: Optional[str] = None,
+    kernel: str = "native",
 ) -> Optional[SystemDivergence]:
-    """Run one mix through the epoch driver and the scalar interleave.
+    """Run one mix through ``run`` under ``kernel`` and ``run_scalar``.
 
     Fresh systems (fresh policy instances) on both sides; compares every
     ``CoreResult`` field -- including the exact IEEE cycle floats, which
@@ -317,19 +318,25 @@ def diff_multicore(
     then the shared LLC's final contents, statistics, and tick.  For
     global-address (data-sharing) mixes it also compares the
     ``shared.*`` counters and the sharer directory's full line table
-    (sharer masks + last writers), so the batched replay's directory
-    updates are pinned access-for-access to the scalar walk.  With
-    ``kernel``, the epoch driver runs under that SoA batch kernel.
+    (sharer masks + last writers), so the kernel's directory updates
+    are pinned access-for-access to the scalar walk.  Without a kernel
+    ``run`` is ``run_scalar``, so ``kernel="dict"`` raises
+    ``ValueError``; where ``kernel`` declines (a policy outside its
+    matrix, a host without a compiler) the check compares the scalar
+    interleave with itself.
     """
+    from repro.kernels import KernelSpec, attach_kernel
     from repro.multicore.shared import SharedLLCSystem
 
+    if KernelSpec.coerce(kernel).name == "dict":
+        raise ValueError(
+            "without a kernel SharedLLCSystem.run is run_scalar: "
+            "nothing to compare"
+        )
     batched_system = SharedLLCSystem(
         config, num_cores, _system_policy(policy, num_cores)
     )
-    if kernel is not None:
-        from repro.kernels import attach_kernel
-
-        attach_kernel(batched_system, kernel)
+    attach_kernel(batched_system, kernel)
     scalar_system = SharedLLCSystem(
         config, num_cores, _system_policy(policy, num_cores)
     )
@@ -339,7 +346,7 @@ def diff_multicore(
         if g != w:
             return SystemDivergence(
                 "multicore", policy, f"core {core} result", w, g,
-                kernel=kernel or "dict",
+                kernel=kernel,
             )
     got_state = _cache_state(batched_system.llc)
     want_state = _cache_state(scalar_system.llc)
@@ -351,25 +358,25 @@ def diff_multicore(
         )
         return SystemDivergence(
             "multicore", policy, f"llc set {first}",
-            want_state[first], got_state[first], kernel=kernel or "dict",
+            want_state[first], got_state[first], kernel=kernel,
         )
     got_stats = batched_system.llc.snapshot()
     want_stats = scalar_system.llc.snapshot()
     if got_stats != want_stats:
         return SystemDivergence(
             "multicore", policy, "llc stats", want_stats, got_stats,
-            kernel=kernel or "dict",
+            kernel=kernel,
         )
     if batched_system.llc.tick != scalar_system.llc.tick:
         return SystemDivergence(
             "multicore", policy, "llc tick",
             scalar_system.llc.tick, batched_system.llc.tick,
-            kernel=kernel or "dict",
+            kernel=kernel,
         )
     if got.shared != want.shared:
         return SystemDivergence(
             "multicore", policy, "shared stats", want.shared, got.shared,
-            kernel=kernel or "dict",
+            kernel=kernel,
         )
     got_dir = batched_system.sharer_directory
     want_dir = scalar_system.sharer_directory
@@ -377,7 +384,7 @@ def diff_multicore(
         return SystemDivergence(
             "multicore", policy, "sharer directory presence",
             want_dir is not None, got_dir is not None,
-            kernel=kernel or "dict",
+            kernel=kernel,
         )
     if got_dir is not None and got_dir.table != want_dir.table:
         keys = set(got_dir.table) | set(want_dir.table)
@@ -387,7 +394,7 @@ def diff_multicore(
         return SystemDivergence(
             "multicore", policy, f"sharer directory entry for block {first}",
             want_dir.table.get(first), got_dir.table.get(first),
-            kernel=kernel or "dict",
+            kernel=kernel,
         )
     return None
 
@@ -494,10 +501,9 @@ class SystemFuzzJob:
             # streams all cluster near address zero, so cross-core line
             # overlap is dense and the sharer directory works hard.
             traces = [_as_global(trace) for trace in traces]
-        kernel = None if self.kernel == "dict" else self.kernel
         return diff_multicore(
             self.policy, traces, config, num_cores,
-            warmup=self.length // 4, kernel=kernel,
+            warmup=self.length // 4, kernel=self.kernel,
         )
 
     @staticmethod
@@ -519,24 +525,25 @@ def plan_system_jobs(
 
     Policies rotate fastest within each target, scenarios and geometries
     at different strides, every job with a distinct seed -- mirroring
-    :func:`repro.verify.jobs.plan_fuzz_jobs`.  Every third job pins the
-    batched side to ``kernel`` (default ``native``), so a standard
-    ``repro verify --system-fuzz N`` sweep exercises the SoA batch
-    kernels against the scalar walk alongside the dict driver; pass
-    ``kernel="dict"`` to plan a dict-only slate.  Every fourth
-    multicore job runs a *shared* (global-address) mix pinned to the
-    8-core shared geometry row, so sharer-directory tracking and the
+    :func:`repro.verify.jobs.plan_fuzz_jobs`.  Every third hierarchy job
+    pins the batched side to ``kernel`` (default ``native``), so a
+    standard ``repro verify --system-fuzz N`` sweep exercises the SoA
+    batch kernels against the scalar walk alongside the dict driver.
+    Every multicore job pins ``kernel``: without one,
+    ``SharedLLCSystem.run`` is the scalar interleave itself, so
+    ``kernel="dict"`` plans a slate of hierarchy jobs only.  Every
+    fourth multicore job runs a *shared* (global-address) mix pinned to
+    the 8-core shared geometry row, so sharer-directory tracking and the
     shared-claimant arbitration paths are fuzzed by default.  Shared
     jobs rotate through :data:`SHARED_VERIFY_POLICIES`, each policy
-    twice in a row: once on the dict driver, once pinned to ``kernel``.
+    twice in a row (two seeds).
     """
     jobs: List[SystemFuzzJob] = []
     private_rows = SHARED_GEOMETRY_INDEX  # rotation excludes the shared row
     h = m = 0
     for index in range(count):
         seed = base_seed * 1_000_003 + 7_777 + index
-        job_kernel = kernel if (kernel != "dict" and index % 3 == 2) else "dict"
-        if index % 2 == 0:
+        if index % 2 == 0 or kernel == "dict":
             jobs.append(
                 SystemFuzzJob(
                     target="hierarchy",
@@ -549,19 +556,16 @@ def plan_system_jobs(
                     seed=seed,
                     geometry=h % len(HIERARCHY_GEOMETRIES),
                     length=length,
-                    kernel=job_kernel,
+                    kernel=kernel if index % 3 == 2 else "dict",
                 )
             )
             h += 1
         else:
             shared = m % 4 == 3
             if shared:
-                slot = m // 4
                 policy = SHARED_VERIFY_POLICIES[
-                    (slot // 2) % len(SHARED_VERIFY_POLICIES)
+                    (m // 8) % len(SHARED_VERIFY_POLICIES)
                 ]
-                if kernel != "dict":
-                    job_kernel = kernel if slot % 2 else "dict"
             else:
                 policy = MULTICORE_VERIFY_POLICIES[
                     m % len(MULTICORE_VERIFY_POLICIES)
@@ -577,7 +581,7 @@ def plan_system_jobs(
                     geometry=SHARED_GEOMETRY_INDEX if shared
                     else m % private_rows,
                     length=length,
-                    kernel=job_kernel,
+                    kernel=kernel,
                     shared=shared,
                 )
             )

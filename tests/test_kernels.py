@@ -709,7 +709,7 @@ def _global_traces(per_core_ops):
 
 
 def _shared_outcomes(policy, traces, config, warmup, runs=1):
-    """(kernel, dict, scalar) outcomes of the same shared run(s).
+    """(kernel, scalar) outcomes of the same shared run(s).
 
     Each outcome is everything a shared run leaves behind: the result
     (``shared.*`` included), every LLC line, the full directory table,
@@ -721,7 +721,7 @@ def _shared_outcomes(policy, traces, config, warmup, runs=1):
     lines = config.llc.num_sets * config.llc.ways
     outcomes = []
     fallbacks = []
-    for driver in ("kernel", "dict", "scalar"):
+    for driver in ("kernel", "scalar"):
         system = SharedLLCSystem(
             config, num_cores, _shared_policy(policy, lines, num_cores)
         )
@@ -746,11 +746,10 @@ def _shared_outcomes(policy, traces, config, warmup, runs=1):
 
 
 def assert_shared_identical(outcomes):
-    kern, ref, scalar = outcomes
+    kern, scalar = outcomes
     assert kern[0][-1].shared is not None
-    for got, want in ((kern, scalar), (ref, scalar)):
-        for field, (g, w) in enumerate(zip(got, want)):
-            assert g == w, field
+    for field, (g, w) in enumerate(zip(kern, scalar)):
+        assert g == w, field
 
 
 class TestSharedKernels:
@@ -820,8 +819,8 @@ class TestSharedKernels:
     @needs_native
     def test_stray_directory_entry_declines(self, monkeypatch):
         # An entry for a line the LLC does not hold has no column to
-        # live in: the kernel must decline, naming why, and the dict
-        # driver must still match the scalar walk.
+        # live in: the kernel must decline, naming why, and leave the
+        # system to the scalar walk.
         stray = (1 << 40, [0b11, 1])
         original = SharedLLCSystem._bind_directory
 
@@ -1055,7 +1054,8 @@ class TestArrayResidentTraces:
         assert _python_values(decoded.is_write, bool)
         assert _python_values(decoded.pcs, int)
         assert _python_values(decoded.instr_gaps, int)
-        assert _python_values(decoded.gap_cumsum(), int)
+        total = decoded.gap_total(0, len(decoded))
+        assert type(total) is int and total == sum(trace.instr_gaps)
         assert _python_values(decoded.cycle_gaps(0.5), float)
 
     def test_view_shares_base_streams(self):
@@ -1103,7 +1103,7 @@ class TestArrayResidentTraces:
         assert decoded.kernel_streams()[1].tolist() == decoded.tags
 
     def test_gap_past_int64_keeps_python_arithmetic(self):
-        # No int64 gap array: the cycle products and the cumsum fall
+        # No int64 gap array: the cycle products and the gap sums fall
         # back to Python, with the values the vector paths would give,
         # and the kernel gets no streams.
         gaps = [3, 1 << 64, 5, 7]
@@ -1115,9 +1115,8 @@ class TestArrayResidentTraces:
         assert decoded.kernel_cycles(0.5).tolist() == products
         assert decoded.cycle_gaps(0.5) == products
         assert _python_values(decoded.cycle_gaps(0.5), float)
-        assert decoded.gap_cumsum() == [3, 3 + gaps[1], 8 + gaps[1],
-                                        15 + gaps[1]]
-        assert _python_values(decoded.gap_cumsum(), int)
+        assert decoded.gap_total(0, 4) == 15 + gaps[1]
+        assert type(decoded.gap_total(0, 4)) is int
         assert decoded.gap_total(1, 3) == gaps[1] + 5
 
     @pytest.mark.parametrize("kernel", (None, "native"))
@@ -1222,6 +1221,57 @@ class TestArrayResidentTraces:
         part = trace.slice(100, 400)
         assert len(part) == 300 and _built_lists(part) == []
         assert list(part) == list(trace)[100:400]
+
+
+class TestInstructionOverflow:
+    """Retired instructions past int64 stay exact on every path."""
+
+    #: two gaps of 2^62: each fits int64, their sum does not
+    GAPS = [1 << 62, 1 << 62]
+
+    REASON = "retired instructions could overflow the int64 kernel ABI"
+
+    CONFIG = default_hierarchy(llc_size=64 * LINE_SIZE, llc_ways=4)
+
+    def _trace(self) -> Trace:
+        return Trace([64, 128], [False, True], instr_gaps=self.GAPS)
+
+    def test_gap_total_is_exact(self):
+        decoded = self._trace().decoded(self.CONFIG.llc)
+        assert decoded.gap_total(0, 2) == 1 << 63
+        assert decoded.gap_total(1, 2) == 1 << 62
+        assert decoded.gap_total(1, 1) == 0
+
+    @needs_native
+    def test_llc_runner(self):
+        for side in ("dict", "native", "scalar"):
+            runner = LLCRunner(self.CONFIG, make_policy("lru"))
+            if side == "scalar":
+                result = runner._run_scalar(self._trace(), 0)
+            else:
+                attach_kernel(runner.llc, side)
+                result = runner.run(self._trace())
+            assert result.instructions == 1 << 63, side
+            if side == "native":
+                assert runner.llc.kernel.fallback_reason == self.REASON
+
+    @needs_native
+    @pytest.mark.parametrize("memory", (None, "pcm:write_mult=4"))
+    def test_hierarchy_runner(self, memory, monkeypatch):
+        def run(kernel):
+            backend = None if memory is None else make_backend(memory, self.CONFIG)
+            runner = HierarchyRunner(self.CONFIG, make_policy("lru"), backend)
+            attach_kernel(runner.hierarchy, kernel)
+            return runner.run(self._trace()), runner.hierarchy.llc.kernel
+
+        native, runtime = run("native")
+        assert runtime.fallback_reason == self.REASON
+        reference, _ = run("dict")
+        monkeypatch.setattr(MemoryHierarchy, "_batch_supported", lambda *_: False)
+        scalar, _ = run("dict")
+        for result in (native, reference, scalar):
+            assert result.instructions == 1 << 63
+        assert native == reference == scalar
 
 
 class TestStreamChecks:
@@ -1509,9 +1559,15 @@ class TestDeclinedLLC:
         assert outputs["native"][1][-1]["memory.writes"] > 0
         if collect:
             assert reason == _stage_decline(policy)
+        elif policy == "rrp":
+            # RRP's bypassing LLC walks the residue access by access.
+            assert reason == (
+                "RRPPolicy can bypass, so the hierarchy's LLC stage walks "
+                "the residue per access"
+            )
         elif policy in COMPARATOR_POLICIES:
             # The residue replays through llc.run_trace, which serves
-            # DRRIP; RRP's bypassing LLC walks it access by access.
+            # DRRIP.
             assert reason is None
         else:
             # llc.run_trace declines the residue in its own words.

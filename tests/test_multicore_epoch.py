@@ -1,10 +1,18 @@
-"""The epoch-interleaved multicore driver against its scalar interleave."""
+"""The shared-LLC kernel (``rw_multicore``) against the scalar interleave.
+
+``SharedLLCSystem.run`` offers every run to an attached kernel and
+otherwise is ``run_scalar``, so each check attaches ``native`` on the
+``run`` side and skips where no kernel builds: without one both sides
+would be the same scalar walk.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.config import default_hierarchy
+from repro.kernels import attach_kernel, native_available
+from repro.mem import make_backend
 from repro.multicore.shared import SharedLLCSystem
 from repro.trace.access import Trace
 from repro.verify.fuzzer import SCENARIOS, fuzz_trace
@@ -20,9 +28,14 @@ except ImportError:  # pragma: no cover - hypothesis is a dev extra
 LLC_SETS, LLC_WAYS = 32, 4
 CONFIG = default_hierarchy(llc_size=LLC_SETS * LLC_WAYS * 64, llc_ways=LLC_WAYS)
 
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C compiler for the native kernel"
+)
+
 
 def run_both_ways(policy, traces, num_cores, warmup=0):
     batched = SharedLLCSystem(CONFIG, num_cores, _system_policy(policy, num_cores))
+    attach_kernel(batched, "native")
     scalar = SharedLLCSystem(CONFIG, num_cores, _system_policy(policy, num_cores))
     got = batched.run(traces, warmup=warmup)
     want = scalar.run_scalar(traces, warmup=warmup)
@@ -52,24 +65,40 @@ def core_traces(num_cores, seed, length):
     ]
 
 
-@pytest.mark.parametrize(
-    "policy", ["lru", "drrip", "ship", "rwp", "rwp-core", "ucp", "tadrrip", "pipp"]
-)
+#: the kernel's declines of one comparator and one partitioning policy
+DECLINES = {
+    "drrip": (
+        "DRRIPPolicy runs natively only through run_trace: the multicore "
+        "interleave carries no PC stream or bypass attribution"
+    ),
+    "ucp": "UCPPolicy has no kernel counterpart",
+}
+
+
+@needs_native
+@pytest.mark.parametrize("policy", ["lru", "drrip", "rwp", "rwp-core", "ucp"])
 def test_epoch_driver_equals_scalar(policy):
     traces = core_traces(4, 2101, 768)
-    assert_equivalent(*run_both_ways(policy, traces, 4, warmup=192))
+    batched, scalar, got, want = run_both_ways(policy, traces, 4, warmup=192)
+    assert_equivalent(batched, scalar, got, want)
+    # A served run records nothing; a declined one names why and is
+    # run_scalar on the untouched system.
+    assert batched.llc.kernel.fallback_reason == DECLINES.get(policy)
 
 
+@needs_native
 def test_zero_warmup():
     traces = core_traces(2, 2102, 512)
     assert_equivalent(*run_both_ways("rwp", traces, 2, warmup=0))
 
 
+@needs_native
 def test_single_core_degenerates_cleanly():
     traces = core_traces(1, 2103, 512)
     assert_equivalent(*run_both_ways("lru", traces, 1, warmup=64))
 
 
+@needs_native
 def test_unequal_trace_lengths():
     """Cores finishing at different times must not skew the interleave."""
     lengths = (256, 1024, 512, 384)
@@ -78,6 +107,26 @@ def test_unequal_trace_lengths():
         for i, n in enumerate(lengths)
     ]
     assert_equivalent(*run_both_ways("rwp", traces, 4, warmup=128))
+
+
+@needs_native
+def test_memory_backends_decline_to_scalar():
+    # The lanes inline the flat timing model, so per-core backends take
+    # the scalar interleave, and the runtime says why.
+    def system():
+        backends = [make_backend("pcm:write_mult=4", CONFIG) for _ in range(4)]
+        return SharedLLCSystem(CONFIG, 4, _system_policy("rwp", 4), backends)
+
+    traces = core_traces(4, 2106, 768)
+    batched, scalar = system(), system()
+    attach_kernel(batched, "native")
+    got = batched.run(traces, warmup=192)
+    want = scalar.run_scalar(traces, warmup=192)
+    assert_equivalent(batched, scalar, got, want)
+    stats = [backend.stats() for backend in batched.backends]
+    assert stats == [backend.stats() for backend in scalar.backends]
+    assert all(core["pcm.writes"] > 0 for core in stats)
+    assert batched.llc.kernel.fallback_reason == "memory timing backend is active"
 
 
 def test_warmup_validation():
@@ -91,6 +140,7 @@ def test_warmup_validation():
 
 if HAVE_HYPOTHESIS:
 
+    @needs_native
     @given(
         cores=st.lists(
             st.lists(

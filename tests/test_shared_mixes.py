@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import default_hierarchy
+from repro.kernels import attach_kernel, native_available
 from repro.multicore.shared import SharedLLCSystem, SharerDirectory
 from repro.trace.access import Trace
 from repro.trace.generator import (
@@ -22,6 +23,12 @@ from repro.trace.generator import (
     generate_shared_mix,
 )
 from repro.trace.spec import make_model
+
+#: ``SharedLLCSystem.run`` without a kernel is ``run_scalar``, so a
+#: batched-vs-scalar check needs the kernel on its batched side.
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C compiler for the native kernel"
+)
 
 
 def shared_mix(num_accesses=2000, pattern="producer_consumer", **kwargs):
@@ -222,12 +229,14 @@ class TestSharerInvariants:
         system.run_scalar(_global_traces([ops0, ops1]))
         self._check_invariants(system)
 
+    @needs_native
     @settings(max_examples=30, deadline=None)
     @given(ops_strategy, ops_strategy)
     def test_batch_matches_scalar_with_directory(self, ops0, ops1):
         traces = _global_traces([ops0, ops1])
         for policy in ("rwp", "rwp-core"):
             batched = self._small_system(policy)
+            attach_kernel(batched, "native")
             scalar = self._small_system(policy)
             got = batched.run(traces)
             want = scalar.run_scalar(traces)
@@ -342,12 +351,11 @@ class TestVerifySharedLegs:
         assert shared
         assert all(j.geometry == SHARED_GEOMETRY_INDEX for j in shared)
         assert all(":shared" in j.label for j in shared)
-        # Each kernel-supported policy runs shared on the dict driver
-        # and pinned to the kernel.
-        legs = {(j.policy, j.kernel) for j in shared}
-        for policy in ("lru", "rwp", "rwp-core"):
-            assert (policy, "dict") in legs, policy
-            assert (policy, "native") in legs, policy
+        # Each kernel-supported policy runs shared, and every multicore
+        # job is pinned to the kernel: a dict batched side would be the
+        # scalar interleave it is compared with.
+        assert {"lru", "rwp", "rwp-core"} <= {j.policy for j in shared}
+        assert all(j.kernel == "native" for j in jobs if j.target == "multicore")
 
     def test_private_payload_omits_shared_key(self):
         from repro.verify.system import plan_system_jobs
@@ -369,13 +377,17 @@ class TestVerifySharedLegs:
         report = jobs[0].execute()
         assert report["ok"], report
 
+    @needs_native
     def test_differ_clean_on_shared_mix(self):
         from repro.verify.system import diff_multicore
 
         traces = shared_mix(num_accesses=800)
         config = default_hierarchy(llc_size=2 * 256 * 64)
-        assert diff_multicore("rwp-core", traces, config, 2) is None
+        assert diff_multicore(
+            "rwp-core", traces, config, 2, kernel="native"
+        ) is None
 
+    @needs_native
     def test_differ_flags_directory_divergence(self, monkeypatch):
         from repro.verify import system as vs
 
@@ -391,6 +403,8 @@ class TestVerifySharedLegs:
             return result
 
         monkeypatch.setattr(SharedLLCSystem, "run_scalar", skewed)
-        divergence = vs.diff_multicore("lru", traces, config, 2)
+        # The kernel serves the batched side, so only the scalar side
+        # carries the skew.
+        divergence = vs.diff_multicore("lru", traces, config, 2, kernel="native")
         assert divergence is not None
         assert "sharer directory" in divergence.kind

@@ -47,7 +47,21 @@ class TestDiffers:
             fuzz_trace(SCENARIOS[core % len(SCENARIOS)], 42 + core, llc_sets, ways, LENGTH)
             for core in range(num_cores)
         ]
-        assert diff_multicore(policy, traces, config, num_cores, warmup=64) is None
+        # The kernel serves lru/rwp/rwp-core; it declines the rest, whose
+        # runs are then the scalar interleave.
+        assert diff_multicore(
+            policy, traces, config, num_cores, warmup=64, kernel="native"
+        ) is None
+
+    def test_multicore_needs_a_kernel(self):
+        num_cores, llc_sets, ways = MULTICORE_GEOMETRIES[1]
+        config = fuzz_hierarchy_config(((4, 2), (8, 4), (llc_sets, ways)))
+        traces = [
+            fuzz_trace("mixed", 42 + core, llc_sets, ways, LENGTH)
+            for core in range(num_cores)
+        ]
+        with pytest.raises(ValueError, match="nothing to compare"):
+            diff_multicore("lru", traces, config, num_cores, kernel="dict")
 
     def test_hierarchy_detects_seeded_divergence(self, monkeypatch):
         # Hand the batched and scalar sides *different* policies: the
