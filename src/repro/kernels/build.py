@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-_ABI_VERSION = 4
+_ABI_VERSION = 5
 
 _SOURCE = Path(__file__).resolve().parent / "native_src.c"
 
@@ -59,6 +59,7 @@ SANITIZE_CFLAGS = (
 )
 
 _int64 = ctypes.c_int64
+_uint64 = ctypes.c_uint64
 _uint8 = ctypes.c_uint8
 _double = ctypes.c_double
 _p_int64 = ctypes.POINTER(ctypes.c_int64)
@@ -155,8 +156,8 @@ class LaneCtx(ctypes.Structure):
         ("cycles", _double),
         ("read_stall", _double),
         ("write_stall", _double),
-        ("instructions", _int64),
-        ("cycle_limit", _double),
+        ("instructions", _uint64),
+        ("instructions_hi", _int64),
         ("wb_ring", _p_double),
         ("wb_cap", _int64),
         ("wb_head", _int64),
@@ -171,7 +172,6 @@ class LaneCtx(ctypes.Structure):
         ("rm", _int64),
         ("wh", _int64),
         ("wm", _int64),
-        ("first_unconditional", _int64),
         ("origin_stream", _p_int64),
         ("levels", _p_int64),
         ("mem", _p_int64),
@@ -198,7 +198,8 @@ class MultiCtx(ctypes.Structure):
         ("frozen_rm", _p_int64),
         ("frozen_wh", _p_int64),
         ("frozen_wm", _p_int64),
-        ("frozen_instr", _p_int64),
+        ("frozen_instr", _p_uint64),
+        ("frozen_instr_hi", _p_int64),
         ("frozen_cycles", _p_double),
         ("ticks", _p_int64),
         ("remaining", _int64),

@@ -1,16 +1,17 @@
 /* Struct-of-arrays batch kernels for the RWP cache simulator.
  *
  * Compiled on demand by repro.kernels.build with the system C compiler
- * and bound via ctypes.  Every loop here replays exactly what a Python
- * batch driver in repro/cache/cache.py does (same operation order, same
- * IEEE-754 double arithmetic), so results are bit-identical to the
- * dict-driven paths and the scalar access() walk:
+ * and bound via ctypes.  Every loop here replays exactly what its
+ * Python reference does (same operation order, same IEEE-754 double
+ * arithmetic), so results are bit-identical to the dict-driven paths
+ * and the scalar access() walk:
  *
  *   rw_run_trace   <->  SetAssociativeCache.run_trace, recency-stamped
  *                       plans and the DIP/DRRIP/SHiP/RRP comparators
  *                       (timed or untimed)
  *   rw_lru_filter  <->  SetAssociativeCache.run_lru_filter
- *   rw_multicore   <->  SharedLLCSystem.run_scalar's interleave, in epochs
+ *   rw_multicore   <->  SharedLLCSystem.run_scalar's interleave, one
+ *                       burst of a core's accesses per lane call
  *   rw_timing_walk <->  HierarchyRunner.run's measured timing walk, over
  *                       the flat TimingModel or a PCMBackend
  *
@@ -26,9 +27,10 @@
  * coin, the PC-indexed counter table and RRP's write bypass, over three
  * more per-line columns (rrpv, signature, outcome).
  *
- * Floating point: additions and subtractions only, in source order.
+ * Floating point: the Python side's operations, in its source order.
  * Build flags must keep IEEE semantics (-ffp-contract=off, no
- * -ffast-math); nextafter() matches Python's math.nextafter.
+ * -ffast-math).  Retired instructions are summed in a signed 128-bit
+ * integer, so no lane's count wraps however long its core replays.
  *
  * The RWP shadow sampler runs in C (it fires per sampled access); the
  * epoch repartition stays in Python and is reached through a ctypes
@@ -38,7 +40,11 @@
 #include <math.h>
 #include <stdint.h>
 
-#define RW_KERNEL_ABI 4
+#ifndef __SIZEOF_INT128__
+#error "the lanes count retired instructions in a 128-bit integer"
+#endif
+
+#define RW_KERNEL_ABI 5
 
 /* victim kinds */
 #define VICTIM_MIN_STAMP 0
@@ -145,17 +151,17 @@ typedef struct {
     int64_t timed;
     double hit_stall, miss_stall;
     double cycles, read_stall, write_stall;
-    int64_t instructions;
-    double cycle_limit; /* INFINITY when unbounded */
+    /* TimingModel.instructions, a signed 128-bit count in two words */
+    uint64_t instructions;
+    int64_t instructions_hi;
     /* write buffer ring (WriteBufferModel._completions) */
     double *wb_ring;
     int64_t wb_cap, wb_head, wb_len, wb_entries;
     double wb_drain, wb_server_free, wb_stall_cycles;
     int64_t wb_writes;
-    /* issuing core and per-core tallies (sessions) */
+    /* issuing core and its running hit/miss tallies */
     int64_t core;
     int64_t rh, rm, wh, wm;
-    int64_t first_unconditional; /* session: first access ignores limit */
     /* hierarchy LLC-residue attribution (collect mode, untimed):
      * levels != NULL switches it on */
     const int64_t *origin_stream;
@@ -192,14 +198,15 @@ typedef struct {
     LaneCtx *lanes;         /* [num_cores] */
     const int64_t *lengths; /* per-core trace length */
     int64_t warmup;
-    int64_t *position;
+    int64_t *position;      /* next access of each core, in [0, length) */
     uint8_t *done;
     double *effective;
     int64_t *base_rh, *base_rm, *base_wh, *base_wm;
     /* tallies snapshotted when the core freezes (it keeps replaying for
      * pressure afterwards, so the live lane counters run past these) */
     int64_t *frozen_rh, *frozen_rm, *frozen_wh, *frozen_wm;
-    int64_t *frozen_instr;
+    uint64_t *frozen_instr;   /* low and high words of the count */
+    int64_t *frozen_instr_hi;
     double *frozen_cycles;
     int64_t *ticks;
     int64_t remaining;
@@ -292,20 +299,54 @@ ALWAYS_INLINE void sampler_observe(
     }
 }
 
+/* The victim scans choose with mask selects: a compare's outcome
+ * becomes an all-ones or all-zero mask instead of a branch, since the
+ * winning way is data-dependent and would mispredict. */
+ALWAYS_INLINE int64_t mask_of(int flag) { return -(int64_t)flag; }
+
+ALWAYS_INLINE int64_t pick(int64_t mask, int64_t yes, int64_t no) {
+    return no ^ ((yes ^ no) & mask);
+}
+
 static int64_t min_stamp_way(const int64_t *stamp, int64_t ways) {
     int64_t wy, best = 0, best_stamp = stamp[0];
     for (wy = 1; wy < ways; wy++) {
-        if (stamp[wy] < best_stamp) {
-            best = wy;
-            best_stamp = stamp[wy];
-        }
+        int64_t older = mask_of(stamp[wy] < best_stamp);
+        best = pick(older, wy, best);
+        best_stamp = pick(older, stamp[wy], best_stamp);
     }
     return best;
 }
 
+/* One step of a least-stamp scan over the eligible ways (best < 0
+ * until one is seen): the first eligible way, or a strictly older one,
+ * takes over.  Ties keep the lower way, as the reference's scan does. */
+ALWAYS_INLINE void eligible_min_step(
+    int64_t *best, int64_t *best_stamp, int64_t wy, int64_t stamp,
+    int eligible
+) {
+    int64_t take = mask_of(eligible & ((*best < 0) | (stamp < *best_stamp)));
+    *best = pick(take, wy, *best);
+    *best_stamp = pick(take, stamp, *best_stamp);
+}
+
+/* rwp-core's claimant group of a way: owner % cores (skipping the
+ * division for the usual owner < cores, a predictable branch), or
+ * group cores for a line with two or more sharers (shared only). */
+ALWAYS_INLINE int64_t claimant_group(
+    const int64_t *owner, const uint64_t *sharers, int64_t wy, int64_t cores,
+    const int shared
+) {
+    int64_t group = owner[wy] < cores ? owner[wy] : owner[wy] % cores;
+    if (shared) group = pick(mask_of(MULTI_SHARER(sharers[wy])), cores, group);
+    return group;
+}
+
 /* CoreAwareRWPPolicy.victim (shared == 0) and ._victim_shared
  * (shared == 1, num_cores + 1 groups: a line with two or more sharers
- * belongs to group num_cores, whoever filled it). */
+ * belongs to group num_cores, whoever filled it).  occ holds each
+ * group's clean and dirty line counts at 2 * group + dirty; both target
+ * arrays hold an entry for every group, so both are read and one kept. */
 ALWAYS_INLINE int64_t core_rwp_victim(
     const CacheCtx *c, int64_t base, const int shared
 ) {
@@ -315,31 +356,24 @@ ALWAYS_INLINE int64_t core_rwp_victim(
     const uint8_t *dirty = c->dirty + base;
     const int64_t *owner = c->owner + base;
     const uint64_t *sharers = shared ? c->sharers + base : 0;
-    int64_t clean_occ[MAX_POLICY_CORES + 1] = {0};
-    int64_t dirty_occ[MAX_POLICY_CORES + 1] = {0};
-    int64_t wy, best, best_stamp;
-    /* owner % cores, skipping the division for the usual owner < cores */
-#define GROUP_OF(wy)                                                   \
-    (shared && MULTI_SHARER(sharers[wy]) ? cores                       \
-     : owner[wy] < cores ? owner[wy] : owner[wy] % cores)
+    int64_t occ[2 * (MAX_POLICY_CORES + 1)];
+    int64_t g, wy, best = -1, best_stamp = 0;
+    for (g = 0; g < 2 * (cores + 1); g++) occ[g] = 0;
     for (wy = 0; wy < ways; wy++) {
-        int64_t who = GROUP_OF(wy);
-        if (dirty[wy]) dirty_occ[who]++;
-        else clean_occ[who]++;
+        occ[2 * claimant_group(owner, sharers, wy, cores, shared)
+            + (dirty[wy] != 0)]++;
     }
-    best = -1;
-    best_stamp = 0;
     for (wy = 0; wy < ways; wy++) {
-        int64_t who = GROUP_OF(wy);
-        int over = dirty[wy]
-            ? dirty_occ[who] >= c->dirty_targets[who]
-            : clean_occ[who] >= c->clean_targets[who];
-        if (over && (best < 0 || stamp[wy] < best_stamp)) {
-            best = wy;
-            best_stamp = stamp[wy];
-        }
+        int64_t who = claimant_group(owner, sharers, wy, cores, shared);
+        int is_dirty = dirty[wy] != 0;
+        int64_t target = pick(
+            mask_of(is_dirty), c->dirty_targets[who], c->clean_targets[who]
+        );
+        eligible_min_step(
+            &best, &best_stamp, wy, stamp[wy],
+            occ[2 * who + is_dirty] >= target
+        );
     }
-#undef GROUP_OF
     if (best >= 0) return best;
     /* every occupied group under budget: whole-set LRU */
     return min_stamp_way(stamp, ways);
@@ -364,12 +398,10 @@ static int64_t select_victim(
             best = -1;
             best_stamp = 0;
             for (wy = 0; wy < ways; wy++) {
-                if ((dirty[wy] != 0) == evict_dirty) {
-                    if (best < 0 || stamp[wy] < best_stamp) {
-                        best = wy;
-                        best_stamp = stamp[wy];
-                    }
-                }
+                eligible_min_step(
+                    &best, &best_stamp, wy, stamp[wy],
+                    (dirty[wy] != 0) == evict_dirty
+                );
             }
             return best;
         }
@@ -569,17 +601,36 @@ ALWAYS_INLINE int64_t comparator_victim(CacheCtx *c, int64_t base) {
     return li;
 }
 
-/* One bounded replay of lane accesses [start, stop): the shared inner
- * loop of rw_run_trace and rw_multicore.  Mirrors run_trace and
- * run_scalar's per-access step access-for-access; with ``track`` (a
- * compile-time constant) it also runs SharerDirectory.observe before
- * the sampler and SharerDirectory.on_evict on every eviction, as the
- * scalar walk does.
+/* The lane's retired-instruction count as one signed 128-bit integer. */
+ALWAYS_INLINE __int128 lane_instructions(const LaneCtx *l) {
+    return (__int128)(
+        ((unsigned __int128)(uint64_t)l->instructions_hi << 64)
+        | l->instructions
+    );
+}
+
+ALWAYS_INLINE void set_lane_instructions(LaneCtx *l, __int128 count) {
+    l->instructions = (uint64_t)count;
+    l->instructions_hi = (int64_t)(count >> 64);
+}
+
+/* One replay of lane accesses [start, stop): the shared inner loop of
+ * rw_run_trace and rw_multicore.  Mirrors run_trace and run_scalar's
+ * per-access step access-for-access; with ``track`` (a compile-time
+ * constant) it also runs SharerDirectory.observe before the sampler and
+ * SharerDirectory.on_evict on every eviction, as the scalar walk does.
  * With ``comparator`` (also constant) the policy hooks are the
- * comparator_* ports instead of the recency stamp and select_victim. */
+ * comparator_* ports instead of the recency stamp and select_victim.
+ *
+ * After each access the lane stops where run_scalar's argmin would pick
+ * another core: the lane's effective cycles (cycles + penalty; penalty
+ * is 1.0 on a finished core) reach ``lo``, the smallest effective
+ * cycles of the lower-indexed cores (which win ties), or pass ``hi``,
+ * the smallest of the higher-indexed ones.  The first access always
+ * runs: the argmin chose this core.  Returns the accesses replayed. */
 ALWAYS_INLINE int64_t lane_loop(
-    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop, const int track,
-    const int comparator
+    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop, double penalty,
+    double lo, double hi, const int track, const int comparator
 ) {
     const int64_t *set_stream = l->set_stream;
     const int64_t *tag_stream = l->tag_stream;
@@ -618,9 +669,8 @@ ALWAYS_INLINE int64_t lane_loop(
     double cycles = l->cycles;
     double read_stall = l->read_stall;
     double write_stall = l->write_stall;
-    double limit = l->cycle_limit;
+    __int128 instructions = lane_instructions(l);
     int64_t core = l->core;
-    int first_unconditional = (int)l->first_unconditional;
     const int64_t *origin_stream = l->origin_stream;
     int64_t *levels = l->levels;
     int attrib = levels != 0;
@@ -635,17 +685,17 @@ ALWAYS_INLINE int64_t lane_loop(
     int64_t shared_writes = c->shared_writes;
     int64_t write_migrations = c->write_migrations;
     int64_t shared_evictions = c->shared_evictions;
-    int64_t ran = 0;
-    int64_t i;
+    int64_t i = start;
 
-    for (i = start; i < stop; i++) {
+    while (i < stop) {
         int64_t si, tag, base, li, wy;
         int w;
         uint64_t mask = 0;
         int64_t writer = -1;
-        if ((ran || !first_unconditional) && cycles >= limit) break;
-        ran++;
-        if (timed) cycles += cycle_stream[i];
+        if (timed) {
+            cycles += cycle_stream[i];
+            instructions += gap_stream[i];
+        }
         si = set_stream[i];
         tag = tag_stream[i];
         w = write_stream[i];
@@ -690,7 +740,9 @@ ALWAYS_INLINE int64_t lane_loop(
             if (--c->epoch_left == 0) {
                 c->epoch_left = period;
                 if (c->epoch_cb && c->epoch_cb()) {
+                    /* counted, as the scalar walk's tick counts it */
                     c->status = STATUS_CALLBACK_ABORT;
+                    i++;
                     break;
                 }
             }
@@ -727,7 +779,7 @@ ALWAYS_INLINE int64_t lane_loop(
                     cycles += hit_stall;
                 }
             }
-            continue;
+            goto next;
         }
 
         /* miss (only RRP's write bypass skips the fill) */
@@ -743,7 +795,7 @@ ALWAYS_INLINE int64_t lane_loop(
             /* the write goes straight to memory through the buffer */
             c->bypasses++;
             if (timed) wb_issue(l, &cycles, &write_stall);
-            continue;
+            goto next;
         }
         {
             int wrote_back = 0;
@@ -821,6 +873,9 @@ ALWAYS_INLINE int64_t lane_loop(
                 if (wrote_back) wb_issue(l, &cycles, &write_stall);
             }
         }
+    next:
+        i++;
+        if (cycles + penalty >= lo || cycles + penalty > hi) break;
     }
 
     c->clock = clock;
@@ -843,26 +898,29 @@ ALWAYS_INLINE int64_t lane_loop(
         c->write_migrations = write_migrations;
         c->shared_evictions = shared_evictions;
     }
-    if (timed) {
-        int64_t instr = 0;
-        int64_t j;
-        for (j = start; j < start + ran; j++) instr += gap_stream[j];
-        l->instructions += instr;
-    }
+    if (timed) set_lane_instructions(l, instructions);
     l->cycles = cycles;
     l->read_stall = read_stall;
     l->write_stall = write_stall;
-    return ran;
+    return i - start;
 }
 
-static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
-    return lane_loop(c, l, start, stop, 0, 0);
+typedef int64_t (*lane_fn_t)(
+    CacheCtx *, LaneCtx *, int64_t, int64_t, double, double, double
+);
+
+static int64_t run_lane(
+    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop, double penalty,
+    double lo, double hi
+) {
+    return lane_loop(c, l, start, stop, penalty, lo, hi, 0, 0);
 }
 
 static int64_t run_lane_tracked(
-    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop
+    CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop, double penalty,
+    double lo, double hi
 ) {
-    return lane_loop(c, l, start, stop, 1, 0);
+    return lane_loop(c, l, start, stop, penalty, lo, hi, 1, 0);
 }
 
 /* The comparators' copy: single-lane and untracked only (the multicore
@@ -873,17 +931,18 @@ static int64_t run_lane_tracked(
 __attribute__((optimize("Og"))) static int64_t run_lane_comparator(
     CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop
 ) {
-    return lane_loop(c, l, start, stop, 0, 1);
+    return lane_loop(c, l, start, stop, 0.0, INFINITY, INFINITY, 0, 1);
 }
 
+/* A single lane replays its whole window: no other core can take over. */
 int64_t rw_run_trace(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
     c->status = STATUS_OK;
     if (c->policy_kind != POLICY_STAMPED) {
         return run_lane_comparator(c, l, start, stop);
     }
     return c->sharers
-        ? run_lane_tracked(c, l, start, stop)
-        : run_lane(c, l, start, stop);
+        ? run_lane_tracked(c, l, start, stop, 0.0, INFINITY, INFINITY)
+        : run_lane(c, l, start, stop, 0.0, INFINITY, INFINITY);
 }
 
 /* SetAssociativeCache.run_lru_filter ported slot-for-slot (pure LRU,
@@ -998,56 +1057,22 @@ int64_t rw_lru_filter(CacheCtx *c, FilterCtx *f, int64_t start, int64_t stop) {
     return forwarded;
 }
 
-/* first_violation: the smallest raw x with x + penalty >= bound (>
- * when strict).  cycles + 1.0 < bound cannot be folded to
- * cycles < bound - 1.0 in doubles (the addition rounds), so for a
- * nonzero penalty the threshold is found by an ulp walk around
- * bound - penalty: adding a constant is monotone non-decreasing, so the
- * predicate is a step function of x and the walk ends in O(1) steps.
- *
- * selection_limit: the exclusive raw-cycles bound under which
- * run_scalar's argmin scan keeps picking the running core.  Its
- * effective cycles (raw + done-penalty) must stay strictly below every
- * lower-indexed core's (they win ties) and at most every
- * higher-indexed core's (it wins those ties).  Only the running core's
- * cycles move during its epoch, so both bounds are constants and the
- * test collapses to raw < limit, the lane's cycle_limit. */
-static double first_violation(double bound, double penalty, int strict) {
-    double x;
-    if (isinf(bound) && bound > 0.0) return INFINITY;
-    if (penalty == 0.0) return strict ? nextafter(bound, INFINITY) : bound;
-    x = bound - penalty;
-    if (strict) {
-        while (x + penalty > bound) x = nextafter(x, -INFINITY);
-        while (x + penalty <= bound) x = nextafter(x, INFINITY);
-    } else {
-        while (x + penalty >= bound) x = nextafter(x, -INFINITY);
-        while (x + penalty < bound) x = nextafter(x, INFINITY);
-    }
-    return x;
-}
-
-static double selection_limit(double bound_lo, double bound_hi, double penalty) {
-    double t1 = first_violation(bound_lo, penalty, 0);
-    double t2 = first_violation(bound_hi, penalty, 1);
-    return t1 < t2 ? t1 : t2;
-}
-
 /* SharedLLCSystem.run_scalar's interleave over per-core lanes, one
- * epoch (a maximal run of one core) per lane_loop call.  Returns 0 on
- * completion, nonzero when the epoch callback aborted. */
+ * burst (a maximal run of one core) per lane call: the argmin scan picks
+ * the core and the smallest effective cycles on either side of it, and
+ * the lane replays until the same scan would pick another core.  Returns
+ * 0 on completion, nonzero when the epoch callback aborted. */
 int64_t rw_multicore(CacheCtx *c, MultiCtx *m) {
     int64_t num_cores = m->num_cores;
-    int64_t (*lane_fn)(CacheCtx *, LaneCtx *, int64_t, int64_t) =
-        c->sharers ? run_lane_tracked : run_lane;
+    lane_fn_t lane_fn = c->sharers ? run_lane_tracked : run_lane;
 
     c->status = STATUS_OK;
     while (m->remaining) {
         int64_t core = 0;
         double best = m->effective[0];
-        double bound_lo = INFINITY;
-        double bound_hi = INFINITY;
-        int64_t cand, index, length, wrapped, segment, ran;
+        double lo = INFINITY;
+        double hi = INFINITY;
+        int64_t cand, index, length, stop, ran;
         int core_done;
         double cycles;
         LaneCtx *lane;
@@ -1055,12 +1080,12 @@ int64_t rw_multicore(CacheCtx *c, MultiCtx *m) {
         for (cand = 1; cand < num_cores; cand++) {
             double eff = m->effective[cand];
             if (eff < best) {
-                bound_lo = best;
+                lo = best;
                 best = eff;
                 core = cand;
-                bound_hi = INFINITY;
-            } else if (eff < bound_hi) {
-                bound_hi = eff;
+                hi = INFINITY;
+            } else if (eff < hi) {
+                hi = eff;
             }
         }
 
@@ -1078,34 +1103,27 @@ int64_t rw_multicore(CacheCtx *c, MultiCtx *m) {
             lane->cycles = 0.0;
             lane->read_stall = 0.0;
             lane->write_stall = 0.0;
-            lane->instructions = 0;
+            set_lane_instructions(lane, 0);
             lane->wb_head = 0;
             lane->wb_len = 0;
             lane->wb_server_free = 0.0;
             lane->wb_stall_cycles = 0.0;
             lane->wb_writes = 0;
         }
-        wrapped = index < length ? index : index % length;
-        segment = length - wrapped;
-        if (!core_done && index < m->warmup) segment = m->warmup - index;
-        if (core_done) {
-            lane->cycle_limit = selection_limit(bound_lo, bound_hi, 1.0);
-        } else {
-            lane->cycle_limit = bound_lo <= bound_hi
-                ? bound_lo
-                : nextafter(bound_hi, INFINITY);
-        }
-        lane->first_unconditional = 1;
+        /* a burst ends at the trace's end (it wraps there) and, before
+         * the measured window, at the warmup boundary */
+        stop = !core_done && index < m->warmup ? m->warmup : length;
 
-        ran = lane_fn(c, lane, wrapped, wrapped + segment);
+        ran = lane_fn(c, lane, index, stop, core_done ? 1.0 : 0.0, lo, hi);
         if (c->status != STATUS_OK) return c->status;
 
+        index += ran;
+        m->position[core] = index == length ? 0 : index;
+        m->ticks[core] += ran;
         cycles = lane->cycles;
         if (core_done) cycles += 1.0;
         m->effective[core] = cycles;
-        m->position[core] = index + ran;
-        m->ticks[core] += ran;
-        if (!core_done && m->position[core] >= length) {
+        if (!core_done && index == length) {
             m->done[core] = 1;
             m->effective[core] = cycles + 1.0;
             m->frozen_rh[core] = lane->rh;
@@ -1113,6 +1131,7 @@ int64_t rw_multicore(CacheCtx *c, MultiCtx *m) {
             m->frozen_wh[core] = lane->wh;
             m->frozen_wm[core] = lane->wm;
             m->frozen_instr[core] = lane->instructions;
+            m->frozen_instr_hi[core] = lane->instructions_hi;
             m->frozen_cycles[core] = lane->cycles;
             m->remaining--;
         }
@@ -1222,13 +1241,15 @@ int64_t rw_timing_walk(LaneCtx *l, PcmCtx *p, int64_t start, int64_t stop) {
     const int64_t *mem = l->mem;
     const int64_t *blocks = l->wb_out;
     int64_t available = l->wb_out_count;
-    int64_t cursor = 0, instr = 0, i, k;
+    int64_t cursor = 0, i, k;
+    __int128 instructions = lane_instructions(l);
     double cycles = l->cycles;
     double read_stall = l->read_stall;
     double write_stall = l->write_stall;
 
     for (i = start; i < stop; i++) {
         cycles += cycle_stream[i];
+        instructions += l->gap_stream[i];
         if (!write_stream[i]) {
             if (levels[i] == 2) {
                 read_stall += l->hit_stall;
@@ -1260,8 +1281,7 @@ int64_t rw_timing_walk(LaneCtx *l, PcmCtx *p, int64_t start, int64_t stop) {
             cursor++;
         }
     }
-    for (i = start; i < stop; i++) instr += l->gap_stream[i];
-    l->instructions += instr;
+    set_lane_instructions(l, instructions);
     l->cycles = cycles;
     l->read_stall = read_stall;
     l->write_stall = write_stall;

@@ -54,7 +54,6 @@ Supported configurations (the ``native`` backend):
 from __future__ import annotations
 
 import ctypes
-from math import inf
 from typing import List, Optional
 
 import numpy as np
@@ -110,8 +109,14 @@ _INSTRUCTION_OVERFLOW = "retired instructions could overflow the int64 kernel AB
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
-#: clean_occ/dirty_occ in the C victim scan are fixed-size stack arrays,
-#: and a sharer mask is one uint64
+#: a lane's retired-instruction count is a signed 128-bit integer, held
+#: as an unsigned low word and a signed high word
+_INT128_MIN = -(1 << 127)
+_INT128_MAX = (1 << 127) - 1
+_LOW_WORD = (1 << 64) - 1
+
+#: rwp-core's occupancy counts in the C victim scan are a fixed-size
+#: stack array, and a sharer mask is one uint64
 _MAX_POLICY_CORES = 64
 
 #: epoch hooks the native kernel may drive through the callback: they
@@ -631,12 +636,15 @@ def _finish(binding: _CacheBinding) -> None:
 
 
 def _instructions_fit(instructions: int, gaps, start: int, stop: int) -> bool:
-    """True when a lane may sum ``gaps[start:stop]`` into ``instructions``.
+    """True when ``instructions`` plus any prefix of ``gaps[start:stop]``
+    stays within int64.
 
-    The lanes add the window's gaps (``start < stop``) into an int64
-    partial sum and that sum into the int64 counter.  Every partial sum
-    of ``n`` gaps lies within ``n`` times the window's extreme gaps, so
-    two vector reductions bound all of them.
+    A single-lane replay (``try_run_trace``, the hierarchy timing walk)
+    declines a window that could carry its count out of int64; the
+    multicore lanes, whose gap count is not known before the run, rely
+    on the 128-bit counter instead.  Every partial sum of ``n`` gaps
+    (``start < stop``) lies within ``n`` times the window's extreme
+    gaps, so two vector reductions bound all of them.
     """
     window = gaps[start:stop]
     n = len(window)
@@ -648,12 +656,22 @@ def _instructions_fit(instructions: int, gaps, start: int, stop: int) -> bool:
     )
 
 
+def _join_instructions(low: int, high: int) -> int:
+    """The retired-instruction count held as a (low, high) word pair."""
+    return (int(high) << 64) + int(low)
+
+
 def _fill_lane_timing(lane: LaneCtx, timing, cycles):
     """Hoist the TimingModel state into ``lane``; returns the wb ring.
 
     ``cycles`` is the per-access cycle-cost array of the lane's trace at
-    ``timing``'s CPI (``decoded.kernel_cycles``).
+    ``timing``'s CPI (``decoded.kernel_cycles``).  Raises
+    ``OverflowError`` when the model's state does not fit the lane:
+    ctypes integer fields wrap silently, so the count is checked here.
     """
+    instructions = timing.instructions
+    if not _INT128_MIN <= instructions <= _INT128_MAX:
+        raise OverflowError("retired instructions exceed the 128-bit lane count")
     lane.timed = 1
     lane.cycle_stream = soa.ptr_double(cycles)
     mlp = timing.core.mlp
@@ -662,13 +680,16 @@ def _fill_lane_timing(lane: LaneCtx, timing, cycles):
     lane.cycles = timing.cycles
     lane.read_stall = timing.read_stall_cycles
     lane.write_stall = timing.write_stall_cycles
-    lane.instructions = timing.instructions
+    lane.instructions = instructions & _LOW_WORD
+    lane.instructions_hi = instructions >> 64
     return soa.load_write_buffer(lane, timing.write_buffer)
 
 
 def _flush_lane_timing(timing, lane: LaneCtx, ring) -> None:
     timing.cycles = lane.cycles
-    timing.instructions = lane.instructions
+    timing.instructions = _join_instructions(
+        lane.instructions, lane.instructions_hi
+    )
     timing.read_stall_cycles = lane.read_stall
     timing.write_stall_cycles = lane.write_stall
     soa.flush_write_buffer(timing.write_buffer, lane, ring)
@@ -826,7 +847,6 @@ class KernelRuntime:
         if pcs is not None:
             lane.pc_stream = soa.ptr_int64(pcs)
         lane.core = core
-        lane.cycle_limit = inf
         ring = None
         if timing is not None:
             try:
@@ -1007,7 +1027,6 @@ class KernelRuntime:
         lane.tag_stream = soa.ptr_int64(tag3)
         lane.write_stream = soa.ptr_uint8(write2)
         lane.core = core
-        lane.cycle_limit = inf
         ctx3 = b3.ctx
         memory = hierarchy.memory
         if collect:
@@ -1108,17 +1127,19 @@ class KernelRuntime:
                 rings.append(
                     _fill_lane_timing(lane, timings[core], cycle_sets[core])
                 )
-                lane.cycle_limit = inf
         except OverflowError:
             return self._fallback("timing state overflows the lane image")
 
         lengths = np.array([len(trace) for trace in traces], dtype=np.int64)
+        # each core's next access, wrapped to its trace (the kernel has
+        # no per-core array of its own: untracked runs take any count)
         position = np.zeros(num_cores, dtype=np.int64)
         done = np.zeros(num_cores, dtype=np.uint8)
         effective = np.zeros(num_cores, dtype=np.float64)
         base = [np.zeros(num_cores, dtype=np.int64) for _ in range(4)]
         frozen_tallies = [np.zeros(num_cores, dtype=np.int64) for _ in range(4)]
-        frozen_instr = np.zeros(num_cores, dtype=np.int64)
+        frozen_instr = np.zeros(num_cores, dtype=np.uint64)
+        frozen_instr_hi = np.zeros(num_cores, dtype=np.int64)
         frozen_cycles = np.zeros(num_cores, dtype=np.float64)
         ticks = np.zeros(num_cores, dtype=np.int64)
 
@@ -1138,7 +1159,8 @@ class KernelRuntime:
         mctx.frozen_rm = soa.ptr_int64(frozen_tallies[1])
         mctx.frozen_wh = soa.ptr_int64(frozen_tallies[2])
         mctx.frozen_wm = soa.ptr_int64(frozen_tallies[3])
-        mctx.frozen_instr = soa.ptr_int64(frozen_instr)
+        mctx.frozen_instr = soa.ptr_uint64(frozen_instr)
+        mctx.frozen_instr_hi = soa.ptr_int64(frozen_instr_hi)
         mctx.frozen_cycles = soa.ptr_double(frozen_cycles)
         mctx.ticks = soa.ptr_int64(ticks)
         mctx.remaining = num_cores
@@ -1158,7 +1180,10 @@ class KernelRuntime:
             for core in range(num_cores)
         ]
         frozen = [
-            (int(frozen_instr[core]), float(frozen_cycles[core]))
+            (
+                _join_instructions(frozen_instr[core], frozen_instr_hi[core]),
+                float(frozen_cycles[core]),
+            )
             for core in range(num_cores)
         ]
         return system._collect(traces, counts, frozen)

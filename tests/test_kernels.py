@@ -18,16 +18,20 @@ more.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.experiments  # noqa: F401  pre-imports the experiments package
 # (repro.sim and repro.experiments import each other; importing the
 # package first resolves the cycle the same way the CLI does)
 
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.line import CacheLine
 from repro.cache.policy import make_policy
 from repro.common.config import CacheConfig, default_hierarchy
+from repro.core.rwp import CoreAwareRWPPolicy
 from repro.cpu.core import HierarchyRunner, LLCRunner
+from repro.cpu.timing import TimingModel
 from repro.engine.jobs import MixJob, RunJob
 from repro.experiments.runner import (
     ExperimentScale,
@@ -43,6 +47,8 @@ from repro.kernels import (
     native_available,
     reset_native_cache,
 )
+from repro.kernels.build import LaneCtx
+from repro.kernels.runner import _fill_lane_timing, _flush_lane_timing
 from repro.mem import make_backend
 from repro.multicore.shared import SharedLLCSystem
 from repro.sim.spec import (
@@ -1272,6 +1278,103 @@ class TestInstructionOverflow:
         for result in (native, reference, scalar):
             assert result.instructions == 1 << 63
         assert native == reference == scalar
+
+    def _timing(self, count: int) -> TimingModel:
+        config = self.CONFIG
+        timing = TimingModel(config.core, config.memory, config.llc.hit_latency)
+        timing.instructions = count
+        return timing
+
+    @pytest.mark.parametrize(
+        "count", (0, -1, 1 << 63, -(1 << 63) - 1, (1 << 127) - 1, -(1 << 127))
+    )
+    def test_lane_count_round_trips(self, count):
+        # A lane holds the count as a low and a high word.
+        timing = self._timing(count)
+        lane = LaneCtx()
+        ring = _fill_lane_timing(lane, timing, np.zeros(1))
+        timing.instructions = None
+        _flush_lane_timing(timing, lane, ring)
+        assert timing.instructions == count
+
+    @pytest.mark.parametrize("count", (1 << 127, -(1 << 127) - 1))
+    def test_lane_count_range_checked(self, count):
+        # ctypes would wrap a too-wide count silently.
+        with pytest.raises(OverflowError):
+            _fill_lane_timing(LaneCtx(), self._timing(count), np.zeros(1))
+
+
+class TestVictimBranches:
+    """rwp-core's rarer victim branches on the kernel, field for field
+    against the dict driver and the scalar walk.
+
+    RWP's empty-partition fallback needs no test of its own here: the
+    rwp cases of ``test_scenarios`` and ``test_shared_mixes_served``
+    meet it in both partitions.
+    """
+
+    CONFIG = _config(8, 4)
+
+    #: 8 sets x 11 tags, so every set keeps missing; every third access
+    #: a write
+    TRACE = _trace_from(
+        8,
+        [(i * 5) % 8 for i in range(1536)],
+        [(i * 7 + i // 8) % 11 for i in range(1536)],
+        [i % 3 == 0 for i in range(1536)],
+    )
+
+    def _three_ways(self, policy, cores, budget=None):
+        """(kernel, dict, scalar) caches after one replay of the trace,
+        its chunks of 64 accesses issued by ``cores`` in turn.  A
+        ``budget`` pins every group's targets after attach."""
+        trace = self.TRACE
+        chunks = [
+            (start, start + 64, cores[n % len(cores)])
+            for n, start in enumerate(range(0, len(trace), 64))
+        ]
+        caches = []
+        for driver in ("native", "dict", "scalar"):
+            cache = SetAssociativeCache(self.CONFIG, policy())
+            if budget is not None:
+                groups = cache.policy.num_cores
+                cache.policy.clean_targets = [budget] * groups
+                cache.policy.dirty_targets = [budget] * groups
+            if driver == "scalar":
+                for start, stop, core in chunks:
+                    for i in range(start, stop):
+                        cache.access(
+                            trace.addresses[i], trace.is_write[i],
+                            trace.pcs[i], core,
+                        )
+            else:
+                attach_kernel(cache, driver)
+                decoded = trace.decoded(self.CONFIG)
+                for start, stop, core in chunks:
+                    cache.run_trace(decoded, start, stop, core=core)
+            caches.append(cache)
+        assert caches[0].kernel.fallback_reason is None
+        return caches
+
+    @needs_native
+    def test_rwp_core_every_group_under_budget(self):
+        # Budgets of 3 ways per (core, partition) group in 4-way sets,
+        # and no epoch to reset them: a set is over budget only while
+        # one group holds 3 lines, so most misses find every occupied
+        # group under budget and take whole-set LRU.
+        def policy():
+            return CoreAwareRWPPolicy(num_cores=2, epoch=1 << 30)
+
+        assert_field_for_field(*self._three_ways(policy, (0, 1), budget=3))
+
+    @needs_native
+    def test_rwp_core_owner_past_its_cores(self):
+        # Lines filled by cores 2..4 of a 2-core policy belong to group
+        # owner % 2; a short epoch also routes their samples that way.
+        def policy():
+            return CoreAwareRWPPolicy(num_cores=2, epoch=128)
+
+        assert_field_for_field(*self._three_ways(policy, (0, 3, 1, 4, 2)))
 
 
 class TestStreamChecks:

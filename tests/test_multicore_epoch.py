@@ -129,6 +129,91 @@ def test_memory_backends_decline_to_scalar():
     assert batched.llc.kernel.fallback_reason == "memory timing backend is active"
 
 
+@needs_native
+@pytest.mark.parametrize("policy", ["lru", "rwp-core"])
+def test_identical_traces_tie_every_step(policy):
+    # Four copies of one trace keep the cores' cycle counts level, so
+    # the argmin meets a tie at nearly every step: the lower core wins
+    # it, and a running lane must stop as soon as it reaches a
+    # lower-indexed core's cycles.
+    trace = core_traces(1, 2107, 384)[0]
+    assert_equivalent(*run_both_ways(policy, [trace] * 4, 4, warmup=96))
+
+
+@needs_native
+@pytest.mark.parametrize("policy", ["lru", "rwp-core"])
+def test_cycles_past_two_to_the_53(policy):
+    # Past 2**53 cycles a double's spacing is 2 or more, so a finished
+    # core's + 1.0 tie-break penalty rounds away or up a whole step, and
+    # cycles + 1.0 >= lo no longer equals cycles >= lo - 1.0.  Core 1
+    # retires half core 0's gap per access, so after it finishes the two
+    # stay within a step of each other, and their writes to six lines of
+    # one 4-way set make a change of order show in the LLC's hits.  (No
+    # write stalls: the buffer drains between accesses this far apart.)
+    gap = (1 << 46) + 30
+    traces = [
+        Trace(
+            [2048 * (i % 3) for i in range(n)],
+            [True] * n,
+            [0] * n,
+            [core_gap] * n,
+            name=f"core{core}",
+        )
+        for core, (n, core_gap) in enumerate(((400, 2 * gap), (100, gap)))
+    ]
+    batched, scalar, got, want = run_both_ways(policy, traces, 2)
+    assert_equivalent(batched, scalar, got, want)
+    assert got.cores[1].cycles < 2.0**53 < got.cores[0].cycles
+
+
+@needs_native
+def test_more_cores_than_a_sharer_mask():
+    # An untracked run takes any core count: 67 cores with short traces
+    # walk the kernel's per-core position array past 64 entries.
+    num_cores = 67
+    traces = [
+        fuzz_trace(SCENARIOS[core % len(SCENARIOS)], 2109 + core,
+                   LLC_SETS, LLC_WAYS, 24 + core % 5)
+        for core in range(num_cores)
+    ]
+    batched, scalar, got, want = run_both_ways(
+        "lru", traces, num_cores, warmup=8
+    )
+    assert_equivalent(batched, scalar, got, want)
+    assert batched.llc.kernel.fallback_reason is None
+
+
+@needs_native
+def test_instruction_counts_past_int64():
+    # Every access retires 2**62 instructions, so each core's count
+    # passes int64 within its window, and the shorter core's timing
+    # model keeps counting while it replays for pressure.  Both must
+    # come out as the exact Python ints run_scalar holds.
+    lengths = (98, 163)
+    traces = [
+        Trace(
+            trace.addresses,
+            trace.is_write,
+            trace.pcs,
+            [1 << 62] * len(trace),
+            name=trace.name,
+        )
+        for trace in (
+            fuzz_trace(SCENARIOS[core], 2110 + core, LLC_SETS, LLC_WAYS, n)
+            for core, n in enumerate(lengths)
+        )
+    ]
+    batched, scalar, got, want = run_both_ways("rwp", traces, 2, warmup=32)
+    assert_equivalent(batched, scalar, got, want)
+    counts = [timing.instructions for timing in batched.timings]
+    assert counts == [timing.instructions for timing in scalar.timings]
+    assert [core.instructions for core in got.cores] == [
+        (n - 32) << 62 for n in lengths
+    ]
+    assert min(counts) > 1 << 64
+    assert batched.llc.kernel.fallback_reason is None
+
+
 def test_warmup_validation():
     traces = core_traces(2, 2105, 64)
     system = SharedLLCSystem(CONFIG, 2, "lru")
