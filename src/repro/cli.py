@@ -312,7 +312,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"kernel    : {kernel_line}")
     fallback = kernel_info.get("fallback")
     if fallback:
-        print(f"  fallback: dict driver -- {fallback}")
+        print(f"  fallback: {fallback}")
     print(f"llc       : {scale.llc_lines} lines "
           f"({scale.llc_lines * 64 >> 10} KiB), {scale.ways}-way")
     print(f"accesses  : {result.llc_accesses:,} measured "
@@ -786,11 +786,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Time the simulation hot path; optionally guard against a baseline."""
     from repro.experiments.bench import (
         bench_payload,
+        bench_plan,
         compare_to_baseline,
         format_bench,
         load_bench_json,
-        run_bench,
-        run_system_bench,
+        time_row,
         write_bench_json,
         DEFAULT_ACCESSES,
         DEFAULT_LLC_LINES,
@@ -806,47 +806,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     repeats = args.repeats if args.repeats else (
         QUICK_REPEATS if args.quick else DEFAULT_REPEATS
     )
-    policies = args.policies.split(",")
-    from repro.kernels import KernelSpec
-
-    kernel = KernelSpec.coerce(args.kernel)
-    timed_kernel = kernel.name != "dict"
-    # Dict rows first, then the same rows under the kernel backend
-    # (``kernel:*``), all in one invocation so the pair is captured
-    # interleaved on one machine and the rates actually compare.
-    results = run_bench(
-        policies,
+    plan = bench_plan(
+        args.policies.split(","),
         benchmark=args.benchmark,
         llc_lines=llc_lines,
         accesses=accesses,
-        repeats=repeats,
+        quick=args.quick,
+        llc_only=args.llc_only,
         seed=args.seed,
+        kernel=args.kernel,
     )
-    if timed_kernel:
-        results = results + run_bench(
-            policies,
-            benchmark=args.benchmark,
-            llc_lines=llc_lines,
-            accesses=accesses,
-            repeats=repeats,
-            seed=args.seed,
-            kernel=kernel,
-        )
-    if not args.llc_only:
-        results = results + run_system_bench(
-            policies,
-            quick=args.quick,
-            repeats=args.repeats or None,
-            seed=args.seed,
-        )
-        if timed_kernel:
-            results = results + run_system_bench(
-                policies,
-                quick=args.quick,
-                repeats=args.repeats or None,
-                seed=args.seed,
-                kernel=kernel,
-            )
+    results = [time_row(row, kernel, repeats) for row, kernel in plan]
     print(
         format_bench(
             results,

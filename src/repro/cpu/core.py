@@ -161,6 +161,12 @@ class LLCRunner:
         addresses and the live cycle count)."""
         llc = self.llc
         timing = self.timing
+        if llc.kernel is not None:
+            llc.kernel.fallback_reason = (
+                "memory timing backend is active"
+                if self.backend is not None
+                else "a prefetcher is active"
+            )
         access = llc.access
         prefetcher = self.prefetcher
         prefetch_by_pc = getattr(prefetcher, "on_access_pc", None)

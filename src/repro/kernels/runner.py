@@ -102,13 +102,6 @@ _STREAM_OVERFLOW = "a tag or instruction gap overflows the int64 kernel ABI"
 #: the attributed LLC stage) would build one beyond int64
 _BLOCK_OVERFLOW = "a block address overflows the int64 kernel ABI"
 
-#: the decline when a timed lane's retired-instruction count could pass
-#: int64 (the lanes sum a window's gaps in int64, then add the count)
-_INSTRUCTION_OVERFLOW = "retired instructions could overflow the int64 kernel ABI"
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
 #: a lane's retired-instruction count is a signed 128-bit integer, held
 #: as an unsigned low word and a signed high word
 _INT128_MIN = -(1 << 127)
@@ -635,27 +628,6 @@ def _finish(binding: _CacheBinding) -> None:
         raise binding.errors[0]
 
 
-def _instructions_fit(instructions: int, gaps, start: int, stop: int) -> bool:
-    """True when ``instructions`` plus any prefix of ``gaps[start:stop]``
-    stays within int64.
-
-    A single-lane replay (``try_run_trace``, the hierarchy timing walk)
-    declines a window that could carry its count out of int64; the
-    multicore lanes, whose gap count is not known before the run, rely
-    on the 128-bit counter instead.  Every partial sum of ``n`` gaps
-    (``start < stop``) lies within ``n`` times the window's extreme
-    gaps, so two vector reductions bound all of them.
-    """
-    window = gaps[start:stop]
-    n = len(window)
-    low = min(int(window.min()), 0) * n
-    high = max(int(window.max()), 0) * n
-    return (
-        _INT64_MIN <= min(instructions, 0) + low
-        and max(instructions, 0) + high <= _INT64_MAX
-    )
-
-
 def _join_instructions(low: int, high: int) -> int:
     """The retired-instruction count held as a (low, high) word pair."""
     return (int(high) << 64) + int(low)
@@ -710,10 +682,8 @@ class _TimingWalk:
     )
 
     @classmethod
-    def bind(cls, timing, decoded, streams, offset_bits: int, start, stop):
-        """A ready walk over ``[start, stop)``, or why it stays in Python."""
-        if not _instructions_fit(timing.instructions, streams[3], start, stop):
-            return _INSTRUCTION_OVERFLOW
+    def bind(cls, timing, decoded, streams, offset_bits: int):
+        """A ready walk, or why it stays in Python."""
         backend = timing.backend
         shift = 0
         if backend is not None:
@@ -831,8 +801,6 @@ class KernelRuntime:
                 return self._fallback("PC stream overflows the int64 kernel ABI")
         cycles = None
         if timing is not None:
-            if not _instructions_fit(timing.instructions, gap_arr, start, stop):
-                return self._fallback(_INSTRUCTION_OVERFLOW)
             cycles = decoded.kernel_cycles(timing.core.base_cpi)
         soa.check_streams(
             cache.config.num_sets, start, stop,
@@ -945,9 +913,7 @@ class KernelRuntime:
             llc_declined.append(_BLOCK_OVERFLOW)
         walk = None
         if b3 is not None and timing is not None:
-            walk = _TimingWalk.bind(
-                timing, decoded, streams, llc._offset_bits, start, stop
-            )
+            walk = _TimingWalk.bind(timing, decoded, streams, llc._offset_bits)
             if isinstance(walk, str):
                 self._fallback(walk)
                 walk = None

@@ -40,6 +40,18 @@ class TestCommands:
         assert main(["run", "micro_fit", "-p", "rwp", *FAST]) == 0
         assert "target_clean" in capsys.readouterr().out
 
+    def test_run_names_scalar_fallback(self, capsys):
+        # A memory backend sends LLCRunner to its scalar loop; the
+        # fallback line gives the reason as recorded.
+        from repro.experiments.runner import _run_benchmark_cached
+
+        # A memo hit simulates nothing, so it would record no reason.
+        _run_benchmark_cached.cache_clear()
+        argv = ["run", "mcf", "-p", "rwp", "--memory", "pcm:write_mult=10"]
+        assert main([*argv, *FAST]) == 0
+        out = capsys.readouterr().out
+        assert "  fallback: memory timing backend is active\n" in out
+
     def test_compare(self, capsys):
         assert main(["compare", "micro_fit", "-p", "lru,rwp", *FAST]) == 0
         out = capsys.readouterr().out
