@@ -381,7 +381,6 @@ class SetAssociativeCache:
         *,
         timing=None,
         core: int = 0,
-        step=None,
     ) -> int:
         """Replay decoded accesses ``[start, stop)``; returns the count run.
 
@@ -397,16 +396,11 @@ class SetAssociativeCache:
         access (instruction gap, read hit/miss stalls, write-buffer
         pressure for bypassed writes and writebacks).
 
-        ``step``: optional callback ``step(i, hit, bypassed, wb)`` run
-        after every access; returning truthy aborts the replay (the
-        differential harness uses this for lockstep comparison).  The
-        callback must not mutate this cache.
-
-        During a (non-``step``) batch replay the statistics counters,
-        ``tick``, and a recency-stamped policy's clock live in loop
-        locals and are flushed on return -- policy hooks fired mid-run
-        (``on_epoch`` and friends) must not read them from the cache.
-        No shipped policy does; the step path keeps per-access updates.
+        During a batch replay the statistics counters, ``tick``, and a
+        recency-stamped policy's clock live in loop locals and are
+        flushed on return -- policy hooks fired mid-run (``on_epoch``
+        and friends) must not read them from the cache.  No shipped
+        policy does.
         """
         n = len(decoded)
         if stop is None:
@@ -421,8 +415,6 @@ class SetAssociativeCache:
                 f"match cache geometry ({self.config.offset_bits}, "
                 f"{self.config.index_bits})"
             )
-        if step is not None:
-            return self._run_trace_step(decoded, start, stop, timing, core, step)
         if self.kernel is not None:
             ran = self.kernel.try_run_trace(
                 self, decoded, start, stop, timing, core
@@ -704,43 +696,6 @@ class SetAssociativeCache:
             write_buffer.stall_cycles = wb_stall_cycles
             write_buffer.total_writes = wb_writes
         return ran
-
-    def _run_trace_step(
-        self,
-        decoded,
-        start: int,
-        stop: int,
-        timing,
-        core: int,
-        step,
-    ) -> int:
-        """run_trace with a per-access callback (lockstep verification)."""
-        set_stream = decoded.set_indices
-        tag_stream = decoded.tags
-        write_stream = decoded.is_write
-        pc_stream = decoded.pcs
-        gap_stream = decoded.instr_gaps
-        access_decoded = self._access_decoded
-        for i in range(start, stop):
-            is_write = write_stream[i]
-            if timing is not None:
-                timing.advance(gap_stream[i])
-            hit, bypassed, wb = access_decoded(
-                set_stream[i], tag_stream[i], is_write, pc_stream[i], core
-            )
-            if timing is not None:
-                if is_write:
-                    if bypassed:
-                        timing.memory_write()
-                elif hit:
-                    timing.read_hit()
-                else:
-                    timing.read_miss()
-                if wb >= 0:
-                    timing.memory_write()
-            if step(i, hit, bypassed, wb):
-                return i + 1 - start
-        return stop - start
 
     # -- the hierarchy filter stage ---------------------------------------
     def lru_filter_eligible(self) -> bool:

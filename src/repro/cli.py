@@ -291,11 +291,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     # keys on -- so `run` output names reusable workload references.
     workload = WorkloadSpec.coerce(workload).store_key()
     scale = _scale_from(args)
+    from repro.experiments.runner import _run_benchmark_cached
+    from repro.sim.spec import last_kernel_info
+
+    # Only a memo miss simulates; a store or memo hit replays nothing,
+    # so the kernel record then belongs to some earlier run.
+    replays = _run_benchmark_cached.cache_info().misses
+    store = _store_from(args)
     result = run_benchmark(
         workload,
         args.policy,
         scale,
-        store=_store_from(args),
+        store=store,
         mode=args.mode,
         memory=args.memory,
         kernel=args.kernel,
@@ -304,15 +311,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"mode      : {args.mode}")
     print(f"policy    : {result.policy}")
     print(f"memory    : {args.memory}")
-    from repro.sim.spec import last_kernel_info
-
-    kernel_info = last_kernel_info() or {}
-    backend = kernel_info.get("backend")
-    kernel_line = f"{args.kernel} (backend: {backend})" if backend else args.kernel
-    print(f"kernel    : {kernel_line}")
-    fallback = kernel_info.get("fallback")
-    if fallback:
-        print(f"  fallback: {fallback}")
+    if _run_benchmark_cached.cache_info().misses == replays:
+        source = "the store" if store is not None else "memory"
+        print(f"kernel    : {args.kernel} (no replay ran: result from {source})")
+    else:
+        kernel_info = last_kernel_info() or {}
+        backend = kernel_info.get("backend")
+        kernel_line = (
+            f"{args.kernel} (backend: {backend})" if backend else args.kernel
+        )
+        print(f"kernel    : {kernel_line}")
+        fallback = kernel_info.get("fallback")
+        if fallback:
+            print(f"  fallback: {fallback}")
     print(f"llc       : {scale.llc_lines} lines "
           f"({scale.llc_lines * 64 >> 10} KiB), {scale.ways}-way")
     print(f"accesses  : {result.llc_accesses:,} measured "
@@ -647,13 +658,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Check the golden corpus, then fan fuzz jobs through the engine."""
     from repro.engine import ProgressReporter, run_jobs
-    from repro.verify import (
-        Divergence,
-        check_goldens,
-        plan_fuzz_jobs,
-        write_goldens,
-    )
+    from repro.verify import check_goldens, plan_fuzz_jobs, write_goldens
     from repro.verify.jobs import VERIFY_POLICIES
+    from repro.verify.system import plan_system_jobs
 
     if args.regen_goldens:
         path = write_goldens(args.goldens)
@@ -671,6 +678,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         elif not args.quiet:
             print("golden corpus: ok")
 
+    slates = []
     if args.fuzz > 0:
         policies = (
             args.policies.split(",") if args.policies else list(VERIFY_POLICIES)
@@ -681,58 +689,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"no oracle for policies {unknown}; "
                 f"verifiable: {', '.join(VERIFY_POLICIES)}"
             )
-        job_list = plan_fuzz_jobs(
-            args.fuzz,
-            policies=policies,
-            base_seed=args.seed,
+        jobs = plan_fuzz_jobs(
+            args.fuzz, policies=policies, base_seed=args.seed,
             length=args.length,
         )
-        outcome = run_jobs(
-            job_list,
-            max_workers=args.jobs,
-            store=_store_from(args),
-            timeout=args.timeout,
-            progress=ProgressReporter(len(job_list), enabled=not args.quiet),
-        )
-        divergent = [
-            (job, result)
-            for job, result in outcome.results.items()
-            if not result["ok"]
-        ]
-        for job, result in divergent:
-            data = result["divergence"]
-            divergence = Divergence(
-                policy=data["policy"],
-                index=data["index"],
-                kind=data["kind"],
-                expected=data["expected"],
-                actual=data["actual"],
-                records=[(a, bool(w), p) for a, w, p in data["repro"]],
-            )
-            print(f"\n{job.label}:", file=sys.stderr)
-            print(divergence.describe(), file=sys.stderr)
-        failures += len(divergent)
-        if outcome.stats.failed:
-            failures += outcome.stats.failed
-            print(
-                f"{outcome.stats.failed} fuzz job(s) crashed or timed out",
-                file=sys.stderr,
-            )
-        if not args.quiet:
-            stats = outcome.stats
-            print(
-                f"fuzz: {stats.total} jobs over {len(policies)} policies  "
-                f"divergent: {len(divergent)}  cache_hits: {stats.cache_hits}  "
-                f"wall: {stats.wall_seconds:.1f}s"
-            )
-
+        slates.append(("fuzz", jobs, f"jobs over {len(policies)} policies"))
     if args.system_fuzz > 0:
-        from repro.verify.system import plan_system_jobs
-
-        job_list = plan_system_jobs(
-            args.system_fuzz, base_seed=args.seed, length=args.length,
-            kernel=args.kernel,
+        jobs = plan_system_jobs(
+            args.system_fuzz, base_seed=args.seed, length=args.length
         )
+        slates.append(("system", jobs, "hierarchy/multicore jobs"))
+
+    for name, job_list, what in slates:
         outcome = run_jobs(
             job_list,
             max_workers=args.jobs,
@@ -740,38 +708,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             progress=ProgressReporter(len(job_list), enabled=not args.quiet),
         )
-        divergent = [
-            (job, result)
-            for job, result in outcome.results.items()
-            if not result["ok"]
-        ]
-        for job, result in divergent:
-            data = result["divergence"]
-            kernel = data.get("kernel", "dict")
-            driver = (
-                "batched replay" if kernel == "dict"
-                else f"batched replay (kernel {kernel!r})"
-            )
-            print(f"\n{job.label}:", file=sys.stderr)
+        results = outcome.results
+        divergent = [job for job, result in results.items() if not result["ok"]]
+        for job in divergent:
+            print(f"\n{job.label}:\n{results[job]['report']}", file=sys.stderr)
+        stats = outcome.stats
+        failures += len(divergent) + stats.failed
+        if stats.failed:
             print(
-                f"{data['target']} {driver} diverged from the scalar "
-                f"walk for policy {data['policy']!r}: {data['kind']} -- "
-                f"scalar says {data['expected']}, batched says "
-                f"{data['actual']}",
-                file=sys.stderr,
-            )
-        failures += len(divergent)
-        if outcome.stats.failed:
-            failures += outcome.stats.failed
-            print(
-                f"{outcome.stats.failed} system job(s) crashed or timed out",
+                f"{stats.failed} {name} job(s) crashed or timed out",
                 file=sys.stderr,
             )
         if not args.quiet:
-            stats = outcome.stats
+            counts = f"divergent: {len(divergent)}  "
+            if name == "system":
+                # A job whose kernel declined compared the scalar walk
+                # with itself: count those, so a slate never reads as
+                # more coverage than it had.
+                idle = sum(1 for r in results.values() if not r["drivers"])
+                counts += f"compared none: {idle}  "
             print(
-                f"system: {stats.total} hierarchy/multicore jobs  "
-                f"divergent: {len(divergent)}  cache_hits: {stats.cache_hits}  "
+                f"{name}: {stats.total} {what}  {counts}"
+                f"cache_hits: {stats.cache_hits}  "
                 f"wall: {stats.wall_seconds:.1f}s"
             )
 
@@ -1354,17 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1536,
         metavar="N",
         help="accesses per fuzz trace",
-    )
-    verify_parser.add_argument(
-        "--kernel",
-        "-k",
-        type=_kernel_arg,
-        default="native",
-        help=(
-            "batch kernel pinned by every third hierarchy system-fuzz "
-            "job and every multicore one (default: native; 'dict' plans "
-            "hierarchy jobs only)"
-        ),
     )
     verify_parser.add_argument(
         "--skip-golden",

@@ -28,17 +28,25 @@ import repro
 _NON_SEMANTIC = {"engine", "service", "cli.py", "__main__.py", "__pycache__"}
 
 
+#: source suffixes that determine results: Python and the native
+#: kernel's C source.
+_SOURCE_SUFFIXES = {".py", ".c"}
+
+
 @lru_cache(maxsize=1)
 def code_version() -> str:
     """Digest of every simulator source file (orchestration excluded).
 
-    Hashed once per process; editing any file under ``repro/`` other
-    than ``engine/``/``cli.py`` changes the digest and therefore every
-    job key, so a stale store can never serve results from old code.
+    Hashed once per process; editing any ``.py`` or ``.c`` file under
+    ``repro/`` other than ``engine/``/``cli.py`` changes the digest and
+    therefore every job key, so a stale store can never serve results
+    from old code.
     """
     root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted(root.rglob("*")):
+        if path.suffix not in _SOURCE_SUFFIXES:
+            continue
         rel = path.relative_to(root).as_posix()
         if rel.split("/", 1)[0] in _NON_SEMANTIC:
             continue

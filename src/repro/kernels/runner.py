@@ -37,7 +37,8 @@ Supported configurations (the ``native`` backend):
   inline, so shared-LLC replays run entirely in ``rw_multicore``;
 * victim selection: plain min-stamp (LRU), the RWP partitioned
   min-stamp, or the core-aware RWP scan (``<= 64`` policy cores), with
-  or without the shared-line group (blend arbitration stays dict-only);
+  or without the shared-line group (blend arbitration has no kernel
+  counterpart);
 * sampling via ``ReadWriteSampler`` / ``CoreReadWriteSampler`` or
   rwp-core's shared-claimant router, epochs via the RWP repartition
   hooks (the repartition itself still runs in Python through a
@@ -266,46 +267,35 @@ def _gather_comparator(cache, kind: int) -> Optional[soa.PolicyImage]:
     )
 
 
-def _victim_kind(cache, directory) -> Optional[int]:
+def _victim_kind(cache, directory, decline) -> Optional[int]:
+    """The kernel's victim scan for ``cache``, or ``decline(why not)``."""
     plan = cache.plan
     if plan.min_stamp_victim:
         return _VICTIM_MIN_STAMP
     if plan.partition_min_stamp_victim:
         return _VICTIM_RWP
     victim_func = getattr(cache._victim, "__func__", None)
-    if victim_func is CoreAwareRWPPolicy.victim:
-        policy = cache.policy
-        # The C scan enforces plain per-core budgets, plus the shared
-        # group when the policy classifies through the directory the
-        # kernel maintains; the blend's global-mode delegation
-        # dispatches per eviction in Python, so it stays dict-only.
-        if getattr(policy, "blend", False):
-            return None
-        if not 1 <= policy.num_cores <= _MAX_POLICY_CORES:
-            return None
-        if policy.directory is None:
-            return _VICTIM_CORE_RWP
-        if policy.directory is directory:
-            return _VICTIM_CORE_RWP_SHARED
-    return None
-
-
-def _victim_block_reason(cache) -> str:
-    """Why :func:`_victim_kind` said no, for fallback surfacing."""
-    victim_func = getattr(cache._victim, "__func__", None)
-    if victim_func is CoreAwareRWPPolicy.victim:
-        policy = cache.policy
-        if getattr(policy, "blend", False):
-            return "rwp-core blend arbitration is dict-only"
-        if 1 <= policy.num_cores <= _MAX_POLICY_CORES:
-            return (
-                "rwp-core classifies shared lines through a directory "
-                "the cache's listeners do not update"
-            )
-        return f"rwp-core with more than {_MAX_POLICY_CORES} cores"
-    return (
-        f"victim selection of {type(cache.policy).__name__} "
-        "has no kernel counterpart"
+    if victim_func is not CoreAwareRWPPolicy.victim:
+        return decline(
+            f"victim selection of {type(cache.policy).__name__} "
+            "has no kernel counterpart"
+        )
+    policy = cache.policy
+    # The C scan enforces plain per-core budgets, plus the shared group
+    # when the policy classifies through the directory the kernel
+    # maintains; the blend's global-mode delegation dispatches per
+    # eviction in Python, so it has no kernel counterpart.
+    if getattr(policy, "blend", False):
+        return decline("rwp-core blend arbitration has no kernel counterpart")
+    if not 1 <= policy.num_cores <= _MAX_POLICY_CORES:
+        return decline(f"rwp-core with more than {_MAX_POLICY_CORES} cores")
+    if policy.directory is None:
+        return _VICTIM_CORE_RWP
+    if policy.directory is directory:
+        return _VICTIM_CORE_RWP_SHARED
+    return decline(
+        "rwp-core classifies shared lines through a directory "
+        "the cache's listeners do not update"
     )
 
 
@@ -374,9 +364,9 @@ def bind_cache(
         return decline(blocked)
     if comparator is not None:
         return _bind_comparator(cache, comparator, decline)
-    kind = _victim_kind(cache, directory)
+    kind = _victim_kind(cache, directory, decline)
     if kind is None:
-        return decline(_victim_block_reason(cache))
+        return None
     plan = cache.plan
     policy = cache.policy
     stamp = plan.stamp_policy

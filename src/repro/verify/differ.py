@@ -5,15 +5,19 @@
 :class:`~repro.verify.oracle.OracleCache` access by access, comparing
 every ``(hit, bypassed, writeback_address)`` outcome, then the final
 per-set ``(tag, dirty)`` contents, the statistics counters, and the
-production model's internal set invariants.  ``diff_policy`` adds
-delta-debugging: a diverging trace is shrunk to a minimal reproducing
-access sequence before being reported.
+production model's internal set invariants.  It then replays the trace
+through fresh caches under every batched driver (:func:`check_drivers`)
+and requires the scalar side's end state from each.  ``diff_policy``
+adds delta-debugging: a diverging trace is shrunk to a minimal
+reproducing access sequence before being reported.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.policy import ReplacementPolicy, make_policy
@@ -53,7 +57,8 @@ class Divergence:
     policy: str
     index: int  # access index of the first mismatch; -1 = end-of-trace
     kind: str  # "hit" | "bypassed" | "writeback" | "state" | "invariant"
-    #: or a statistic name
+    #: or a statistic name; "<driver> run_trace <stat | state digest>"
+    #: when a batched driver disagrees with the scalar side
     expected: object  # what the oracle says
     actual: object  # what the production model did
     records: List[AccessRecord] = field(default_factory=list)
@@ -119,11 +124,73 @@ def make_oracle_cache(policy: str, config: CacheConfig) -> OracleCache:
 SutFactory = Callable[[CacheConfig], SetAssociativeCache]
 
 
+def _records(trace: "Trace | Sequence[AccessRecord]") -> List[AccessRecord]:
+    if isinstance(trace, Trace):
+        return [
+            (address, bool(is_write), pc)
+            for address, is_write, pc, _gap in trace
+        ]
+    return list(trace)
+
+
 def _sut_state(sut: SetAssociativeCache) -> List[List[Tuple[int, bool]]]:
     return [
         sorted((line.tag, bool(line.dirty)) for line in s.lines if line.valid)
         for s in sut.sets
     ]
+
+
+def state_digest(cache: SetAssociativeCache) -> str:
+    """SHA-256 over the canonical final (set -> sorted (tag, dirty))."""
+    blob = json.dumps(_sut_state(cache), separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def end_record(cache: SetAssociativeCache) -> Dict[str, object]:
+    """A cache's end state as the golden corpus pins it."""
+    return {
+        "state_digest": state_digest(cache),
+        "stats": {name: getattr(cache, name) for name in COMPARED_STATS},
+    }
+
+
+def check_drivers(
+    policy: str,
+    trace: Trace,
+    config: CacheConfig,
+    record: Dict[str, object],
+    sut_factory: Optional[SutFactory] = None,
+) -> Optional[Divergence]:
+    """Hold every batched driver to a scalar replay's ``end_record``.
+
+    Replays ``trace`` through a fresh cache per kernel (the dict batch
+    loop, then the native kernel, which falls back to the dict loop
+    where it declines) with one ``run_trace`` call each, and reports
+    the first statistic or state digest that differs from ``record``.
+    """
+    from repro.kernels import KERNEL_NAMES, attach_kernel
+
+    decoded = trace.decoded(config)
+    for driver in KERNEL_NAMES:
+        cache = (
+            sut_factory(config) if sut_factory is not None
+            else make_sut_cache(policy, config)
+        )
+        attach_kernel(cache, driver)
+        cache.run_trace(decoded)
+        got = end_record(cache)
+        for name in COMPARED_STATS:
+            if got["stats"][name] != record["stats"][name]:
+                return Divergence(
+                    policy, -1, f"{driver} run_trace {name}",
+                    expected=record["stats"][name], actual=got["stats"][name],
+                )
+        if got["state_digest"] != record["state_digest"]:
+            return Divergence(
+                policy, -1, f"{driver} run_trace state digest",
+                expected=record["state_digest"], actual=got["state_digest"],
+            )
+    return None
 
 
 def _check_invariants(sut: SetAssociativeCache, policy: str) -> Optional[Divergence]:
@@ -159,51 +226,31 @@ def replay(
     config: CacheConfig,
     sut_factory: Optional[SutFactory] = None,
 ) -> Optional[Divergence]:
-    """Replay one trace through both models; ``None`` means conformant."""
-    if isinstance(trace, Trace):
-        records: List[AccessRecord] = [
-            (address, bool(is_write), pc)
-            for address, is_write, pc, _gap in trace
-        ]
-    else:
-        records = list(trace)
+    """Replay one trace through both models; ``None`` means conformant.
+
+    The production side runs scalar ``access()`` in lockstep with the
+    oracle; once the two agree to the end, :func:`check_drivers` holds
+    every batched driver to the production side's end state.
+    """
+    records = _records(trace)
     sut = (
         sut_factory(config) if sut_factory is not None
         else make_sut_cache(policy, config)
     )
     oracle = make_oracle_cache(policy, config)
 
-    # The production side replays through the batch driver -- the same
-    # code path the experiment runners use -- with a step callback doing
-    # the per-access lockstep comparison (and aborting on the first
-    # mismatch).
-    decoded = Trace(
-        [address for address, _, _ in records],
-        [is_write for _, is_write, _ in records],
-        [pc for _, _, pc in records],
-    ).decoded(config)
+    sut_access = sut.access
     oracle_access = oracle.access
-    first: List[Divergence] = []
-
-    def step(index: int, hit: bool, bypassed: bool, writeback: int) -> bool:
-        address, is_write, pc = records[index]
-        got = (hit, bypassed, writeback)
+    for index, (address, is_write, pc) in enumerate(records):
+        got = sut_access(address, is_write, pc)
         want = oracle_access(address, is_write, pc)
         if got != want:
             for position, kind in enumerate(("hit", "bypassed", "writeback")):
                 if got[position] != want[position]:
-                    first.append(
-                        Divergence(
-                            policy, index, kind,
-                            expected=want[position], actual=got[position],
-                        )
+                    return Divergence(
+                        policy, index, kind,
+                        expected=want[position], actual=got[position],
                     )
-                    return True
-        return False
-
-    sut.run_trace(decoded, step=step)
-    if first:
-        return first[0]
 
     oracle_state = oracle.set_contents()
     sut_state = _sut_state(sut)
@@ -224,7 +271,15 @@ def replay(
                 expected=oracle_stats[name], actual=getattr(sut, name),
             )
 
-    return _check_invariants(sut, policy)
+    invariant = _check_invariants(sut, policy)
+    if invariant is not None:
+        return invariant
+    batched = Trace(
+        [address for address, _, _ in records],
+        [is_write for _, is_write, _ in records],
+        [pc for _, _, pc in records],
+    )
+    return check_drivers(policy, batched, config, end_record(sut), sut_factory)
 
 
 def shrink(
@@ -292,13 +347,7 @@ def diff_policy(
     sut_factory: Optional[SutFactory] = None,
 ) -> Optional[Divergence]:
     """Replay and, on divergence, return a *shrunken* reproducer."""
-    if isinstance(trace, Trace):
-        records = [
-            (address, bool(is_write), pc)
-            for address, is_write, pc, _gap in trace
-        ]
-    else:
-        records = list(trace)
+    records = _records(trace)
     divergence = replay(policy, records, config, sut_factory)
     if divergence is None:
         return None

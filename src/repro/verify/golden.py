@@ -25,7 +25,13 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.common.config import CacheConfig
-from repro.verify.differ import COMPARED_STATS, make_sut_cache
+from repro.verify.differ import (
+    COMPARED_STATS,
+    check_drivers,
+    end_record,
+    make_sut_cache,
+    state_digest,
+)
 from repro.verify.fuzzer import fuzz_trace
 from repro.verify.jobs import VERIFY_POLICIES
 
@@ -133,57 +139,33 @@ def default_goldens_path() -> Path:
     return Path(__file__).resolve().parent / "goldens.json"
 
 
-def _state_digest(sut) -> str:
-    """SHA-256 over the canonical final (set -> sorted (tag, dirty))."""
-    state = [
-        sorted([line.tag, bool(line.dirty)] for line in s.lines if line.valid)
-        for s in sut.sets
-    ]
-    blob = json.dumps(state, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def golden_record(
     policy: str, spec: GoldenSpec, check_batched: bool = False
 ) -> Dict[str, object]:
     """Run one (policy, trace) cell and summarize the outcome.
 
     Deliberately the *scalar* replay -- one ``access()`` per record --
-    so the corpus stays independent of the batch driver it also guards.
-    With ``check_batched`` (regeneration time), a second fresh cache
-    replays the same trace through ``run_trace`` -- and, where the
-    configuration is kernel-eligible, a third one through the
-    ``native`` SoA batch kernel -- and all must agree exactly; a golden
-    is never written from a driver that disagrees with its own scalar
-    path.
+    so the corpus stays independent of the batch drivers it also
+    guards.  With ``check_batched`` (regeneration time),
+    :func:`~repro.verify.differ.check_drivers` must then find every
+    batched driver in exact agreement; a golden is never written from a
+    driver that disagrees with its own scalar path.
     """
     trace = spec.trace()
     sut = make_sut_cache(policy, spec.config())
     for address, is_write, pc, _gap in trace:
         sut.access(address, is_write, pc)
-    stats = {name: getattr(sut, name) for name in COMPARED_STATS}
-    record = {"state_digest": _state_digest(sut), "stats": stats}
+    record = end_record(sut)
     if check_batched:
-        for driver, kernel in (("batched", None), ("kernel", "native")):
-            batched = make_sut_cache(policy, spec.config())
-            if kernel is not None:
-                from repro.kernels import attach_kernel
-
-                attach_kernel(batched, kernel)
-            batched.run_trace(trace.decoded(spec.config()))
-            batched_stats = {
-                name: getattr(batched, name) for name in COMPARED_STATS
-            }
-            if batched_stats != stats or _state_digest(batched) != record[
-                "state_digest"
-            ]:
-                raise AssertionError(
-                    f"scalar and {driver} replay disagree for policy "
-                    f"{policy!r} on trace {spec.name!r}: scalar {stats} / "
-                    f"{record['state_digest']}, {driver} {batched_stats} / "
-                    f"{_state_digest(batched)} -- refusing to regenerate "
-                    "goldens from an inconsistent driver"
-                )
+        divergence = check_drivers(policy, trace, spec.config(), record)
+        if divergence is not None:
+            raise AssertionError(
+                f"scalar replay and {divergence.kind} disagree for policy "
+                f"{policy!r} on trace {spec.name!r}: scalar "
+                f"{divergence.expected!r}, batched {divergence.actual!r} "
+                "-- refusing to regenerate goldens from an inconsistent "
+                "driver"
+            )
     return record
 
 
@@ -197,19 +179,14 @@ def system_golden_record(
     policy: str,
     spec: SystemGoldenSpec,
     check_scalar: bool = False,
-    kernel: "str | None" = None,
 ) -> Dict[str, object]:
-    """Run one system-level cell (production batched path) and pin it.
+    """Run one system-level cell (kernel-free batched path) and pin it.
 
     With ``check_scalar`` (regeneration time), the batched-vs-scalar
-    system differ must pass first -- on a hierarchy for the dict driver
-    *and* the ``native`` SoA batch kernel, on a shared LLC for the
-    kernel (without one, ``run`` is the scalar interleave) -- so a
-    golden is never written from a driver that disagrees with its own
-    scalar specification.  With
-    ``kernel``, the pinned replay itself runs under that batch kernel
-    (used by the conformance tests; the checked-in corpus is recorded
-    kernel-free).
+    system differ must pass first -- on a hierarchy for the dict and
+    the native stage replay, on a shared LLC for the native interleave
+    -- so a golden is never written from a driver that disagrees with
+    its own scalar specification.
     """
     from repro.verify.system import (
         HIERARCHY_GEOMETRIES,
@@ -231,17 +208,10 @@ def system_golden_record(
             spec.scenario, spec.seed, llc_sets, llc_ways, spec.length
         )
         if check_scalar:
-            for check_kernel in (None, "native"):
-                divergence = diff_hierarchy(
-                    policy, trace, config, kernel=check_kernel
-                )
-                if divergence is not None:
-                    raise AssertionError(divergence.describe())
+            divergence = diff_hierarchy(policy, trace, config)
+            if divergence is not None:
+                raise AssertionError(divergence.describe())
         hierarchy = MemoryHierarchy(config, _system_policy(policy))
-        if kernel is not None:
-            from repro.kernels import attach_kernel
-
-            attach_kernel(hierarchy, kernel)
         counts = hierarchy.run_trace(trace)
         blob = json.dumps(
             {
@@ -294,16 +264,10 @@ def system_golden_record(
         traces = [_as_global(trace) for trace in traces]
     warmup = spec.length // 4
     if check_scalar:
-        divergence = diff_multicore(
-            policy, traces, config, num_cores, warmup, kernel="native"
-        )
+        divergence = diff_multicore(policy, traces, config, num_cores, warmup)
         if divergence is not None:
             raise AssertionError(divergence.describe())
     system = SharedLLCSystem(config, num_cores, _system_policy(policy, num_cores))
-    if kernel is not None:
-        from repro.kernels import attach_kernel
-
-        attach_kernel(system, kernel)
     result = system.run(traces, warmup=warmup)
     record = {
         "geometry": [num_cores, llc_sets, ways],
@@ -318,7 +282,7 @@ def system_golden_record(
             }
             for core in result.cores
         ],
-        "llc_digest": _state_digest(system.llc),
+        "llc_digest": state_digest(system.llc),
     }
     if spec.shared:
         # Pin the sharer-directory counters too: any drift in sharer

@@ -94,6 +94,7 @@ class FuzzJob:
         }
         if divergence is not None:
             result["divergence"] = divergence.to_dict()
+            result["report"] = divergence.describe()
         return result
 
     @staticmethod

@@ -2,16 +2,17 @@
 
 The single-cache conformance harness (:mod:`repro.verify.differ`) pins
 the batched LLC driver to an independent oracle.  This module extends
-the lockstep idea one level up, to the two drivers that *compose* the
+the lockstep idea one level up, to the drivers that *compose* the
 batched pipeline:
 
 * :func:`diff_hierarchy` -- the staged L1/L2/LLC replay
-  (:meth:`~repro.hierarchy.system.MemoryHierarchy.run_trace`) against
-  the per-access scalar walk it must be bit-identical to, on fresh
-  hierarchies, comparing per-level service counts, every cache's final
-  set contents and statistics, the memory read/write counters, and (in
-  collect mode) the per-access service levels and memory-write
-  attribution the timing replay consumes.
+  (:meth:`~repro.hierarchy.system.MemoryHierarchy.run_trace`), under
+  the dict driver and under the native kernel, against the per-access
+  scalar walk it must be bit-identical to, on fresh hierarchies,
+  comparing per-level service counts, every cache's final set contents
+  and statistics, the memory read/write counters, and (in collect mode)
+  the per-access service levels and memory-write attribution the timing
+  replay consumes.
 * :func:`diff_multicore` -- the shared-LLC interleave on the native
   kernel (:meth:`~repro.multicore.shared.SharedLLCSystem.run` with a
   kernel attached) against its scalar specification
@@ -19,10 +20,13 @@ batched pipeline:
   (instructions, exact cycle floats, hit/miss counts), the shared LLC's
   final state and statistics.
 
-``repro verify --system-fuzz N`` fans :class:`SystemFuzzJob`\\ s out
-through the engine; geometry and scenario rotate per job, so a handful
-of jobs covers multi-level pressure (tiny L1s forcing deep writeback
-chains) and multicore contention (many cores on a small shared LLC).
+A driver that declines a configuration hands it to a Python path, so
+each check also reports which batched drivers served the replay in
+full.  ``repro verify --system-fuzz N`` fans :class:`SystemFuzzJob`\\ s
+out through the engine; geometry and scenario rotate per job, so a
+handful of jobs covers multi-level pressure (tiny L1s forcing deep
+writeback chains) and multicore contention (many cores on a small
+shared LLC).
 """
 
 from __future__ import annotations
@@ -103,25 +107,21 @@ SYSTEM_TRACE_LENGTH = 1024
 
 @dataclass
 class SystemDivergence:
-    """One difference between the batched driver and its scalar spec."""
+    """One difference between a batched driver and its scalar spec."""
 
     target: str  # "hierarchy" | "multicore"
     policy: str
     kind: str  # which comparison failed
     expected: object  # the scalar reference's value
     actual: object  # the batched driver's value
-    kernel: str = "dict"  # the batch kernel the batched side ran under
-
-    def _driver(self) -> str:
-        if self.kernel == "dict":
-            return "batched replay"
-        return f"batched replay (kernel {self.kernel!r})"
+    driver: str  # the kernel the diverging batched side ran under
 
     def describe(self) -> str:
         return (
-            f"{self.target} {self._driver()} diverged from the scalar "
-            f"walk for policy {self.policy!r}: {self.kind} -- scalar says "
-            f"{self.expected!r}, batched says {self.actual!r}"
+            f"{self.target} batched replay (kernel {self.driver!r}) "
+            f"diverged from the scalar walk for policy {self.policy!r}: "
+            f"{self.kind} -- scalar says {self.expected!r}, batched says "
+            f"{self.actual!r}"
         )
 
     def to_dict(self) -> dict:
@@ -131,8 +131,14 @@ class SystemDivergence:
             "kind": self.kind,
             "expected": repr(self.expected),
             "actual": repr(self.actual),
-            "kernel": self.kernel,
+            "driver": self.driver,
         }
+
+
+#: what a system check returns: the first divergence (None when every
+#: driver matched) and the kernels whose batched replay served the run
+#: in full, with no stage handed to a Python fallback.
+SystemCheck = Tuple[Optional[SystemDivergence], List[str]]
 
 
 def small_hierarchy(
@@ -220,85 +226,91 @@ def _hierarchy_snapshot(hierarchy) -> Dict[str, object]:
     }
 
 
-def diff_hierarchy(
-    policy: str,
-    trace,
-    config: HierarchyConfig,
-    kernel: Optional[str] = None,
-) -> Optional[SystemDivergence]:
-    """Replay one trace both ways through fresh hierarchies.
+def _first_difference(got: Sequence, want: Sequence) -> int:
+    return next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
 
-    Runs the comparison twice: once in plain counting mode (which takes
-    the fast LLC-residue path when the policy allows it) and once in
-    ``collect`` mode (per-access service levels and memory-write
-    attribution, the timing replay's inputs).  With ``kernel``, the
-    batched side runs under that SoA batch kernel (the scalar side
-    never does), so the comparison pins the kernel to the scalar walk.
-    ``None`` means the batched pipeline is bit-identical here.
+
+def _served(system) -> bool:
+    """True when ``system``'s kernel, if any, recorded no fallback.
+
+    Every cache a hierarchy or shared-LLC system owns shares the one
+    runtime ``attach_kernel`` installed, so the LLC's speaks for all.
     """
+    runtime = system.llc.kernel
+    return runtime is None or runtime.fallback_reason is None
+
+
+def diff_hierarchy(
+    policy: str, trace, config: HierarchyConfig
+) -> Optional[SystemDivergence]:
+    """Replay one trace through fresh hierarchies, every driver vs. scalar.
+
+    Runs the comparison in plain counting mode (which takes the fast
+    LLC-residue path when the policy allows it) and in ``collect`` mode
+    (per-access service levels and memory-write attribution, the timing
+    replay's inputs), each time under every kernel in
+    :data:`~repro.kernels.KERNEL_NAMES` (the scalar side never runs
+    one).  ``None`` means every batched driver is bit-identical here.
+    """
+    return _check_hierarchy(policy, trace, config)[0]
+
+
+def _check_hierarchy(policy: str, trace, config: HierarchyConfig) -> SystemCheck:
     from repro.hierarchy.system import MemoryHierarchy
+    from repro.kernels import KERNEL_NAMES, attach_kernel
 
+    served = list(KERNEL_NAMES)
     for collect in (False, True):
-        batched = MemoryHierarchy(config, _system_policy(policy))
-        if kernel is not None:
-            from repro.kernels import attach_kernel
-
-            attach_kernel(batched, kernel)
         scalar = MemoryHierarchy(config, _system_policy(policy))
-        if not batched._batch_supported(0):
+        if not scalar._batch_supported(0):
             # The staged replay would fall back to the scalar walk;
             # comparing scalar to scalar proves nothing.
-            return None
-        got = batched.run_trace(trace, collect=collect)
+            return None, []
         want = scalar._run_trace_scalar(
             trace, core=0, start=0, stop=len(trace), collect=collect
         )
-        if collect:
-            got_counts, got_levels, got_mem = got
-            want_counts, want_levels, want_mem = want
-            if got_levels != want_levels:
-                first = next(
-                    i
-                    for i, (g, w) in enumerate(zip(got_levels, want_levels))
-                    if g != w
-                )
-                return SystemDivergence(
-                    "hierarchy",
-                    policy,
-                    f"collect levels at access #{first}",
-                    want_levels[first],
-                    got_levels[first],
-                    kernel=kernel or "dict",
-                )
-            if got_mem != want_mem:
-                first = next(
-                    i
-                    for i, (g, w) in enumerate(zip(got_mem, want_mem))
-                    if g != w
-                )
-                return SystemDivergence(
-                    "hierarchy",
-                    policy,
-                    f"collect memory writes at access #{first}",
-                    want_mem[first],
-                    got_mem[first],
-                    kernel=kernel or "dict",
-                )
-        else:
-            got_counts, want_counts = got, want
-        if got_counts != want_counts:
-            return SystemDivergence(
-                "hierarchy", policy, "service-level counts",
-                want_counts, got_counts, kernel=kernel or "dict",
-            )
-        got_snap = _hierarchy_snapshot(batched)
         want_snap = _hierarchy_snapshot(scalar)
-        for key in want_snap:
-            if got_snap[key] != want_snap[key]:
-                return SystemDivergence(
-                    "hierarchy", policy, key, want_snap[key], got_snap[key],
-                    kernel=kernel or "dict",
+        for driver in KERNEL_NAMES:
+            batched = MemoryHierarchy(config, _system_policy(policy))
+            attach_kernel(batched, driver)
+            got = batched.run_trace(trace, collect=collect)
+            if not _served(batched) and driver in served:
+                served.remove(driver)
+            divergence = _compare_hierarchy(
+                policy, driver, collect, got, want, batched, want_snap
+            )
+            if divergence is not None:
+                return divergence, served
+    return None, served
+
+
+def _compare_hierarchy(
+    policy, driver, collect, got, want, batched, want_snap
+) -> Optional[SystemDivergence]:
+    def diverged(kind, expected, actual):
+        return SystemDivergence(
+            "hierarchy", policy, kind, expected, actual, driver
+        )
+
+    got_counts, want_counts = got, want
+    if collect:
+        got_counts, got_levels, got_mem = got
+        want_counts, want_levels, want_mem = want
+        for what, g, w in (
+            ("levels", got_levels, want_levels),
+            ("memory writes", got_mem, want_mem),
+        ):
+            if g != w:
+                first = _first_difference(g, w)
+                return diverged(
+                    f"collect {what} at access #{first}", w[first], g[first]
                 )
+    if got_counts != want_counts:
+        return diverged("service-level counts", want_counts, got_counts)
+    got_snap = _hierarchy_snapshot(batched)
+    for key in want_snap:
+        if got_snap[key] != want_snap[key]:
+            return diverged(key, want_snap[key], got_snap[key])
     return None
 
 
@@ -308,9 +320,8 @@ def diff_multicore(
     config: HierarchyConfig,
     num_cores: int,
     warmup: int = 0,
-    kernel: str = "native",
 ) -> Optional[SystemDivergence]:
-    """Run one mix through ``run`` under ``kernel`` and ``run_scalar``.
+    """Run one mix through ``run`` on the native kernel and ``run_scalar``.
 
     Fresh systems (fresh policy instances) on both sides; compares every
     ``CoreResult`` field -- including the exact IEEE cycle floats, which
@@ -319,82 +330,84 @@ def diff_multicore(
     global-address (data-sharing) mixes it also compares the
     ``shared.*`` counters and the sharer directory's full line table
     (sharer masks + last writers), so the kernel's directory updates
-    are pinned access-for-access to the scalar walk.  Without a kernel
-    ``run`` is ``run_scalar``, so ``kernel="dict"`` raises
-    ``ValueError``; where ``kernel`` declines (a policy outside its
-    matrix, a host without a compiler) the check compares the scalar
-    interleave with itself.
+    are pinned access-for-access to the scalar walk.  The native
+    interleave is the only batched multicore driver (a kernel-free
+    ``run`` is ``run_scalar``); where the kernel declines (a policy
+    outside its matrix, a host without a compiler) the check compares
+    the scalar interleave with itself, and the verify job reports that
+    no driver served.
     """
-    from repro.kernels import KernelSpec, attach_kernel
+    return _check_multicore(policy, traces, config, num_cores, warmup)[0]
+
+
+def _check_multicore(
+    policy: str,
+    traces: Sequence,
+    config: HierarchyConfig,
+    num_cores: int,
+    warmup: int,
+) -> SystemCheck:
+    from repro.kernels import attach_kernel
     from repro.multicore.shared import SharedLLCSystem
 
-    if KernelSpec.coerce(kernel).name == "dict":
-        raise ValueError(
-            "without a kernel SharedLLCSystem.run is run_scalar: "
-            "nothing to compare"
-        )
     batched_system = SharedLLCSystem(
         config, num_cores, _system_policy(policy, num_cores)
     )
-    attach_kernel(batched_system, kernel)
+    attach_kernel(batched_system, "native")
     scalar_system = SharedLLCSystem(
         config, num_cores, _system_policy(policy, num_cores)
     )
     got = batched_system.run(traces, warmup=warmup)
     want = scalar_system.run_scalar(traces, warmup=warmup)
+    divergence = _compare_multicore(
+        policy, got, want, batched_system, scalar_system
+    )
+    return divergence, ["native"] if _served(batched_system) else []
+
+
+def _compare_multicore(
+    policy, got, want, batched_system, scalar_system
+) -> Optional[SystemDivergence]:
+    def diverged(kind, expected, actual):
+        return SystemDivergence(
+            "multicore", policy, kind, expected, actual, "native"
+        )
+
     for core, (g, w) in enumerate(zip(got.cores, want.cores)):
         if g != w:
-            return SystemDivergence(
-                "multicore", policy, f"core {core} result", w, g,
-                kernel=kernel,
-            )
+            return diverged(f"core {core} result", w, g)
     got_state = _cache_state(batched_system.llc)
     want_state = _cache_state(scalar_system.llc)
     if got_state != want_state:
-        first = next(
-            i
-            for i, (g, w) in enumerate(zip(got_state, want_state))
-            if g != w
-        )
-        return SystemDivergence(
-            "multicore", policy, f"llc set {first}",
-            want_state[first], got_state[first], kernel=kernel,
+        first = _first_difference(got_state, want_state)
+        return diverged(
+            f"llc set {first}", want_state[first], got_state[first]
         )
     got_stats = batched_system.llc.snapshot()
     want_stats = scalar_system.llc.snapshot()
     if got_stats != want_stats:
-        return SystemDivergence(
-            "multicore", policy, "llc stats", want_stats, got_stats,
-            kernel=kernel,
-        )
+        return diverged("llc stats", want_stats, got_stats)
     if batched_system.llc.tick != scalar_system.llc.tick:
-        return SystemDivergence(
-            "multicore", policy, "llc tick",
-            scalar_system.llc.tick, batched_system.llc.tick,
-            kernel=kernel,
+        return diverged(
+            "llc tick", scalar_system.llc.tick, batched_system.llc.tick
         )
     if got.shared != want.shared:
-        return SystemDivergence(
-            "multicore", policy, "shared stats", want.shared, got.shared,
-            kernel=kernel,
-        )
+        return diverged("shared stats", want.shared, got.shared)
     got_dir = batched_system.sharer_directory
     want_dir = scalar_system.sharer_directory
     if (got_dir is None) != (want_dir is None):
-        return SystemDivergence(
-            "multicore", policy, "sharer directory presence",
+        return diverged(
+            "sharer directory presence",
             want_dir is not None, got_dir is not None,
-            kernel=kernel,
         )
     if got_dir is not None and got_dir.table != want_dir.table:
         keys = set(got_dir.table) | set(want_dir.table)
         first = min(
             k for k in keys if got_dir.table.get(k) != want_dir.table.get(k)
         )
-        return SystemDivergence(
-            "multicore", policy, f"sharer directory entry for block {first}",
+        return diverged(
+            f"sharer directory entry for block {first}",
             want_dir.table.get(first), got_dir.table.get(first),
-            kernel=kernel,
         )
     return None
 
@@ -409,7 +422,6 @@ class SystemFuzzJob:
     seed: int
     geometry: int  # index into the target's geometry menu
     length: int = SYSTEM_TRACE_LENGTH
-    kernel: str = "dict"  # batch kernel on the batched side
     shared: bool = False  # multicore only: global-address (data-sharing) mix
 
     kind: ClassVar[str] = "verify-system"
@@ -420,11 +432,7 @@ class SystemFuzzJob:
             f"verify:{self.target}:{self.policy}/{self.scenario}"
             f"@g{self.geometry}#{self.seed}"
         )
-        if self.shared:
-            base = f"{base}:shared"
-        if self.kernel != "dict":
-            base = f"{base}~{self.kernel}"
-        return base
+        return f"{base}:shared" if self.shared else base
 
     def payload(self) -> Dict[str, object]:
         # The resolved geometry, not the menu index: re-ordering the
@@ -442,12 +450,8 @@ class SystemFuzzJob:
             "geometry": geometry,
             "length": self.length,
         }
-        # Same convention as RunJob: the default dict kernel is omitted
-        # so pre-kernel store entries stay warm, while every non-default
-        # kernel keys (and caches) separately.  Likewise ``shared`` only
-        # appears for global-address jobs -- private-job keys predate it.
-        if self.kernel != "dict":
-            payload["kernel"] = self.kernel
+        # ``shared`` only appears for global-address jobs -- private-job
+        # keys predate it.
         if self.shared:
             payload["shared"] = True
         return payload
@@ -456,21 +460,22 @@ class SystemFuzzJob:
         return job_key(self.payload())
 
     def execute(self) -> Dict[str, object]:
-        divergence = self.run()
+        divergence, drivers = self.run()
         result: Dict[str, object] = {
             "target": self.target,
             "policy": self.policy,
             "scenario": self.scenario,
             "seed": self.seed,
-            "kernel": self.kernel,
             "shared": self.shared,
+            "drivers": drivers,
             "ok": divergence is None,
         }
         if divergence is not None:
             result["divergence"] = divergence.to_dict()
+            result["report"] = divergence.describe()
         return result
 
-    def run(self) -> Optional[SystemDivergence]:
+    def run(self) -> SystemCheck:
         if self.target == "hierarchy":
             geometry = HIERARCHY_GEOMETRIES[self.geometry]
             config = small_hierarchy(geometry)
@@ -478,8 +483,7 @@ class SystemFuzzJob:
             trace = fuzz_trace(
                 self.scenario, self.seed, llc_sets, geometry[2][1], self.length
             )
-            kernel = None if self.kernel == "dict" else self.kernel
-            return diff_hierarchy(self.policy, trace, config, kernel=kernel)
+            return _check_hierarchy(self.policy, trace, config)
         num_cores, llc_sets, ways = MULTICORE_GEOMETRIES[self.geometry]
         config = small_hierarchy(
             ((4, 2), (8, 4), (llc_sets, ways))
@@ -501,9 +505,8 @@ class SystemFuzzJob:
             # streams all cluster near address zero, so cross-core line
             # overlap is dense and the sharer directory works hard.
             traces = [_as_global(trace) for trace in traces]
-        return diff_multicore(
-            self.policy, traces, config, num_cores,
-            warmup=self.length // 4, kernel=self.kernel,
+        return _check_multicore(
+            self.policy, traces, config, num_cores, warmup=self.length // 4
         )
 
     @staticmethod
@@ -519,31 +522,26 @@ def plan_system_jobs(
     count: int,
     base_seed: int = 2014,
     length: int = SYSTEM_TRACE_LENGTH,
-    kernel: str = "native",
 ) -> List[SystemFuzzJob]:
     """A deterministic slate alternating hierarchy and multicore jobs.
 
     Policies rotate fastest within each target, scenarios and geometries
     at different strides, every job with a distinct seed -- mirroring
-    :func:`repro.verify.jobs.plan_fuzz_jobs`.  Every third hierarchy job
-    pins the batched side to ``kernel`` (default ``native``), so a
-    standard ``repro verify --system-fuzz N`` sweep exercises the SoA
-    batch kernels against the scalar walk alongside the dict driver.
-    Every multicore job pins ``kernel``: without one,
-    ``SharedLLCSystem.run`` is the scalar interleave itself, so
-    ``kernel="dict"`` plans a slate of hierarchy jobs only.  Every
-    fourth multicore job runs a *shared* (global-address) mix pinned to
-    the 8-core shared geometry row, so sharer-directory tracking and the
-    shared-claimant arbitration paths are fuzzed by default.  Shared
-    jobs rotate through :data:`SHARED_VERIFY_POLICIES`, each policy
-    twice in a row (two seeds).
+    :func:`repro.verify.jobs.plan_fuzz_jobs`.  Every hierarchy job
+    checks the dict and the native stage replay, every multicore job
+    the native interleave.  Every fourth multicore job runs a *shared*
+    (global-address) mix pinned to the 8-core shared geometry row, so
+    sharer-directory tracking and the shared-claimant arbitration paths
+    are fuzzed by default.  Shared jobs rotate through
+    :data:`SHARED_VERIFY_POLICIES`, each policy twice in a row (two
+    seeds).
     """
     jobs: List[SystemFuzzJob] = []
     private_rows = SHARED_GEOMETRY_INDEX  # rotation excludes the shared row
     h = m = 0
     for index in range(count):
         seed = base_seed * 1_000_003 + 7_777 + index
-        if index % 2 == 0 or kernel == "dict":
+        if index % 2 == 0:
             jobs.append(
                 SystemFuzzJob(
                     target="hierarchy",
@@ -556,7 +554,6 @@ def plan_system_jobs(
                     seed=seed,
                     geometry=h % len(HIERARCHY_GEOMETRIES),
                     length=length,
-                    kernel=kernel if index % 3 == 2 else "dict",
                 )
             )
             h += 1
@@ -581,7 +578,6 @@ def plan_system_jobs(
                     geometry=SHARED_GEOMETRY_INDEX if shared
                     else m % private_rows,
                     length=length,
-                    kernel=kernel,
                     shared=shared,
                 )
             )

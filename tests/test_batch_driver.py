@@ -216,19 +216,6 @@ class TestDecodeLayer:
             cache.run_trace(trace.decoded(GEOMETRIES[0]), 1, 5)
 
 
-class TestStepCallback:
-    def test_step_abort_returns_partial_count(self):
-        config = GEOMETRIES[0]
-        cache = SetAssociativeCache(config, make_policy("lru"))
-        trace = Trace([i * 64 for i in range(20)], [False] * 20)
-        ran = cache.run_trace(
-            trace.decoded(config), step=lambda i, hit, bypassed, wb: i == 6
-        )
-        assert ran == 7
-        assert cache.tick == 7
-        assert cache.stats.read_misses == 7
-
-
 class _RecordingLRU(LRUPolicy):
     """LRU that records every line the cache reports as leaving."""
 

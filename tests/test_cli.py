@@ -52,6 +52,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "  fallback: memory timing backend is active\n" in out
 
+    def test_run_served_from_the_store_says_no_replay_ran(self, capsys, tmp_path):
+        argv = ["run", "micro_fit", "-p", "lru", *FAST, "--store", str(tmp_path)]
+        from repro.experiments.runner import _run_benchmark_cached
+
+        _run_benchmark_cached.cache_clear()
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "no replay ran" not in first
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert "kernel    : native (no replay ran: result from the store)\n" in second
+        assert "fallback" not in second
+        # Everything but the kernel record is the same result.
+        def strip(out):
+            return [
+                line for line in out.splitlines()
+                if not line.startswith(("kernel", "  fallback"))
+            ]
+
+        assert strip(first) == strip(second)
+
     def test_compare(self, capsys):
         assert main(["compare", "micro_fit", "-p", "lru,rwp", *FAST]) == 0
         out = capsys.readouterr().out
@@ -108,7 +129,6 @@ class TestErrorExitCodes:
             ["run", "micro_fit"],
             ["sweep", "-b", "micro_fit", "-p", "lru"],
             ["bench", "--quick"],
-            ["verify", "--fuzz", "2"],
         ),
         ids=lambda command: command[0],
     )
@@ -117,6 +137,31 @@ class TestErrorExitCodes:
             main([*command, "--kernel", "native:threads=2"])
         assert exit_info.value.code == 2
         assert "kernel 'native' takes no parameters" in capsys.readouterr().err
+
+
+class TestVerifyCommand:
+    ARGS = ["verify", "--skip-golden", "--fuzz", "0", "--system-fuzz", "4",
+            "--length", "256", "--no-store"]
+
+    def test_system_summary_counts_jobs_that_compared_nothing(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "system: 4 hierarchy/multicore jobs  divergent: 0  " in out
+        # The fourth job runs multicore DIP, which the kernel declines,
+        # so at least that one compared the scalar interleave with itself.
+        assert "compared none: " in out
+        assert "compared none: 0 " not in out
+
+    def test_divergence_is_reported_once_per_job(self, capsys, monkeypatch):
+        from repro.verify.system import SystemDivergence, SystemFuzzJob
+
+        divergence = SystemDivergence("multicore", "lru", "llc tick", 1, 2, "native")
+        monkeypatch.setattr(SystemFuzzJob, "run", lambda self: (divergence, []))
+        assert main(self.ARGS) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count(divergence.describe()) == 4
+        assert "compared none: 4 " in captured.out
+        assert "verify: FAILED (4 problem(s))" in captured.err
 
 
 class TestSweepCommand:

@@ -119,6 +119,26 @@ class TestKeys:
         assert len(code_version()) == 16
         assert code_version() == code_version()
 
+    def test_code_version_digests_the_kernel_source(self, tmp_path, monkeypatch):
+        # An edit to the native kernel's C source must re-key every job,
+        # as any .py edit does, or the store serves the old verdicts.
+        import repro
+
+        kernels = tmp_path / "repro" / "kernels"
+        kernels.mkdir(parents=True)
+        (tmp_path / "repro" / "__init__.py").write_text("")
+        source = kernels / "native_src.c"
+        source.write_text("int lane_loop(void);\n")
+        monkeypatch.setattr(repro, "__file__", str(tmp_path / "repro" / "__init__.py"))
+        code_version.cache_clear()
+        try:
+            before = code_version()
+            source.write_text("int lane_loop(void); /* edited */\n")
+            code_version.cache_clear()
+            assert code_version() != before
+        finally:
+            code_version.cache_clear()
+
 
 class TestResultStore:
     def test_round_trip_equals_in_memory(self, tmp_path):

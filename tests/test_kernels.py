@@ -671,7 +671,7 @@ class TestSystemKernels:
             "mixed", 404, geometry[2][0], geometry[2][1], 1024
         )
         config = small_hierarchy(geometry)
-        assert diff_hierarchy(policy, trace, config, kernel="native") is None
+        assert diff_hierarchy(policy, trace, config) is None
 
     @needs_native
     @pytest.mark.parametrize("policy", ("lru", "rwp", "rwp-core"))
@@ -696,10 +696,7 @@ class TestSystemKernels:
             for core in range(num_cores)
         ]
         assert (
-            diff_multicore(
-                policy, traces, config, num_cores, warmup=128,
-                kernel="native",
-            )
+            diff_multicore(policy, traces, config, num_cores, warmup=128)
             is None
         )
 
@@ -841,7 +838,7 @@ class TestSharedKernels:
         outcomes, fallback = _shared_outcomes(
             "rwp-core:blend=true", traces, config, 64
         )
-        assert fallback == "rwp-core blend arbitration is dict-only"
+        assert fallback == "rwp-core blend arbitration has no kernel counterpart"
         assert_shared_identical(outcomes)
 
     @needs_native
@@ -925,20 +922,6 @@ class TestStoreKeying:
         plain = SweepSpec(kernel="dict", **grid)
         assert "kernel" not in native.journal_payload()
         assert native.sweep_id() == plain.sweep_id()
-
-    def test_system_fuzz_job_keying(self):
-        from repro.verify.system import SystemFuzzJob
-
-        base = dict(
-            target="hierarchy", policy="lru", scenario="mixed",
-            seed=1, geometry=0,
-        )
-        default = SystemFuzzJob(**base)
-        kerneled = SystemFuzzJob(**base, kernel="native")
-        assert "kernel" not in default.payload()
-        assert kerneled.payload()["kernel"] == "native"
-        assert kerneled.key() != default.key()
-        assert kerneled.label.endswith("~native")
 
 
 #: small enough to run in a second, unusual enough (seed) that the

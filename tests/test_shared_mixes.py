@@ -351,11 +351,8 @@ class TestVerifySharedLegs:
         assert shared
         assert all(j.geometry == SHARED_GEOMETRY_INDEX for j in shared)
         assert all(":shared" in j.label for j in shared)
-        # Each kernel-supported policy runs shared, and every multicore
-        # job is pinned to the kernel: a dict batched side would be the
-        # scalar interleave it is compared with.
+        # Each kernel-supported policy runs shared.
         assert {"lru", "rwp", "rwp-core"} <= {j.policy for j in shared}
-        assert all(j.kernel == "native" for j in jobs if j.target == "multicore")
 
     def test_private_payload_omits_shared_key(self):
         from repro.verify.system import plan_system_jobs
@@ -383,9 +380,7 @@ class TestVerifySharedLegs:
 
         traces = shared_mix(num_accesses=800)
         config = default_hierarchy(llc_size=2 * 256 * 64)
-        assert diff_multicore(
-            "rwp-core", traces, config, 2, kernel="native"
-        ) is None
+        assert diff_multicore("rwp-core", traces, config, 2) is None
 
     @needs_native
     def test_differ_flags_directory_divergence(self, monkeypatch):
@@ -405,6 +400,6 @@ class TestVerifySharedLegs:
         monkeypatch.setattr(SharedLLCSystem, "run_scalar", skewed)
         # The kernel serves the batched side, so only the scalar side
         # carries the skew.
-        divergence = vs.diff_multicore("lru", traces, config, 2, kernel="native")
+        divergence = vs.diff_multicore("lru", traces, config, 2)
         assert divergence is not None
         assert "sharer directory" in divergence.kind

@@ -20,6 +20,7 @@ import pytest
 from repro.cache.basic import LRUPolicy
 from repro.cache.cache import SetAssociativeCache
 from repro.common.config import CacheConfig
+from repro.kernels import native_available
 from repro.verify import (
     FUZZ_GEOMETRIES,
     GOLDEN_SPECS,
@@ -36,6 +37,7 @@ from repro.verify import (
     replay,
     write_goldens,
 )
+from repro.verify.golden import golden_record
 
 
 def _config(num_sets: int, ways: int) -> CacheConfig:
@@ -134,6 +136,73 @@ class TestSensitivity:
         config = _config(8, 2)
         trace = fuzz_trace("conflict", 11, 8, 2, 512)
         assert diff_policy("lru", trace, config) is None
+
+
+class TestDriverCheck:
+    """A corrupted batched driver is reported by name, and shrunk."""
+
+    @staticmethod
+    def _corrupt_dict_driver(monkeypatch, corrupt):
+        original = SetAssociativeCache.run_trace
+
+        def run_trace(self, decoded, *args, **kwargs):
+            ran = original(self, decoded, *args, **kwargs)
+            if self.kernel is None:
+                corrupt(self)
+            return ran
+
+        monkeypatch.setattr(SetAssociativeCache, "run_trace", run_trace)
+
+    @staticmethod
+    def _bump_read_hits(cache):
+        cache.stats.read_hits += 1
+
+    def test_dict_run_trace_stat_is_caught_and_shrunk(self, monkeypatch):
+        self._corrupt_dict_driver(monkeypatch, self._bump_read_hits)
+        trace = fuzz_trace("conflict", 11, 8, 2, 256)
+        divergence = diff_policy("lru", trace, _config(8, 2))
+        assert divergence is not None
+        assert divergence.kind == "dict run_trace read_hits"
+        assert divergence.expected + 1 == divergence.actual
+        # Every trace diverges, so the repro shrinks to one access.
+        assert len(divergence.records) == 1
+
+    def test_dict_run_trace_state_is_caught(self, monkeypatch):
+        def flip_dirty(cache):
+            line = next(line for s in cache.sets for line in s.lines if line.valid)
+            line.dirty = not line.dirty
+
+        self._corrupt_dict_driver(monkeypatch, flip_dirty)
+        trace = fuzz_trace("dirty_storm", 5, 16, 4, 256)
+        divergence = replay("lru", trace, _config(16, 4))
+        assert divergence is not None
+        assert divergence.kind == "dict run_trace state digest"
+
+    @pytest.mark.skipif(
+        not native_available(), reason="no C compiler for the native kernel"
+    )
+    def test_native_run_trace_is_caught(self, monkeypatch):
+        from repro.kernels.runner import KernelRuntime
+
+        original = KernelRuntime.try_run_trace
+
+        def try_run_trace(self, cache, *args):
+            ran = original(self, cache, *args)
+            if ran is not None:
+                cache.stats.read_hits += 1
+            return ran
+
+        monkeypatch.setattr(KernelRuntime, "try_run_trace", try_run_trace)
+        trace = fuzz_trace("conflict", 11, 8, 2, 256)
+        divergence = replay("lru", trace, _config(8, 2))
+        assert divergence is not None
+        assert divergence.kind == "native run_trace read_hits"
+        assert "native run_trace" in divergence.describe()
+
+    def test_goldens_refuse_a_disagreeing_driver(self, monkeypatch):
+        self._corrupt_dict_driver(monkeypatch, self._bump_read_hits)
+        with pytest.raises(AssertionError, match="dict run_trace read_hits"):
+            golden_record("lru", GOLDEN_SPECS[0], check_batched=True)
 
 
 class TestFuzzJob:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import repro.verify.system as vs
+from repro.kernels import native_available, reset_native_cache
 from repro.verify.fuzzer import SCENARIOS, fuzz_trace
 from repro.verify.golden import (
     GOLDEN_VERSION,
@@ -31,6 +32,10 @@ from repro.verify.system import small_hierarchy as fuzz_hierarchy_config
 
 LENGTH = 512
 
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C compiler for the native kernel"
+)
+
 
 class TestDiffers:
     @pytest.mark.parametrize("policy", HIERARCHY_VERIFY_POLICIES)
@@ -50,18 +55,8 @@ class TestDiffers:
         # The kernel serves lru/rwp/rwp-core; it declines the rest, whose
         # runs are then the scalar interleave.
         assert diff_multicore(
-            policy, traces, config, num_cores, warmup=64, kernel="native"
+            policy, traces, config, num_cores, warmup=64
         ) is None
-
-    def test_multicore_needs_a_kernel(self):
-        num_cores, llc_sets, ways = MULTICORE_GEOMETRIES[1]
-        config = fuzz_hierarchy_config(((4, 2), (8, 4), (llc_sets, ways)))
-        traces = [
-            fuzz_trace("mixed", 42 + core, llc_sets, ways, LENGTH)
-            for core in range(num_cores)
-        ]
-        with pytest.raises(ValueError, match="nothing to compare"):
-            diff_multicore("lru", traces, config, num_cores, kernel="dict")
 
     def test_hierarchy_detects_seeded_divergence(self, monkeypatch):
         # Hand the batched and scalar sides *different* policies: the
@@ -129,12 +124,128 @@ class TestJobs:
         assert SystemFuzzJob.decode(SystemFuzzJob.encode(result)) == result
 
     def test_execute_reports_divergence(self, monkeypatch):
-        divergence = SystemDivergence("hierarchy", "lru", "ticks", 1, 2)
-        monkeypatch.setattr(SystemFuzzJob, "run", lambda self: divergence)
+        divergence = SystemDivergence("hierarchy", "lru", "ticks", 1, 2, "native")
+        monkeypatch.setattr(
+            SystemFuzzJob, "run", lambda self: (divergence, ["dict"])
+        )
         job = SystemFuzzJob("hierarchy", "lru", "mixed", 3, geometry=0, length=LENGTH)
         result = job.execute()
         assert result["ok"] is False
         assert result["divergence"]["kind"] == "ticks"
+        assert result["divergence"]["driver"] == "native"
+        assert result["report"] == divergence.describe()
+        assert "(kernel 'native')" in result["report"]
+
+    def test_default_slate_shape(self):
+        # Hierarchy and multicore alternate; every fourth multicore job
+        # is a shared mix on the shared geometry row.
+        jobs = plan_system_jobs(48)
+        assert [j.target for j in jobs] == ["hierarchy", "multicore"] * 24
+        shared = [j for j in jobs if j.shared]
+        assert [j.policy for j in shared] == [
+            "lru", "lru", "rwp", "rwp", "rwp-core", "rwp-core",
+        ]
+        assert all(j.geometry == vs.SHARED_GEOMETRY_INDEX for j in shared)
+        assert [j.policy for j in jobs[:6]] == [
+            "lru", "lru", "dip", "dip", "drrip", "drrip",
+        ]
+
+    @needs_native
+    @pytest.mark.parametrize(
+        "job, drivers",
+        (
+            (SystemFuzzJob("hierarchy", "lru", "mixed", 3, 0, LENGTH), ["dict", "native"]),
+            # The stage replay hands a bypassing LLC to Python.
+            (SystemFuzzJob("hierarchy", "rrp", "mixed", 3, 0, LENGTH), ["dict"]),
+            (SystemFuzzJob("multicore", "rwp", "mixed", 3, 1, LENGTH), ["native"]),
+            # The kernel declines multicore DIP: run is run_scalar.
+            (SystemFuzzJob("multicore", "dip", "mixed", 3, 1, LENGTH), []),
+        ),
+        ids=("hier-lru", "hier-rrp", "mc-rwp", "mc-dip"),
+    )
+    def test_execute_records_serving_drivers(self, job, drivers):
+        result = job.execute()
+        assert result["ok"] is True
+        assert result["drivers"] == drivers
+
+    def test_without_a_kernel_only_dict_serves(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        reset_native_cache()
+        try:
+            hier = SystemFuzzJob("hierarchy", "lru", "mixed", 3, 0, LENGTH)
+            assert hier.execute()["drivers"] == ["dict"]
+            multi = SystemFuzzJob("multicore", "lru", "mixed", 3, 1, LENGTH)
+            assert multi.execute()["drivers"] == []
+        finally:
+            monkeypatch.delenv("REPRO_NO_NATIVE")
+            reset_native_cache()
+
+
+class TestDriverInjection:
+    """A corrupted batched system driver is reported by name."""
+
+    @staticmethod
+    def _hierarchy_case():
+        geometry = HIERARCHY_GEOMETRIES[0]
+        trace = fuzz_trace("mixed", 42, geometry[2][0], geometry[2][1], LENGTH)
+        return trace, fuzz_hierarchy_config(geometry)
+
+    def test_dict_staged_replay(self, monkeypatch):
+        from repro.hierarchy.system import MemoryHierarchy
+
+        original = MemoryHierarchy.run_trace
+
+        def run_trace(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            if self.llc.kernel is None:
+                self.llc.tick += 1
+            return out
+
+        monkeypatch.setattr(MemoryHierarchy, "run_trace", run_trace)
+        divergence = diff_hierarchy("lru", *self._hierarchy_case())
+        assert (divergence.driver, divergence.kind) == ("dict", "ticks")
+
+    @needs_native
+    def test_native_stage_replay(self, monkeypatch):
+        from repro.kernels.runner import KernelRuntime
+
+        original = KernelRuntime.try_hierarchy_stages
+
+        def try_hierarchy_stages(self, hierarchy, *args, **kwargs):
+            out = original(self, hierarchy, *args, **kwargs)
+            if out is not None:
+                hierarchy.memory.reads += 1
+            return out
+
+        monkeypatch.setattr(
+            KernelRuntime, "try_hierarchy_stages", try_hierarchy_stages
+        )
+        divergence = diff_hierarchy("lru", *self._hierarchy_case())
+        # hierarchy.snapshot() carries the memory counters.
+        assert (divergence.driver, divergence.kind) == ("native", "stats")
+        assert "(kernel 'native')" in divergence.describe()
+
+    @needs_native
+    def test_native_interleave(self, monkeypatch):
+        from repro.kernels.runner import KernelRuntime
+
+        original = KernelRuntime.try_run_multicore
+
+        def try_run_multicore(self, system, *args):
+            out = original(self, system, *args)
+            if out is not None:
+                system.llc.tick += 1
+            return out
+
+        monkeypatch.setattr(KernelRuntime, "try_run_multicore", try_run_multicore)
+        num_cores, llc_sets, ways = MULTICORE_GEOMETRIES[1]
+        config = fuzz_hierarchy_config(((4, 2), (8, 4), (llc_sets, ways)))
+        traces = [
+            fuzz_trace("mixed", 42 + core, llc_sets, ways, LENGTH)
+            for core in range(num_cores)
+        ]
+        divergence = diff_multicore("lru", traces, config, num_cores)
+        assert (divergence.driver, divergence.kind) == ("native", "llc tick")
 
 
 class TestGoldenSystemSections:
