@@ -381,6 +381,7 @@ class SetAssociativeCache:
         *,
         timing=None,
         core: int = 0,
+        warmup: int | None = None,
     ) -> int:
         """Replay decoded accesses ``[start, stop)``; returns the count run.
 
@@ -395,6 +396,13 @@ class SetAssociativeCache:
         advanced exactly as :class:`~repro.cpu.core.LLCRunner` does per
         access (instruction gap, read hit/miss stalls, write-buffer
         pressure for bypassed writes and writebacks).
+
+        ``warmup``: an access index in ``[start, stop]`` at which the
+        replay zeroes the statistics (:meth:`reset_stats`) and
+        ``timing`` (``TimingModel.reset``), so both count only
+        ``[warmup, stop)`` -- :class:`~repro.cpu.core.LLCRunner`'s
+        measured window, run in one call.  An exception raised by a
+        policy hook before ``warmup`` propagates with nothing zeroed.
 
         During a batch replay the statistics counters, ``tick``, and a
         recency-stamped policy's clock live in loop locals and are
@@ -415,12 +423,28 @@ class SetAssociativeCache:
                 f"match cache geometry ({self.config.offset_bits}, "
                 f"{self.config.index_bits})"
             )
+        if warmup is not None and not start <= warmup <= stop:
+            raise ValueError(
+                f"warmup {warmup} outside the access range [{start}, {stop}]"
+            )
         if self.kernel is not None:
             ran = self.kernel.try_run_trace(
-                self, decoded, start, stop, timing, core
+                self, decoded, start, stop, timing, core, warmup
             )
             if ran is not None:
                 return ran
+        if warmup is None:
+            return self._run_dict(decoded, start, stop, timing, core)
+        ran = self._run_dict(decoded, start, warmup, timing, core)
+        self.reset_stats()
+        if timing is not None:
+            timing.reset()
+        return ran + self._run_dict(decoded, warmup, stop, timing, core)
+
+    def _run_dict(
+        self, decoded, start: int, stop: int, timing, core: int
+    ) -> int:
+        """The dict-driven batch loop over ``[start, stop)``."""
         # Hits bump stamps without moving dict entries, so the
         # recency-order invariant of the lookup dicts dies.
         self._lookup_ordered = False

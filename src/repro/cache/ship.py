@@ -9,6 +9,10 @@ counter down; first reuse trains it up.
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from repro.cache.line import CacheLine
 from repro.cache.policy import register_policy
 from repro.cache.rrip import RRPV_LONG, RRPV_MAX, SRRIPPolicy
@@ -38,7 +42,8 @@ class SHiPPolicy(SRRIPPolicy):
             raise ValueError("SHCT entry count must be a power of two")
         self._entries = entries
         self._max_count = (1 << counter_bits) - 1
-        self._shct = [self._max_count // 2 + 1] * entries
+        # An int64 buffer: the native kernel trains it in place.
+        self._shct = array("q", [self._max_count // 2 + 1]) * entries
 
     def on_fill(self, cache_set, line, set_index, is_write, pc, core) -> None:
         signature = pc_signature(pc, self._entries)
@@ -62,9 +67,10 @@ class SHiPPolicy(SRRIPPolicy):
 
     def describe(self):
         info = super().describe()
-        info["shct_nonzero_fraction"] = sum(
-            1 for c in self._shct if c > 0
-        ) / len(self._shct)
+        counters = np.asarray(self._shct)
+        info["shct_nonzero_fraction"] = int(
+            np.count_nonzero(counters > 0)
+        ) / len(counters)
         return info
 
 

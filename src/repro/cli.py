@@ -721,12 +721,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         if not args.quiet:
             counts = f"divergent: {len(divergent)}  "
+            # Count the jobs a kernel declined, so a slate never reads as
+            # more coverage than it had: a system job then compared the
+            # scalar walk with itself, a fuzz job's native leg replayed
+            # the dict loop again.
             if name == "system":
-                # A job whose kernel declined compared the scalar walk
-                # with itself: count those, so a slate never reads as
-                # more coverage than it had.
                 idle = sum(1 for r in results.values() if not r["drivers"])
                 counts += f"compared none: {idle}  "
+            else:
+                declined = sum(
+                    1 for r in results.values()
+                    if r["ok"] and "native" not in r["drivers"]
+                )
+                counts += f"native declined: {declined}  "
             print(
                 f"{name}: {stats.total} {what}  {counts}"
                 f"cache_hits: {stats.cache_hits}  "

@@ -23,6 +23,10 @@ plus a per-line signature field so evictions can train -- the overhead
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from repro.cache.basic import LRUPolicy
 from repro.cache.line import CacheLine
 from repro.cache.policy import register_policy
@@ -59,8 +63,9 @@ class RRPPolicy(LRUPolicy):
             raise ValueError("predictor entries must be a power of two")
         self._entries = entries
         self._max_count = (1 << counter_bits) - 1
-        # Start weakly "will be read" so cold signatures are cached.
-        self._table = [self._max_count // 2 + 1] * entries
+        # Start weakly "will be read" so cold signatures are cached.  An
+        # int64 buffer: the native kernel trains it in place.
+        self._table = array("q", [self._max_count // 2 + 1]) * entries
         self._bypass_writes = bypass_writes
         self.bypasses = bypass_writes
         self._coin = CheapLCG(seed)
@@ -116,8 +121,9 @@ class RRPPolicy(LRUPolicy):
 
     def describe(self):
         info = super().describe()
-        live = sum(1 for c in self._table if c > 0)
-        info["predict_read_fraction"] = live / len(self._table)
+        counters = np.asarray(self._table)
+        live = int(np.count_nonzero(counters > 0))
+        info["predict_read_fraction"] = live / len(counters)
         info["bypassed_writes"] = self.bypassed_writes
         return info
 

@@ -144,15 +144,12 @@ class LLCRunner:
         return self._run_scalar(trace, warmup)
 
     def _run_batched(self, trace: Trace, warmup: int) -> RunResult:
-        """Demand-only runs go through the cache's batch driver."""
+        """Demand-only runs go through the cache's batch driver, warmup
+        and measured window in one call."""
         llc = self.llc
-        timing = self.timing
-        decoded = trace.decoded(llc.config)
-        if warmup:
-            llc.run_trace(decoded, 0, warmup, timing=timing)
-        llc.reset_stats()
-        timing.reset()
-        llc.run_trace(decoded, warmup, len(trace), timing=timing)
+        llc.run_trace(
+            trace.decoded(llc.config), timing=self.timing, warmup=warmup
+        )
         return self._result(trace.name)
 
     def _run_scalar(self, trace: Trace, warmup: int) -> RunResult:

@@ -763,9 +763,16 @@ class KernelRuntime:
 
     # -- single-cache replay ----------------------------------------------
     def try_run_trace(
-        self, cache, decoded, start, stop, timing, core
+        self, cache, decoded, start, stop, timing, core, warmup=None
     ) -> Optional[int]:
-        """Kernel counterpart of ``run_trace``; None -> dict fallback."""
+        """Kernel counterpart of ``run_trace``; None -> dict fallback.
+
+        With ``warmup``, the one binding replays ``[start, warmup)`` and
+        ``[warmup, stop)`` as two kernel windows; between them the
+        statistics (cache and context) and ``timing`` are zeroed and the
+        lane's timing reloaded, unless the first window's epoch callback
+        aborted (the exception then propagates with nothing zeroed).
+        """
         if start >= stop:
             return None
         lib = load_native()
@@ -813,9 +820,23 @@ class KernelRuntime:
                 return self._fallback("timing state overflows the lane image")
             lane.gap_stream = soa.ptr_int64(gap_arr)
 
-        ran = lib.run_trace(
-            ctypes.byref(binding.ctx), ctypes.byref(lane), start, stop
-        )
+        ctx = binding.ctx
+        ran = 0
+        if warmup is not None:
+            ran = lib.run_trace(
+                ctypes.byref(ctx), ctypes.byref(lane), start, warmup
+            )
+            start = warmup
+        if ctx.status != _STATUS_CALLBACK_ABORT:
+            if warmup is not None:
+                cache.reset_stats()
+                soa.load_stats(ctx, cache)
+                if timing is not None:
+                    timing.reset()
+                    ring = _fill_lane_timing(lane, timing, cycles)
+            ran += lib.run_trace(
+                ctypes.byref(ctx), ctypes.byref(lane), start, stop
+            )
         cache.tick += ran
         if timing is not None:
             _flush_lane_timing(timing, lane, ring)

@@ -36,9 +36,11 @@ first touch and close on its eviction -- which the gather checks.
 The comparator policies (DIP, DRRIP, SHiP, RRP) add three per-line
 columns -- ``rrpv``, ``signature``, ``outcome`` -- and a
 :class:`PolicyImage` of their remaining state: set-dueling roles and
-PSEL, the coin, the PC-indexed counter table.  Statistics, the policy
-clock, samplers, the policy image and the directory are still gathered
-and scattered eagerly around every call.
+PSEL, the coin, the PC-indexed counter table.  The counter table is the
+policy's own int64 buffer, bound without a copy and trained in place.
+Statistics, the policy clock, samplers, the dueling roles, PSEL and
+coin, and the directory are still gathered and scattered eagerly around
+every call.
 
 The access streams need no gather: a kernel reads a decode's own
 arrays (``DecodedTrace.kernel_streams``, ``kernel_pcs``,
@@ -409,8 +411,10 @@ class PolicyImage:
     """A comparator policy's state beyond its line columns.
 
     Keeps the objects it was packed from (``dueling``, ``coin``,
-    ``table``, ``policy``) so :func:`scatter_policy` writes back into
-    them; ``describe()`` then reads the same values a dict run leaves.
+    ``policy``) so :func:`scatter_policy` writes back into them;
+    ``counters`` is a view of the policy's own table, which the kernel
+    trains in place.  ``describe()`` then reads the same values a dict
+    run leaves.
     """
 
     policy: object
@@ -418,8 +422,8 @@ class PolicyImage:
     roles: "Optional[np.ndarray]" = None  # uint8 [num_sets]
     coin: Optional[CheapLCG] = None  # DIP, DRRIP, RRP
     coin_odds: int = 1
-    table: Optional[list] = None  # SHiP SHCT / RRP predictor
-    counters: "Optional[np.ndarray]" = None  # int64 copy of ``table``
+    #: SHiP SHCT / RRP predictor: an int64 view of the policy's buffer
+    counters: "Optional[np.ndarray]" = None
     counter_max: int = 0
     #: RRP: whether write misses may bypass (its plan binds the hook)
     bypass_writes: bool = False
@@ -441,7 +445,10 @@ def gather_policy(
 
     Every value the kernel divides by or indexes with is range-checked
     here: the coin odds (a modulus), the dueling roles (one per set),
-    the table length (a power of two, ``entries`` long).
+    the table length (a power of two, ``entries`` long).  The table is
+    bound through its buffer, without a copy, so it must be a writable,
+    contiguous buffer of exactly ``entries`` int64 items (an
+    ``array('q')``); a list, or an ``array('i')``, is foreign.
     """
     image = PolicyImage(policy=policy, bypass_writes=bypass_writes)
     if dueling is not None:
@@ -464,13 +471,22 @@ def gather_policy(
         image.coin = coin
         image.coin_odds = coin_odds
     if table is not None:
-        if entries < 1 or entries & (entries - 1) or len(table) != entries:
+        if entries < 1 or entries & (entries - 1):
             return None
         try:
-            image.counters = np.array(table, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
+            # The view carries the buffer's own item format, which
+            # np.frombuffer would reinterpret as int64 whatever it is.
+            counters = np.asarray(memoryview(table))
+        except TypeError:
             return None
-        image.table = table
+        if (
+            counters.dtype != np.int64
+            or counters.shape != (entries,)
+            or not counters.flags.c_contiguous
+            or not counters.flags.writeable
+        ):
+            return None
+        image.counters = counters
         image.counter_max = counter_max
     return image
 
@@ -495,13 +511,12 @@ def load_policy(ctx, image: PolicyImage) -> None:
 
 
 def scatter_policy(image: PolicyImage, ctx) -> None:
-    """Write PSEL, the coin, the table and the bypass count back."""
+    """Write PSEL, the coin and the bypass count back (the kernel
+    trained the counter table in place)."""
     if image.dueling is not None:
         image.dueling.psel.value = ctx.psel
     if image.coin is not None:
         image.coin.state = ctx.coin
-    if image.table is not None:
-        image.table[:] = image.counters.tolist()
     if hasattr(image.policy, "bypassed_writes"):
         image.policy.bypassed_writes = ctx.bypassed_writes
 

@@ -154,23 +154,33 @@ def end_record(cache: SetAssociativeCache) -> Dict[str, object]:
     }
 
 
+#: what a driver check returns: the first divergence (None when every
+#: driver matched) and the kernels whose ``run_trace`` served the whole
+#: replay, with no fallback to the dict loop.
+DriverCheck = Tuple[Optional[Divergence], List[str]]
+
+
 def check_drivers(
     policy: str,
     trace: Trace,
     config: CacheConfig,
     record: Dict[str, object],
     sut_factory: Optional[SutFactory] = None,
-) -> Optional[Divergence]:
+) -> DriverCheck:
     """Hold every batched driver to a scalar replay's ``end_record``.
 
     Replays ``trace`` through a fresh cache per kernel (the dict batch
     loop, then the native kernel, which falls back to the dict loop
     where it declines) with one ``run_trace`` call each, and reports
-    the first statistic or state digest that differs from ``record``.
+    the first statistic or state digest that differs from ``record``,
+    with the drivers that served in full: ``native`` only when its
+    ``fallback_reason`` stayed None (a declined native leg replayed the
+    dict loop a second time).
     """
     from repro.kernels import KERNEL_NAMES, attach_kernel
 
     decoded = trace.decoded(config)
+    served: List[str] = []
     for driver in KERNEL_NAMES:
         cache = (
             sut_factory(config) if sut_factory is not None
@@ -178,19 +188,21 @@ def check_drivers(
         )
         attach_kernel(cache, driver)
         cache.run_trace(decoded)
+        if cache.kernel is None or cache.kernel.fallback_reason is None:
+            served.append(driver)
         got = end_record(cache)
         for name in COMPARED_STATS:
             if got["stats"][name] != record["stats"][name]:
                 return Divergence(
                     policy, -1, f"{driver} run_trace {name}",
                     expected=record["stats"][name], actual=got["stats"][name],
-                )
+                ), served
         if got["state_digest"] != record["state_digest"]:
             return Divergence(
                 policy, -1, f"{driver} run_trace state digest",
                 expected=record["state_digest"], actual=got["state_digest"],
-            )
-    return None
+            ), served
+    return None, served
 
 
 def _check_invariants(sut: SetAssociativeCache, policy: str) -> Optional[Divergence]:
@@ -232,11 +244,40 @@ def replay(
     oracle; once the two agree to the end, :func:`check_drivers` holds
     every batched driver to the production side's end state.
     """
-    records = _records(trace)
+    return _replay(policy, _records(trace), config, sut_factory)[0]
+
+
+def _replay(
+    policy: str,
+    records: List[AccessRecord],
+    config: CacheConfig,
+    sut_factory: Optional[SutFactory],
+) -> DriverCheck:
+    """:func:`replay`, plus the drivers that served (none on a lockstep
+    divergence: no batched driver ran)."""
     sut = (
         sut_factory(config) if sut_factory is not None
         else make_sut_cache(policy, config)
     )
+    divergence = _lockstep(policy, records, config, sut)
+    if divergence is not None:
+        return divergence, []
+    batched = Trace(
+        [address for address, _, _ in records],
+        [is_write for _, is_write, _ in records],
+        [pc for _, _, pc in records],
+    )
+    return check_drivers(policy, batched, config, end_record(sut), sut_factory)
+
+
+def _lockstep(
+    policy: str,
+    records: List[AccessRecord],
+    config: CacheConfig,
+    sut: SetAssociativeCache,
+) -> Optional[Divergence]:
+    """Scalar ``sut`` against a fresh oracle, access by access, then
+    their end states and ``sut``'s invariants."""
     oracle = make_oracle_cache(policy, config)
 
     sut_access = sut.access
@@ -271,15 +312,7 @@ def replay(
                 expected=oracle_stats[name], actual=getattr(sut, name),
             )
 
-    invariant = _check_invariants(sut, policy)
-    if invariant is not None:
-        return invariant
-    batched = Trace(
-        [address for address, _, _ in records],
-        [is_write for _, is_write, _ in records],
-        [pc for _, _, pc in records],
-    )
-    return check_drivers(policy, batched, config, end_record(sut), sut_factory)
+    return _check_invariants(sut, policy)
 
 
 def shrink(
@@ -347,9 +380,18 @@ def diff_policy(
     sut_factory: Optional[SutFactory] = None,
 ) -> Optional[Divergence]:
     """Replay and, on divergence, return a *shrunken* reproducer."""
+    return check_policy(policy, trace, config, sut_factory)[0]
+
+
+def check_policy(
+    policy: str,
+    trace: "Trace | Sequence[AccessRecord]",
+    config: CacheConfig,
+    sut_factory: Optional[SutFactory] = None,
+) -> DriverCheck:
+    """:func:`diff_policy`, plus the drivers that served the full trace."""
     records = _records(trace)
-    divergence = replay(policy, records, config, sut_factory)
-    if divergence is None:
-        return None
-    _, shrunk = shrink(policy, records, config, sut_factory)
-    return shrunk
+    divergence, served = _replay(policy, records, config, sut_factory)
+    if divergence is not None:
+        _, divergence = shrink(policy, records, config, sut_factory)
+    return divergence, served

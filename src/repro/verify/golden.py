@@ -157,7 +157,7 @@ def golden_record(
         sut.access(address, is_write, pc)
     record = end_record(sut)
     if check_batched:
-        divergence = check_drivers(policy, trace, spec.config(), record)
+        divergence, _ = check_drivers(policy, trace, spec.config(), record)
         if divergence is not None:
             raise AssertionError(
                 f"scalar replay and {divergence.kind} disagree for policy "

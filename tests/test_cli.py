@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.kernels import native_available
 
 FAST = ["--llc-lines", "256", "--accesses", "4096"]
 
@@ -151,6 +152,18 @@ class TestVerifyCommand:
         # so at least that one compared the scalar interleave with itself.
         assert "compared none: " in out
         assert "compared none: 0 " not in out
+
+    @pytest.mark.skipif(
+        not native_available(), reason="no C compiler for the native kernel"
+    )
+    def test_fuzz_summary_counts_native_declines(self, capsys):
+        # One job per policy: the kernel declines bip, nru, lfu, srrip,
+        # brrip and random, whose native leg replays the dict loop.
+        fuzz = ["verify", "--skip-golden", "--fuzz", "13", "--system-fuzz",
+                "0", "--length", "256", "--no-store"]
+        assert main(fuzz) == 0
+        out = capsys.readouterr().out
+        assert "divergent: 0  native declined: 6  " in out
 
     def test_divergence_is_reported_once_per_job(self, capsys, monkeypatch):
         from repro.verify.system import SystemDivergence, SystemFuzzJob

@@ -150,6 +150,15 @@ class TestResultStore:
         assert record["kind"] == "run"
         assert job.decode(record["result"]) == result
 
+    def test_record_file_is_json_dumps_of_the_record(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = RunJob("micro_fit", "lru", TINY)
+        data = job.encode(sample_result(extra={"name": "café", "x": 0.1}))
+        path = store.put(job.key(), job.kind, data)
+        record = store.get(job.key())
+        assert record["result"] == data
+        assert path.read_bytes() == json.dumps(record).encode("ascii")
+
     def test_miss_returns_none(self, tmp_path):
         assert ResultStore(tmp_path).get("00" + "ab" * 31) is None
 

@@ -48,7 +48,12 @@ from repro.kernels import (
     reset_native_cache,
 )
 from repro.kernels.build import LaneCtx
-from repro.kernels.runner import _fill_lane_timing, _flush_lane_timing
+from repro.kernels.runner import (
+    _comparator_kind,
+    _fill_lane_timing,
+    _flush_lane_timing,
+    _gather_comparator,
+)
 from repro.mem import make_backend
 from repro.multicore.shared import SharedLLCSystem
 from repro.sim.spec import (
@@ -61,7 +66,12 @@ from repro.trace.access import Trace
 from repro.trace.decode import DecodedTrace
 from repro.trace.generator import LINE_SIZE
 from repro.trace.spec import make_model
-from repro.verify.differ import COMPARED_STATS, make_sut_cache, make_sut_policy
+from repro.verify.differ import (
+    COMPARED_STATS,
+    VERIFY_RWP_EPOCH,
+    make_sut_cache,
+    make_sut_policy,
+)
 from repro.verify.fuzzer import FUZZ_GEOMETRIES, fuzz_trace
 from repro.verify.system import _system_policy, small_hierarchy
 
@@ -1306,6 +1316,153 @@ class TestInstructionOverflow:
         # ctypes would wrap a too-wide count silently.
         with pytest.raises(OverflowError):
             _fill_lane_timing(LaneCtx(), self._timing(count), np.zeros(1))
+
+
+#: 128 sets give DIP/DRRIP follower sets; the trace spans six RWP epochs
+_WARM_CONFIG = default_hierarchy(llc_size=512 * LINE_SIZE, llc_ways=4)
+_WARM_TRACE = make_model("mcf", 512).generate(3072, seed=4099)
+
+
+def _warm_runner(policy: str, kernel=None) -> LLCRunner:
+    runner = LLCRunner(_WARM_CONFIG, make_sut_policy(policy))
+    if kernel is not None:
+        attach_kernel(runner.llc, kernel)
+    return runner
+
+
+class TestWarmupWindow:
+    """``run_trace(warmup=)``: LLCRunner's warmup and measured window in
+    one call, one binding on the kernel."""
+
+    @needs_native
+    @pytest.mark.parametrize("policy", SINGLE_POLICIES)
+    @pytest.mark.parametrize(
+        "warmup",
+        (0, 1, VERIFY_RWP_EPOCH - 1, VERIFY_RWP_EPOCH, VERIFY_RWP_EPOCH + 1,
+         len(_WARM_TRACE) - 1),
+    )
+    def test_one_call_matches_dict_split_and_scalar(self, policy, warmup):
+        native = _warm_runner(policy, "native")
+        split = _warm_runner(policy)
+        scalar = _warm_runner(policy)
+        results = [
+            native.run(_WARM_TRACE, warmup),
+            split.run(_WARM_TRACE, warmup),
+            scalar._run_scalar(_WARM_TRACE, warmup),
+        ]
+        assert native.llc.kernel.fallback_reason is None
+        # cycles, instructions, statistics, extra["writebuffer"] and
+        # extra["policy_state"] are RunResult fields
+        assert results[0] == results[1] == results[2]
+        llcs = [runner.llc for runner in (native, split, scalar)]
+        assert _stats(llcs[0]) == _stats(llcs[1]) == _stats(llcs[2])
+        assert (
+            _policy_state(llcs[0]) == _policy_state(llcs[1])
+            == _policy_state(llcs[2])
+        )
+        assert llcs[0].tick == llcs[1].tick == len(_WARM_TRACE)
+
+    @needs_native
+    def test_kernel_binds_once_per_run(self, monkeypatch):
+        from repro.kernels import runner as kernel_runner
+
+        binds = []
+        bind_cache = kernel_runner.bind_cache
+
+        def counting(cache, *args):
+            binds.append(cache)
+            return bind_cache(cache, *args)
+
+        monkeypatch.setattr(kernel_runner, "bind_cache", counting)
+        runner = _warm_runner("ship", "native")
+        runner.run(_WARM_TRACE, 1024)
+        assert binds == [runner.llc]
+
+    @needs_native
+    @pytest.mark.parametrize("kernel", ("dict", "native"))
+    @pytest.mark.parametrize("warmup", (9, 101))
+    def test_warmup_outside_the_range_raises(self, kernel, warmup):
+        cache = make_sut_cache("lru", _WARM_CONFIG.llc)
+        attach_kernel(cache, kernel)
+        decoded = _WARM_TRACE.decoded(_WARM_CONFIG.llc)
+        with pytest.raises(ValueError, match=f"warmup {warmup} outside"):
+            cache.run_trace(decoded, 10, 100, warmup=warmup)
+        assert cache.tick == 0
+
+    @needs_native
+    @pytest.mark.parametrize("kernel", ("dict", "native"))
+    def test_epoch_exception_before_warmup_propagates_unreset(self, kernel):
+        # The first epoch fires 512 accesses in, before the warmup
+        # boundary: the exception leaves what the same call without a
+        # warmup leaves -- nothing zeroed.
+        config = _WARM_CONFIG
+        decoded = _WARM_TRACE.decoded(config.llc)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        outcomes = []
+        for warmup in (None, 2 * VERIFY_RWP_EPOCH):
+            cache = make_sut_cache("rwp", config.llc)
+            attach_kernel(cache, kernel)
+            timing = TimingModel(
+                config.core, config.memory, config.llc.hit_latency
+            )
+            cache.run_trace(decoded, 0, 100, timing=timing)
+            cache.policy._repartition = boom
+            with pytest.raises(RuntimeError, match="boom"):
+                cache.run_trace(decoded, 100, timing=timing, warmup=warmup)
+            if kernel == "native":
+                assert cache.kernel.fallback_reason is None
+            assert cache.read_hits + cache.read_misses > 0
+            assert timing.instructions > 0
+            outcomes.append((
+                _stats(cache), timing.cycles, timing.instructions,
+                timing.write_buffer.snapshot(),
+            ))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestCounterTableBuffer:
+    """SHiP's SHCT and RRP's predictor are int64 buffers the kernel
+    trains in place."""
+
+    TABLES = (("ship", "_shct"), ("rrp", "_table"))
+
+    @needs_native
+    @pytest.mark.parametrize("policy,attr", TABLES)
+    def test_kernel_trains_the_policy_table_in_place(self, policy, attr):
+        native = _warm_runner(policy, "native")
+        table = getattr(native.llc.policy, attr)
+        assert table.typecode == "q"
+        native.run(_WARM_TRACE, 1024)
+        assert native.llc.kernel.fallback_reason is None
+        assert getattr(native.llc.policy, attr) is table
+        reference = _warm_runner(policy)
+        reference.run(_WARM_TRACE, 1024)
+        assert table == getattr(reference.llc.policy, attr)
+        assert len(set(table)) > 1  # the run trained it
+        image = _gather_comparator(native.llc, _comparator_kind(native.llc))
+        assert np.shares_memory(image.counters, np.asarray(table))
+
+    @needs_native
+    @pytest.mark.parametrize("policy,attr", TABLES)
+    @pytest.mark.parametrize("kind", ("list", "array-i"))
+    def test_foreign_table_declines(self, policy, attr, kind):
+        from array import array
+
+        native = _warm_runner(policy, "native")
+        table = getattr(native.llc.policy, attr)
+        foreign = list(table) if kind == "list" else array("i", table)
+        setattr(native.llc.policy, attr, foreign)
+        result = native.run(_WARM_TRACE, 1024)
+        assert native.llc.kernel.fallback_reason == (
+            f"{type(native.llc.policy).__name__} state is not "
+            "SoA-representable"
+        )
+        reference = _warm_runner(policy)
+        assert result == reference.run(_WARM_TRACE, 1024)
+        assert list(foreign) == list(getattr(reference.llc.policy, attr))
 
 
 class TestVictimBranches:

@@ -219,6 +219,17 @@ class TestFuzzJob:
         assert result["ok"] is True
         assert FuzzJob.decode(FuzzJob.encode(result)) == result
 
+    @pytest.mark.skipif(
+        not native_available(), reason="no C compiler for the native kernel"
+    )
+    def test_results_name_the_drivers_that_served(self):
+        jobs = plan_fuzz_jobs(len(VERIFY_POLICIES), length=256)
+        drivers = {job.policy: job.execute()["drivers"] for job in jobs}
+        declined = {p for p, served in drivers.items() if "native" not in served}
+        assert declined == {"bip", "nru", "lfu", "srrip", "brrip", "random"}
+        assert drivers["ship"] == drivers["rrp"] == ["dict", "native"]
+        assert all(served[0] == "dict" for served in drivers.values())
+
     def test_plan_covers_all_policies_scenarios_geometries(self):
         jobs = plan_fuzz_jobs(len(VERIFY_POLICIES) * len(SCENARIOS) * 6)
         assert {j.policy for j in jobs} == set(VERIFY_POLICIES)
