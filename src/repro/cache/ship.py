@@ -38,8 +38,10 @@ class SHiPPolicy(SRRIPPolicy):
         self, entries: int = SHCT_ENTRIES, counter_bits: int = SHCT_BITS
     ) -> None:
         super().__init__()
-        if entries & (entries - 1):
+        if entries < 1 or entries & (entries - 1):
             raise ValueError("SHCT entry count must be a power of two")
+        if counter_bits >= 64:
+            raise ValueError("counter_bits must be below 64")
         self._entries = entries
         self._max_count = (1 << counter_bits) - 1
         # An int64 buffer: the native kernel trains it in place.

@@ -59,8 +59,10 @@ class RRPPolicy(LRUPolicy):
         seed: int = 2014,
     ) -> None:
         super().__init__()
-        if entries & (entries - 1):
+        if entries < 1 or entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")
+        if counter_bits >= 64:
+            raise ValueError("counter_bits must be below 64")
         self._entries = entries
         self._max_count = (1 << counter_bits) - 1
         # Start weakly "will be read" so cold signatures are cached.  An

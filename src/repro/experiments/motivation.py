@@ -18,21 +18,6 @@ from repro.cache.policy import make_policy
 from repro.experiments.runner import ExperimentScale, cached_trace
 
 
-def _replay_two_phase(cache: SetAssociativeCache, trace, warmup: int) -> None:
-    """Warm, reset, measure -- all through the batched driver.
-
-    Bit-identical to the old scalar loop (``reset_stats`` at the warmup
-    boundary, then one ``access`` per record): the warmup boundary falls
-    between accesses, so the replay splits into two ``run_trace`` calls
-    around the reset.
-    """
-    decoded = trace.decoded(cache.config)
-    if warmup:
-        cache.run_trace(decoded, 0, warmup)
-    cache.reset_stats()
-    cache.run_trace(decoded, warmup, len(decoded))
-
-
 @dataclass(frozen=True)
 class TrafficBreakdown:
     """F1/F2 numbers for one benchmark."""
@@ -71,7 +56,7 @@ def _traffic_breakdown_cached(
         benchmark, scale.llc_lines, scale.total_accesses, scale.seed
     )
     cache = SetAssociativeCache(scale.llc_config(), make_policy("lru"))
-    _replay_two_phase(cache, trace, scale.warmup)
+    cache.run_trace(trace.decoded(cache.config), warmup=scale.warmup)
     return TrafficBreakdown(
         benchmark=benchmark,
         reads=cache.read_hits + cache.read_misses,
@@ -116,7 +101,7 @@ def _read_potential_cached(
 
     def read_misses_with(policy) -> int:
         cache = SetAssociativeCache(config, policy)
-        _replay_two_phase(cache, trace, scale.warmup)
+        cache.run_trace(trace.decoded(config), warmup=scale.warmup)
         return cache.read_misses
 
     # The LRU leg is exactly the front-end's llc-mode run; going through

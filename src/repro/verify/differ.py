@@ -154,19 +154,13 @@ def end_record(cache: SetAssociativeCache) -> Dict[str, object]:
     }
 
 
-#: what a driver check returns: the first divergence (None when every
-#: driver matched) and the kernels whose ``run_trace`` served the whole
-#: replay, with no fallback to the dict loop.
-DriverCheck = Tuple[Optional[Divergence], List[str]]
-
-
 def check_drivers(
     policy: str,
     trace: Trace,
     config: CacheConfig,
     record: Dict[str, object],
     sut_factory: Optional[SutFactory] = None,
-) -> DriverCheck:
+) -> Tuple[Optional[Divergence], List[str]]:
     """Hold every batched driver to a scalar replay's ``end_record``.
 
     Replays ``trace`` through a fresh cache per kernel (the dict batch
@@ -252,32 +246,13 @@ def _replay(
     records: List[AccessRecord],
     config: CacheConfig,
     sut_factory: Optional[SutFactory],
-) -> DriverCheck:
+) -> Tuple[Optional[Divergence], List[str]]:
     """:func:`replay`, plus the drivers that served (none on a lockstep
     divergence: no batched driver ran)."""
     sut = (
         sut_factory(config) if sut_factory is not None
         else make_sut_cache(policy, config)
     )
-    divergence = _lockstep(policy, records, config, sut)
-    if divergence is not None:
-        return divergence, []
-    batched = Trace(
-        [address for address, _, _ in records],
-        [is_write for _, is_write, _ in records],
-        [pc for _, _, pc in records],
-    )
-    return check_drivers(policy, batched, config, end_record(sut), sut_factory)
-
-
-def _lockstep(
-    policy: str,
-    records: List[AccessRecord],
-    config: CacheConfig,
-    sut: SetAssociativeCache,
-) -> Optional[Divergence]:
-    """Scalar ``sut`` against a fresh oracle, access by access, then
-    their end states and ``sut``'s invariants."""
     oracle = make_oracle_cache(policy, config)
 
     sut_access = sut.access
@@ -291,7 +266,7 @@ def _lockstep(
                     return Divergence(
                         policy, index, kind,
                         expected=want[position], actual=got[position],
-                    )
+                    ), []
 
     oracle_state = oracle.set_contents()
     sut_state = _sut_state(sut)
@@ -302,7 +277,7 @@ def _lockstep(
                     policy, -1, "state",
                     expected=f"set {index}: {theirs}",
                     actual=f"set {index}: {ours}",
-                )
+                ), []
 
     oracle_stats = oracle.stats()
     for name in COMPARED_STATS:
@@ -310,9 +285,17 @@ def _lockstep(
             return Divergence(
                 policy, -1, name,
                 expected=oracle_stats[name], actual=getattr(sut, name),
-            )
+            ), []
 
-    return _check_invariants(sut, policy)
+    invariant = _check_invariants(sut, policy)
+    if invariant is not None:
+        return invariant, []
+    batched = Trace(
+        [address for address, _, _ in records],
+        [is_write for _, is_write, _ in records],
+        [pc for _, _, pc in records],
+    )
+    return check_drivers(policy, batched, config, end_record(sut), sut_factory)
 
 
 def shrink(
@@ -378,18 +361,9 @@ def diff_policy(
     trace: "Trace | Sequence[AccessRecord]",
     config: CacheConfig,
     sut_factory: Optional[SutFactory] = None,
-) -> Optional[Divergence]:
-    """Replay and, on divergence, return a *shrunken* reproducer."""
-    return check_policy(policy, trace, config, sut_factory)[0]
-
-
-def check_policy(
-    policy: str,
-    trace: "Trace | Sequence[AccessRecord]",
-    config: CacheConfig,
-    sut_factory: Optional[SutFactory] = None,
-) -> DriverCheck:
-    """:func:`diff_policy`, plus the drivers that served the full trace."""
+) -> Tuple[Optional[Divergence], List[str]]:
+    """Replay and, on divergence, return a *shrunken* reproducer, with
+    the drivers that served the full trace (see :func:`check_drivers`)."""
     records = _records(trace)
     divergence, served = _replay(policy, records, config, sut_factory)
     if divergence is not None:

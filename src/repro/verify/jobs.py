@@ -74,7 +74,7 @@ class FuzzJob:
 
     def execute(self) -> Dict[str, object]:
         from repro.common.config import CacheConfig
-        from repro.verify.differ import check_policy
+        from repro.verify.differ import diff_policy
         from repro.verify.fuzzer import fuzz_trace
 
         config = CacheConfig(
@@ -83,7 +83,7 @@ class FuzzJob:
         trace = fuzz_trace(
             self.scenario, self.seed, self.num_sets, self.ways, self.length
         )
-        divergence, drivers = check_policy(self.policy, trace, config)
+        divergence, drivers = diff_policy(self.policy, trace, config)
         result: Dict[str, object] = {
             "policy": self.policy,
             "scenario": self.scenario,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
+from repro.cache.policy import make_policy
 from repro.common.config import CacheConfig, paper_system_config
 from repro.core.overhead import overhead_ratio, overhead_report, rrp_state, rwp_state
 from repro.core.rrp import RRPPolicy, pc_signature
@@ -24,6 +25,13 @@ class TestRRPPrediction:
     def test_rejects_non_pow2_table(self):
         with pytest.raises(ValueError):
             RRPPolicy(entries=1000)
+        with pytest.raises(ValueError):
+            RRPPolicy(entries=0)
+
+    def test_counters_must_fit_int64(self):
+        with pytest.raises(ValueError, match="below 64"):
+            make_policy("rrp:counter_bits=64")
+        assert RRPPolicy(entries=64, counter_bits=63)._table[0] == 1 << 62
 
     def test_signature_bounded(self):
         assert 0 <= pc_signature(0xFFFFFFFF, 256) < 256

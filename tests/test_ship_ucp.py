@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
+from repro.cache.policy import make_policy
 from repro.cache.rrip import RRPV_LONG, RRPV_MAX
 from repro.cache.ship import SHiPPolicy, pc_signature
 from repro.cache.ucp import UCPPolicy, UtilityMonitor, lookahead_partition
@@ -21,6 +22,15 @@ class TestSHiP:
     def test_rejects_non_pow2_table(self):
         with pytest.raises(ValueError):
             SHiPPolicy(entries=1000)
+        with pytest.raises(ValueError):
+            SHiPPolicy(entries=0)
+
+    def test_counters_must_fit_int64(self):
+        # The SHCT is an int64 buffer; a spec asking for wider counters
+        # is a bad parameter, not an OverflowError.
+        with pytest.raises(ValueError, match="below 64"):
+            make_policy("ship:counter_bits=64")
+        assert SHiPPolicy(entries=64, counter_bits=63)._shct[0] == 1 << 62
 
     def test_cold_signature_inserted_long(self, tiny_config):
         cache = SetAssociativeCache(tiny_config, SHiPPolicy())

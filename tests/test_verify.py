@@ -116,7 +116,7 @@ class TestSensitivity:
     def test_injected_off_by_one_is_caught_and_shrunk(self):
         config = _config(8, 2)
         trace = fuzz_trace("conflict", 11, 8, 2, 512)
-        divergence = diff_policy(
+        divergence, _ = diff_policy(
             "lru", trace, config, sut_factory=self._broken_lru_cache
         )
         assert divergence is not None
@@ -135,7 +135,7 @@ class TestSensitivity:
     def test_conformant_policy_reports_none(self):
         config = _config(8, 2)
         trace = fuzz_trace("conflict", 11, 8, 2, 512)
-        assert diff_policy("lru", trace, config) is None
+        assert diff_policy("lru", trace, config)[0] is None
 
 
 class TestDriverCheck:
@@ -160,7 +160,7 @@ class TestDriverCheck:
     def test_dict_run_trace_stat_is_caught_and_shrunk(self, monkeypatch):
         self._corrupt_dict_driver(monkeypatch, self._bump_read_hits)
         trace = fuzz_trace("conflict", 11, 8, 2, 256)
-        divergence = diff_policy("lru", trace, _config(8, 2))
+        divergence, _ = diff_policy("lru", trace, _config(8, 2))
         assert divergence is not None
         assert divergence.kind == "dict run_trace read_hits"
         assert divergence.expected + 1 == divergence.actual
@@ -309,7 +309,7 @@ class TestConformanceSmoke:
     def test_policy_matches_oracle(self, policy):
         config = _config(16, 4)
         trace = fuzz_trace("mixed", 42, 16, 4, 768)
-        divergence = diff_policy(policy, trace, config)
+        divergence, _ = diff_policy(policy, trace, config)
         assert divergence is None, divergence.describe()
 
     def test_dueling_followers_match_oracle(self):
@@ -317,7 +317,7 @@ class TestConformanceSmoke:
         config = _config(128, 4)
         for policy in ("dip", "drrip"):
             trace = fuzz_trace("phase_shift", 9, 128, 4, 1024)
-            divergence = diff_policy(policy, trace, config)
+            divergence, _ = diff_policy(policy, trace, config)
             assert divergence is None, divergence.describe()
 
 
@@ -331,7 +331,7 @@ class TestConformanceDeep:
         for num_sets, ways in FUZZ_GEOMETRIES:
             config = _config(num_sets, ways)
             trace = fuzz_trace(scenario, 2014, num_sets, ways, 2048)
-            divergence = diff_policy(policy, trace, config)
+            divergence, _ = diff_policy(policy, trace, config)
             assert divergence is None, divergence.describe()
 
 
