@@ -406,9 +406,13 @@ class SetAssociativeCache:
 
         During a batch replay the statistics counters, ``tick``, and a
         recency-stamped policy's clock live in loop locals and are
-        flushed on return -- policy hooks fired mid-run (``on_epoch``
+        flushed on every exit -- policy hooks fired mid-run (``on_epoch``
         and friends) must not read them from the cache.  No shipped
-        policy does.
+        policy does.  An exception from a pre-lookup hook (the epoch,
+        sampling or access-listener hook) propagates after that flush
+        and leaves what :meth:`access` leaves: the access it raised in
+        counts in ``tick``, its gap and its cycles, not in the
+        statistics.
         """
         n = len(decoded)
         if stop is None:
@@ -530,74 +534,157 @@ class SetAssociativeCache:
             cycle_stream = None
             cycles = 0.0
 
+        # Every completed access counts once in these four, so on an
+        # exception their sum gives the position without per-access work.
+        counted = read_hits + write_hits + read_misses + write_misses
         pos = start
-        while pos < stop:
-            end = min(pos + RUN_TRACE_CHUNK, stop)
-            chunk = zip(
-                set_stream[pos:end],
-                tag_stream[pos:end],
-                write_stream[pos:end],
-                pc_stream[pos:end] if pc_stream is not None else repeat(0),
-                cycle_stream[pos:end] if cycle_stream is not None else repeat(0),
-            )
-            pos = end
-            for si, tag, w, pc, cgap in chunk:
-                if timed:
-                    cycles += cgap
-                if pre_active:
-                    if access_listener is not None:
-                        access_listener(si, tag, w, pc, core)
-                    if observe is not None:
-                        observe(si, tag, w, pc, core)
-                    else:
-                        if stride and not si % stride:
-                            on_sample(si, tag, w, pc, core)
-                        if period:
-                            epoch_left -= 1
-                            if not epoch_left:
-                                epoch_left = period
-                                self._on_epoch()
-                lookup = lookups[si]
-                line = lookup.get(tag)
-                if line is not None:
-                    if prefetch_active and line.prefetched:
-                        prefetch_useful += 1
-                        line.prefetched = False
-                    if w:
-                        write_hits += 1
-                        if not line.dirty:
-                            sets[si].dirty_lines += 1
-                        line.dirty = True
-                        line.write_seen = True
-                        if stamping:
-                            clock += 1
-                            line.stamp = clock
-                        elif on_hit is not None:
-                            on_hit(sets[si], line, si, w, pc, core)
-                    else:
-                        read_hits += 1
-                        line.read_seen = True
-                        if stamping:
-                            clock += 1
-                            line.stamp = clock
-                        elif on_hit is not None:
-                            on_hit(sets[si], line, si, w, pc, core)
-                        if timed:
-                            read_stall += hit_stall
-                            cycles += hit_stall
-                    continue
-
-                # Miss: same operation order as _miss_path/_evict.
-                if w:
-                    write_misses += 1
-                else:
-                    read_misses += 1
-                if should_bypass is not None and should_bypass(
-                    si, tag, w, pc, core
-                ):
-                    bypasses += 1
+        try:
+            while pos < stop:
+                end = min(pos + RUN_TRACE_CHUNK, stop)
+                chunk = zip(
+                    set_stream[pos:end],
+                    tag_stream[pos:end],
+                    write_stream[pos:end],
+                    pc_stream[pos:end] if pc_stream is not None else repeat(0),
+                    cycle_stream[pos:end] if cycle_stream is not None else repeat(0),
+                )
+                pos = end
+                for si, tag, w, pc, cgap in chunk:
                     if timed:
+                        cycles += cgap
+                    if pre_active:
+                        if access_listener is not None:
+                            access_listener(si, tag, w, pc, core)
+                        if observe is not None:
+                            observe(si, tag, w, pc, core)
+                        else:
+                            if stride and not si % stride:
+                                on_sample(si, tag, w, pc, core)
+                            if period:
+                                epoch_left -= 1
+                                if not epoch_left:
+                                    epoch_left = period
+                                    self._on_epoch()
+                    lookup = lookups[si]
+                    line = lookup.get(tag)
+                    if line is not None:
+                        if prefetch_active and line.prefetched:
+                            prefetch_useful += 1
+                            line.prefetched = False
                         if w:
+                            write_hits += 1
+                            if not line.dirty:
+                                sets[si].dirty_lines += 1
+                            line.dirty = True
+                            line.write_seen = True
+                            if stamping:
+                                clock += 1
+                                line.stamp = clock
+                            elif on_hit is not None:
+                                on_hit(sets[si], line, si, w, pc, core)
+                        else:
+                            read_hits += 1
+                            line.read_seen = True
+                            if stamping:
+                                clock += 1
+                                line.stamp = clock
+                            elif on_hit is not None:
+                                on_hit(sets[si], line, si, w, pc, core)
+                            if timed:
+                                read_stall += hit_stall
+                                cycles += hit_stall
+                        continue
+
+                    # Miss: same operation order as _miss_path/_evict.
+                    if w:
+                        write_misses += 1
+                    else:
+                        read_misses += 1
+                    if should_bypass is not None and should_bypass(
+                        si, tag, w, pc, core
+                    ):
+                        bypasses += 1
+                        if timed:
+                            if w:
+                                # inlined WriteBufferModel.issue(cycles)
+                                while wb_completions and wb_completions[0] <= cycles:
+                                    wb_pop()
+                                if len(wb_completions) >= wb_entries:
+                                    stall = wb_pop() - cycles
+                                    wb_stall_cycles += stall
+                                    write_stall += stall
+                                    cycles += stall
+                                wb_server_free = (
+                                    cycles
+                                    if cycles > wb_server_free
+                                    else wb_server_free
+                                ) + wb_drain
+                                wb_append(wb_server_free)
+                                wb_writes += 1
+                            else:
+                                read_stall += miss_stall
+                                cycles += miss_stall
+                        continue
+                    cache_set = sets[si]
+                    wb = -1
+                    if cache_set.filled < ways:
+                        for line in cache_set.lines:
+                            if not line.valid:
+                                break
+                        cache_set.filled += 1
+                    else:
+                        line = victim(cache_set, si, w, pc, core)
+                        if on_evict is not None:
+                            on_evict(line, si)
+                        evictions += 1
+                        dirty = line.dirty
+                        if dirty:
+                            dirty_evictions += 1
+                            cache_set.dirty_lines -= 1
+                        if line.prefetched:
+                            prefetch_unused += 1
+                        elif line.read_seen:
+                            if line.write_seen:
+                                evicted_rw += 1
+                            else:
+                                evicted_ro += 1
+                        else:
+                            evicted_wo += 1
+                        del lookup[line.tag]
+                        if dirty or listener is not None:
+                            victim_addr = (
+                                (line.tag << index_bits) | si
+                            ) << offset_bits
+                            if dirty:
+                                writebacks += 1
+                                wb = victim_addr
+                            if listener is not None:
+                                listener(victim_addr, dirty)
+                    # inlined CacheLine.reset_for_fill(tag, w, core)
+                    line.tag = tag
+                    line.valid = True
+                    line.dirty = w
+                    line.stamp = 0
+                    line.rrpv = 0
+                    line.signature = 0
+                    line.outcome = 0
+                    line.owner = core
+                    line.read_seen = not w
+                    line.write_seen = w
+                    line.prefetched = False
+                    if w:
+                        cache_set.dirty_lines += 1
+                    lookup[tag] = line
+                    if stamping:
+                        clock += 1
+                        line.stamp = clock
+                    elif on_fill is not None:
+                        on_fill(cache_set, line, si, w, pc, core)
+                    if timed:
+                        if not w:
+                            read_stall += miss_stall
+                            cycles += miss_stall
+                        if wb >= 0:
                             # inlined WriteBufferModel.issue(cycles)
                             while wb_completions and wb_completions[0] <= cycles:
                                 wb_pop()
@@ -613,113 +700,41 @@ class SetAssociativeCache:
                             ) + wb_drain
                             wb_append(wb_server_free)
                             wb_writes += 1
-                        else:
-                            read_stall += miss_stall
-                            cycles += miss_stall
-                    continue
-                cache_set = sets[si]
-                wb = -1
-                if cache_set.filled < ways:
-                    for line in cache_set.lines:
-                        if not line.valid:
-                            break
-                    cache_set.filled += 1
-                else:
-                    line = victim(cache_set, si, w, pc, core)
-                    if on_evict is not None:
-                        on_evict(line, si)
-                    evictions += 1
-                    dirty = line.dirty
-                    if dirty:
-                        dirty_evictions += 1
-                        cache_set.dirty_lines -= 1
-                    if line.prefetched:
-                        prefetch_unused += 1
-                    elif line.read_seen:
-                        if line.write_seen:
-                            evicted_rw += 1
-                        else:
-                            evicted_ro += 1
-                    else:
-                        evicted_wo += 1
-                    del lookup[line.tag]
-                    if dirty or listener is not None:
-                        victim_addr = (
-                            (line.tag << index_bits) | si
-                        ) << offset_bits
-                        if dirty:
-                            writebacks += 1
-                            wb = victim_addr
-                        if listener is not None:
-                            listener(victim_addr, dirty)
-                # inlined CacheLine.reset_for_fill(tag, w, core)
-                line.tag = tag
-                line.valid = True
-                line.dirty = w
-                line.stamp = 0
-                line.rrpv = 0
-                line.signature = 0
-                line.outcome = 0
-                line.owner = core
-                line.read_seen = not w
-                line.write_seen = w
-                line.prefetched = False
-                if w:
-                    cache_set.dirty_lines += 1
-                lookup[tag] = line
-                if stamping:
-                    clock += 1
-                    line.stamp = clock
-                elif on_fill is not None:
-                    on_fill(cache_set, line, si, w, pc, core)
-                if timed:
-                    if not w:
-                        read_stall += miss_stall
-                        cycles += miss_stall
-                    if wb >= 0:
-                        # inlined WriteBufferModel.issue(cycles)
-                        while wb_completions and wb_completions[0] <= cycles:
-                            wb_pop()
-                        if len(wb_completions) >= wb_entries:
-                            stall = wb_pop() - cycles
-                            wb_stall_cycles += stall
-                            write_stall += stall
-                            cycles += stall
-                        wb_server_free = (
-                            cycles
-                            if cycles > wb_server_free
-                            else wb_server_free
-                        ) + wb_drain
-                        wb_append(wb_server_free)
-                        wb_writes += 1
-
-        ran = stop - start
-        self.tick += ran
-        if stamping:
-            stamp._clock = clock
-        stats.read_hits = read_hits
-        stats.write_hits = write_hits
-        stats.prefetch_useful = prefetch_useful
-        stats.read_misses = read_misses
-        stats.write_misses = write_misses
-        stats.bypasses = bypasses
-        stats.evictions = evictions
-        stats.dirty_evictions = dirty_evictions
-        stats.writebacks = writebacks
-        stats.evicted_read_only = evicted_ro
-        stats.evicted_write_only = evicted_wo
-        stats.evicted_read_write = evicted_rw
-        stats.prefetch_unused_evictions = prefetch_unused
-        self._epoch_left = epoch_left
-        if timed:
-            timing.cycles = cycles
-            timing.instructions += decoded.gap_total(start, stop)
-            timing.read_stall_cycles = read_stall
-            timing.write_stall_cycles = write_stall
-            write_buffer._server_free = wb_server_free
-            write_buffer.stall_cycles = wb_stall_cycles
-            write_buffer.total_writes = wb_writes
-        return ran
+        except BaseException:
+            # As in access(), the access a pre-lookup hook raised in
+            # counts in tick, its gap and its cycles (already added),
+            # not in the statistics.
+            stop = start + 1 + (
+                read_hits + write_hits + read_misses + write_misses - counted
+            )
+            raise
+        finally:
+            self.tick += stop - start
+            if stamping:
+                stamp._clock = clock
+            stats.read_hits = read_hits
+            stats.write_hits = write_hits
+            stats.prefetch_useful = prefetch_useful
+            stats.read_misses = read_misses
+            stats.write_misses = write_misses
+            stats.bypasses = bypasses
+            stats.evictions = evictions
+            stats.dirty_evictions = dirty_evictions
+            stats.writebacks = writebacks
+            stats.evicted_read_only = evicted_ro
+            stats.evicted_write_only = evicted_wo
+            stats.evicted_read_write = evicted_rw
+            stats.prefetch_unused_evictions = prefetch_unused
+            self._epoch_left = epoch_left
+            if timed:
+                timing.cycles = cycles
+                timing.instructions += decoded.gap_total(start, stop)
+                timing.read_stall_cycles = read_stall
+                timing.write_stall_cycles = write_stall
+                write_buffer._server_free = wb_server_free
+                write_buffer.stall_cycles = wb_stall_cycles
+                write_buffer.total_writes = wb_writes
+        return stop - start
 
     # -- the hierarchy filter stage ---------------------------------------
     def lru_filter_eligible(self) -> bool:

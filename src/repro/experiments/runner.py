@@ -22,7 +22,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.cache.policy import ReplacementPolicy, make_policy
 from repro.cache.policyspec import PolicySpec
 from repro.common.config import CacheConfig, HierarchyConfig, default_hierarchy
-from repro.core.rwp import RWPPolicy
 from repro.cpu.core import RunResult
 from repro.kernels.spec import DEFAULT_KERNEL
 from repro.trace.access import Trace
@@ -119,6 +118,13 @@ def cached_shared_mix(
     )
 
 
+#: policies whose RWP repartitioning epoch scales with the cache
+_EPOCH_POLICIES = frozenset({"rwp", "rwp-core", "rwp-srrip", "rwp-bypass"})
+
+#: policies that partition or arbitrate by core
+_CORE_POLICIES = frozenset({"rwp-core", "ucp", "tadrrip", "pipp"})
+
+
 def make_llc_policy(
     policy, llc_lines: int = DEFAULT_LLC_LINES, num_cores: int = 1
 ) -> ReplacementPolicy:
@@ -130,50 +136,18 @@ def make_llc_policy(
     instructions for a fixed-size cache; scaling keeps the number of
     fills per epoch comparable across scales); UCP, TA-DRRIP, PIPP, and
     core-aware RWP need the core count.  Spec kwargs override these
-    defaults.
+    defaults; the registry's :func:`~repro.cache.policy.make_policy`
+    builds the result.
     """
     spec = PolicySpec.coerce(policy)
-    name = spec.name
-    kwargs = spec.kwargs_dict()
-    rwp_epoch = max(4000, 2 * llc_lines)
-    try:
-        if name == "rwp":
-            kwargs.setdefault("epoch", rwp_epoch)
-            return RWPPolicy(**kwargs)
-        if name == "rwp-core":
-            from repro.core.rwp import CoreAwareRWPPolicy
-
-            kwargs.setdefault("epoch", rwp_epoch)
-            kwargs.setdefault("num_cores", num_cores)
-            return CoreAwareRWPPolicy(**kwargs)
-        if name == "rwp-srrip":
-            from repro.core.variants import RWPSRRIPPolicy
-
-            kwargs.setdefault("epoch", rwp_epoch)
-            return RWPSRRIPPolicy(**kwargs)
-        if name == "rwp-bypass":
-            from repro.core.variants import RWPBypassPolicy
-
-            kwargs.setdefault("epoch", rwp_epoch)
-            return RWPBypassPolicy(**kwargs)
-        if name == "ucp":
-            from repro.cache.ucp import UCPPolicy
-
-            kwargs.setdefault("num_cores", num_cores)
-            return UCPPolicy(**kwargs)
-        if name == "tadrrip":
-            from repro.cache.rrip import TADRRIPPolicy
-
-            kwargs.setdefault("num_cores", num_cores)
-            return TADRRIPPolicy(**kwargs)
-        if name == "pipp":
-            from repro.cache.pipp import PIPPPolicy
-
-            kwargs.setdefault("num_cores", num_cores)
-            return PIPPPolicy(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for policy {spec}: {exc}") from None
-    return make_policy(spec)
+    defaults = {}
+    if spec.name in _EPOCH_POLICIES:
+        defaults["epoch"] = max(4000, 2 * llc_lines)
+    if spec.name in _CORE_POLICIES:
+        defaults["num_cores"] = num_cores
+    return make_policy(
+        PolicySpec.make(spec.name, **{**defaults, **spec.kwargs_dict()})
+    )
 
 
 @lru_cache(maxsize=4096)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
+import numpy as np
+
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.policy import ReplacementPolicy, make_policy
 from repro.common.config import HierarchyConfig
@@ -36,8 +38,6 @@ def _decode_blocks(blocks, index_mask, index_bits):
     """
     if blocks:
         try:
-            import numpy as np
-
             array = np.asarray(blocks, dtype=np.int64)
             if int(array.max()) < (1 << 62):
                 return (
@@ -272,9 +272,12 @@ class MemoryHierarchy:
         memory = self.memory
         index_bits = llc.config.index_bits
         ob = llc.config.offset_bits
-        set3, tag3 = _decode_blocks(blocks, llc.config.num_sets - 1, index_bits)
+        index_mask = llc.config.num_sets - 1
 
-        if levels is None and llc._should_bypass is None:
+        # A line that scalar access() filled past int64 can write back
+        # a block no decode holds.
+        overflow = levels is None and bool(blocks) and max(blocks) >= 1 << 63
+        if levels is None and llc._should_bypass is None and not overflow:
             # No per-access attribution needed and no bypass decisions
             # possible: replay the residue through the LLC's own batch
             # loop and derive the memory traffic from the statistics
@@ -283,18 +286,18 @@ class MemoryHierarchy:
             # nothing can bypass).
             from repro.trace.decode import DecodedTrace
 
-            count = len(blocks)
-            if llc._needs_pc:
-                pcs = decoded.pcs
-                pcs3 = [pcs[origin] for origin in origins]
-            else:
-                pcs3 = [0] * count
-            decoded3 = DecodedTrace(
-                set3,
-                tag3,
-                write,
-                pcs3,
-                [0] * count,
+            array = np.asarray(blocks, dtype=np.int64)
+            zeros = np.zeros(len(blocks), dtype=np.int64)
+            decoded3 = DecodedTrace.from_arrays(
+                (
+                    array & index_mask,
+                    array >> index_bits,
+                    np.asarray(write, dtype=np.uint8),
+                    zeros,
+                ),
+                decoded.kernel_pcs()[np.asarray(origins, dtype=np.int64)]
+                if llc._needs_pc
+                else zeros,
                 ob,
                 index_bits,
                 name=f"{decoded.name}@llc-residue",
@@ -316,12 +319,16 @@ class MemoryHierarchy:
             }
 
         if levels is None and llc.kernel is not None:
-            # The statistics count bypassed writes (memory writes) with
-            # bypassed reads, so only the per-access walk splits them.
+            # An untimed run walks for that block, or because the LLC
+            # can bypass: the statistics count bypassed writes (memory
+            # writes) with bypassed reads, so only the walk splits them.
             llc.kernel.fallback_reason = (
-                f"{type(llc.policy).__name__} can bypass, so the "
+                "a block address overflows the int64 kernel ABI"
+                if overflow
+                else f"{type(llc.policy).__name__} can bypass, so the "
                 "hierarchy's LLC stage walks the residue per access"
             )
+        set3, tag3 = _decode_blocks(blocks, index_mask, index_bits)
         mem = None if levels is None else [0] * len(levels)
         pcs = decoded.pcs
         access = llc._access_decoded

@@ -95,10 +95,6 @@ _POLICY_RRP = 4
 
 _STATUS_CALLBACK_ABORT = 2
 
-#: the decline when a decoded stream does not fit int64 (set indices are
-#: below the set count and writes are bits, so it is a tag or a gap)
-_STREAM_OVERFLOW = "a tag or instruction gap overflows the int64 kernel ABI"
-
 #: the decline when a lane that emits block addresses (a filter stage,
 #: the attributed LLC stage) would build one beyond int64
 _BLOCK_OVERFLOW = "a block address overflows the int64 kernel ABI"
@@ -780,22 +776,15 @@ class KernelRuntime:
             return self._fallback("no native kernel library available")
         if timing is not None and getattr(timing, "backend", None) is not None:
             return self._fallback("memory timing backend is active")
-        # Bind before asking for the stream arrays: a declined dispatch
-        # must not convert a list-built decode's streams.
         binding = self._bind(cache)
         if binding is None:
             return None
         if binding.directory is not None and not 0 <= core < _MAX_POLICY_CORES:
             return self._fallback(f"core {core} does not fit a sharer mask")
-        streams = decoded.kernel_streams()
-        if streams is None:
-            return self._fallback(_STREAM_OVERFLOW)
-        set_arr, tag_arr, write_arr, gap_arr = streams
+        set_arr, tag_arr, write_arr, gap_arr = decoded.kernel_streams()
         pcs = None
         if binding.comparator in (_POLICY_SHIP, _POLICY_RRP):
             pcs = decoded.kernel_pcs()
-            if pcs is None:
-                return self._fallback("PC stream overflows the int64 kernel ABI")
         cycles = None
         if timing is not None:
             cycles = decoded.kernel_cycles(timing.core.base_cpi)
@@ -866,8 +855,8 @@ class KernelRuntime:
         filter reads, and block decoding is two vector ops.  Returns the
         staged path's ``counts`` / ``(counts, levels, mem)``, or None --
         naming why in ``fallback_reason`` -- when no library loads, L1
-        or L2 declines, or the demand stream or a private level's blocks
-        overflow int64; the dict filters then run.
+        or L2 declines, or a private level's blocks overflow int64; the
+        dict filters then run.
 
         When the LLC binds too, it replays the residue here and nothing
         round-trips through lists until the collect-mode ``levels``/
@@ -890,8 +879,7 @@ class KernelRuntime:
         if lib is None:
             return self._fallback("no native kernel library available")
         # Bind every level up front: binding only reads, so a decline
-        # here leaves every cache untouched for the fallback (and builds
-        # no stream arrays).
+        # here leaves every cache untouched for the fallback.
         entry = "the hierarchy stage replay"
         b1 = self._bind(l1, entry)
         if b1 is None:
@@ -902,8 +890,6 @@ class KernelRuntime:
         llc_declined: List[str] = []
         b3 = bind_cache(llc, llc_declined, entry)
         streams = decoded.kernel_streams()
-        if streams is None:
-            return self._fallback(_STREAM_OVERFLOW)
         set_arr, tag_arr, write_arr, gap_arr = streams
         # The L2 and LLC stages decode the blocks the stage above
         # emitted, which rebuild to the same blocks; only the demand
@@ -1074,8 +1060,6 @@ class KernelRuntime:
         if binding is None:
             return None
         stream_sets = [view.kernel_streams() for view in views]
-        if any(streams is None for streams in stream_sets):
-            return self._fallback(_STREAM_OVERFLOW)
         cycle_sets = [
             view.kernel_cycles(timing.core.base_cpi)
             for view, timing in zip(views, timings)

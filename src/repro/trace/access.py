@@ -6,20 +6,23 @@ issued it (used by PC-indexed predictors such as RRP), and the number of
 instructions the core committed since the previous record (used to
 reconstruct IPC from miss counts).
 
-A :class:`Trace` holds four parallel columns.  A trace built from numpy
-arrays (the generators, the stress zoo, shared mixes, npz interchange)
-keeps those arrays as its only representation -- the decode layer and
-the native kernel read them as they are -- and builds a column's Python
-list only when a Python replay path first reads it.  A trace built from
-lists (file readers, fuzzers, tests) keeps its lists and derives the
-arrays once, on first use.  Traces are immutable.  The :class:`Access`
-dataclass is the convenient scalar view used by tests and examples.
+A :class:`Trace` holds four parallel columns as read-only numpy arrays:
+int64 addresses, PCs and instruction gaps and a uint8 write flag.  Both
+constructors build them once, and that is where a trace value's range
+is decided: a column that is not integer-valued, or an address, PC or
+gap outside ``[0, 2**63)``, raises ``ValueError`` naming the column and
+index.  So every trace fits the decode layer's and the native kernel's
+int64 streams.  A column's Python list (``addresses``, ...) is built
+from its array on the first read by a Python replay path.  Traces are
+immutable.  The :class:`Access` dataclass is the convenient scalar view
+used by tests and examples.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +49,10 @@ TraceArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _ADDRESS, _WRITE, _PC, _GAP = range(4)
 
+#: every address, PC and instruction gap lies in ``[0, 2**63)``, the
+#: range an int64 column holds
+_LIMIT = 1 << 63
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A read-only view: the trace's arrays are shared, never written."""
@@ -54,14 +61,37 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
+def _int64_column(values, column: str) -> np.ndarray:
+    """``values`` as a C-contiguous int64 array, checked at the door.
+
+    An int64 array that already has that layout is shared, not copied.
+    Raises ``ValueError`` naming ``column`` and the index of the first
+    value that is not an integer in ``[0, 2**63)``.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "biu":
+        if not array.size or (
+            int(array.min()) >= 0 and int(array.max()) < _LIMIT
+        ):
+            return np.ascontiguousarray(array, dtype=np.int64)
+    elif not array.size:
+        return np.zeros(0, dtype=np.int64)
+    for index, value in enumerate(values):
+        if not isinstance(value, numbers.Integral) or not 0 <= value < _LIMIT:
+            raise ValueError(
+                f"{column}[{index}] = {value} is not an integer in [0, 2**63)"
+            )
+    # An object column of in-range integers.
+    return np.asarray(values, dtype=np.int64)
+
+
 class Trace:
     """An immutable sequence of accesses stored as four parallel columns.
 
-    Each column is a numpy array, a Python list, or both (see the module
-    docstring): ``addresses``, ``is_write``, ``pcs`` and ``instr_gaps``
-    are lists of Python ``int``/``bool`` built on first read, and
-    :meth:`arrays` gives the arrays.  Neither may be mutated: decodes
-    and per-core views share them.
+    :meth:`arrays` gives the columns as arrays; ``addresses``,
+    ``is_write``, ``pcs`` and ``instr_gaps`` are lists of Python
+    ``int``/``bool`` built on first read.  Neither may be mutated:
+    decodes and per-core views share them.
 
     Iterating yields ``(address, is_write, pc, instr_gap)`` tuples, which is
     what the hot simulation loop consumes; :meth:`accesses` yields
@@ -86,31 +116,33 @@ class Trace:
         name: str = "trace",
         address_space: str = "private",
     ) -> None:
-        n = len(addresses)
-        if len(is_write) != n:
-            raise ValueError("addresses and is_write must have equal length")
-        if pcs is not None and len(pcs) != n:
-            raise ValueError("pcs length mismatch")
-        if instr_gaps is not None and len(instr_gaps) != n:
-            raise ValueError("instr_gaps length mismatch")
-        self._init(n, name, address_space)
-        self._lists = [
-            list(addresses),
-            [bool(w) for w in is_write],
-            list(pcs) if pcs is not None else [0] * n,
-            list(instr_gaps) if instr_gaps is not None else [1] * n,
-        ]
-
-    def _init(self, length: int, name: str, address_space: str) -> None:
         if address_space not in ("private", "global"):
             raise ValueError(
                 "address_space must be 'private' or 'global', "
                 f"got {address_space!r}"
             )
+        address_array = _int64_column(addresses, "addresses")
+        n = len(address_array)
+        write_array = np.asarray(is_write)
+        if write_array.dtype != np.bool_:
+            write_array = _int64_column(is_write, "is_write") != 0
+        arrays = (
+            address_array,
+            np.ascontiguousarray(write_array).view(np.uint8),
+            np.zeros(n, dtype=np.int64)
+            if pcs is None
+            else _int64_column(pcs, "pcs"),
+            np.ones(n, dtype=np.int64)
+            if instr_gaps is None
+            else _int64_column(instr_gaps, "instr_gaps"),
+        )
+        if any(len(array) != n for array in arrays):
+            raise ValueError("trace columns must have equal length")
         self.name = name
         self.address_space = address_space
-        self._length = length
-        self._arrays: Optional[TraceArrays] = None
+        self._length = n
+        self._arrays: TraceArrays = tuple(_read_only(a) for a in arrays)
+        self._lists: list = [None] * 4
         self._decoded: dict = {}
 
     @classmethod
@@ -125,60 +157,21 @@ class Trace:
     ) -> "Trace":
         """Build from numpy arrays (the generators' native output).
 
-        Any dtype or stride is accepted and normalized once into
-        C-contiguous int64 addresses, PCs and gaps and a uint8 write
-        column (nonzero is a store).  The trace shares, not copies,
-        arrays that already have that layout, so the caller must not
-        write to them afterwards.
+        The constructor under its array name: any integer dtype or
+        stride is normalized once into C-contiguous int64 addresses,
+        PCs and gaps and a uint8 write column (nonzero is a store).
+        The trace shares, not copies, arrays that already have that
+        layout, so the caller must not write to them afterwards.
         """
-        address_array = np.ascontiguousarray(addresses, dtype=np.int64)
-        n = len(address_array)
-        write_array = np.ascontiguousarray(is_write, dtype=np.bool_)
-        pc_array = (
-            np.zeros(n, dtype=np.int64)
-            if pcs is None
-            else np.ascontiguousarray(pcs, dtype=np.int64)
-        )
-        gap_array = (
-            np.ones(n, dtype=np.int64)
-            if instr_gaps is None
-            else np.ascontiguousarray(instr_gaps, dtype=np.int64)
-        )
-        if not len(write_array) == len(pc_array) == len(gap_array) == n:
-            raise ValueError("from_arrays columns must have equal length")
-        trace = cls.__new__(cls)
-        trace._init(n, name, address_space)
-        trace._lists = [None] * 4
-        trace._arrays = (
-            _read_only(address_array),
-            _read_only(write_array.view(np.uint8)),
-            _read_only(pc_array),
-            _read_only(gap_array),
-        )
-        return trace
+        return cls(addresses, is_write, pcs, instr_gaps, name, address_space)
 
-    def arrays(self) -> Optional[TraceArrays]:
-        """The columns as read-only kernel-ready arrays, or None.
+    def arrays(self) -> TraceArrays:
+        """The columns as read-only kernel-ready arrays.
 
         ``(addresses, is_write, pcs, instr_gaps)`` as int64, uint8, int64
-        and int64.  A list-built trace derives them on the first call and
-        keeps them; None when a value does not fit int64 (the trace then
-        stays list-only).
+        and int64.
         """
-        arrays = self._arrays
-        if arrays is None:
-            addresses, is_write, pcs, gaps = self._lists
-            try:
-                arrays = (
-                    np.asarray(addresses, dtype=np.int64),
-                    np.asarray(is_write, dtype=np.uint8),
-                    np.asarray(pcs, dtype=np.int64),
-                    np.asarray(gaps, dtype=np.int64),
-                )
-            except (OverflowError, TypeError, ValueError):
-                return None
-            arrays = self._arrays = tuple(_read_only(a) for a in arrays)
-        return arrays
+        return self._arrays
 
     def _column(self, column: int) -> list:
         """One column as a list, built from its array on first read."""
@@ -228,10 +221,10 @@ class Trace:
 
     def __setstate__(self, state) -> None:
         addresses, is_write, pcs, instr_gaps, name = state[:5]
-        self._init(
-            len(addresses), name, state[5] if len(state) > 5 else "private"
+        self.__init__(
+            addresses, is_write, pcs, instr_gaps, name,
+            state[5] if len(state) > 5 else "private",
         )
-        self._lists = [addresses, is_write, pcs, instr_gaps]
 
     def __len__(self) -> int:
         return self._length
@@ -260,19 +253,14 @@ class Trace:
             yield Access(addr, wr, pc, gap)
 
     def slice(self, start: int, stop: int) -> "Trace":
-        """A sub-trace covering records ``[start, stop)``."""
-        if self._lists[_ADDRESS] is None:
-            # Array-resident: slice the arrays, build no list.
-            return Trace.from_arrays(
-                *(array[start:stop] for array in self._arrays),
-                name=f"{self.name}[{start}:{stop}]",
-                address_space=self.address_space,
-            )
+        """A sub-trace covering records ``[start, stop)``; it shares
+        this trace's arrays and builds no list."""
+        addresses, is_write, pcs, gaps = self._arrays
         return Trace(
-            self.addresses[start:stop],
-            self.is_write[start:stop],
-            self.pcs[start:stop],
-            self.instr_gaps[start:stop],
+            addresses[start:stop],
+            is_write[start:stop].view(np.bool_),
+            pcs[start:stop],
+            gaps[start:stop],
             name=f"{self.name}[{start}:{stop}]",
             address_space=self.address_space,
         )

@@ -2,19 +2,23 @@
 
 A :class:`TraceSource` turns one on-disk trace format into a validated
 :class:`~repro.trace.access.Trace` with a declared ``address_space``.
-Adapters share the null-page rule: byte addresses in ``(0,
-NULL_PAGE_BYTES)`` are reserved -- the ChampSim record layout encodes
-"no memory operand" as address 0, so a record claiming an operand
-*inside* the null page is corrupt (or a pointer bug in the traced
-program) and is rejected with the offending record named, never
-silently ingested.
+Adapters share two rules, both applied by :func:`check_address`, so an
+offending record is named, never silently ingested:
+
+* the null-page rule: byte addresses in ``(0, NULL_PAGE_BYTES)`` are
+  reserved -- the ChampSim record layout encodes "no memory operand" as
+  address 0, so a record claiming an operand *inside* the null page is
+  corrupt (or a pointer bug in the traced program);
+* the range rule: a trace holds addresses and PCs in ``[0, 2**63)``
+  (its int64 columns), so a kernel-half address such as
+  ``0xffff...`` cannot be ingested.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 from repro.trace.access import Trace
 
@@ -24,14 +28,29 @@ from repro.trace.access import Trace
 NULL_PAGE_BYTES = 4096
 
 
-def check_address(address: int, path: Path, where: str) -> None:
-    """Reject addresses colliding with the reserved null page."""
+def _address_problem(address: int, pc: int) -> Optional[str]:
+    """Why a record with this address and PC cannot be ingested, or None."""
     if 0 < address < NULL_PAGE_BYTES:
-        raise ValueError(
-            f"{path}: {where}: address {address:#x} falls inside the "
-            f"reserved null page (< {NULL_PAGE_BYTES:#x}); the record is "
-            "corrupt or the trace was captured with a null-pointer bug"
+        return (
+            f"address {address:#x} falls inside the reserved null page "
+            f"(< {NULL_PAGE_BYTES:#x}); the record is corrupt or the trace "
+            "was captured with a null-pointer bug"
         )
+    for field, value in (("address", address), ("pc", pc)):
+        if not 0 <= value < 1 << 63:
+            return (
+                f"{field} {value:#x} is outside the [0, 2**63) range a "
+                "trace holds"
+            )
+    return None
+
+
+def check_address(address: int, path: Path, where: str, pc: int = 0) -> None:
+    """Reject an address inside the reserved null page, and an address
+    or PC outside the ``[0, 2**63)`` range a trace holds."""
+    problem = _address_problem(address, pc)
+    if problem is not None:
+        raise ValueError(f"{path}: {where}: {problem}")
 
 
 class TraceSource(ABC):

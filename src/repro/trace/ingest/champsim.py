@@ -25,7 +25,9 @@ Address 0 means "no operand" in this layout, so a nonzero operand
 address inside the reserved null page can only be corruption; reading
 streams every record through the ingest validation
 (:func:`~repro.trace.ingest.base.check_address`) and rejects such
-records by index.
+records by index, as it does an operand address or an ``ip`` of
+``2**63`` or more (the layout's fields are uint64, a trace's columns
+int64).
 
 Compression: files ending in ``.gz`` are transparently (de)compressed;
 ``.xz`` likewise.
@@ -108,8 +110,9 @@ def read_champsim(
 
     Every record is one committed instruction; records with no memory
     operands only advance the instruction gap.  A nonzero operand
-    address inside the reserved null page raises ``ValueError`` naming
-    the offending record index.  ChampSim records carry raw physical
+    address inside the reserved null page, or an operand address or
+    ``ip`` of ``2**63`` or more, raises ``ValueError`` naming the file
+    and the offending record index.  ChampSim records carry raw physical
     addresses with no per-core tag, so a set of per-core files from one
     data-sharing run must be re-imported with ``address_space="global"``
     to keep the shared system from applying its per-core address offsets
@@ -128,7 +131,7 @@ def read_champsim(
         first = True
         for address in src_mem:
             if address:
-                check_address(address, path, f"record {index}")
+                check_address(address, path, f"record {index}", ip)
                 addresses.append(address)
                 writes.append(False)
                 pcs.append(ip)
@@ -137,7 +140,7 @@ def read_champsim(
                 first = False
         for address in dest_mem:
             if address:
-                check_address(address, path, f"record {index}")
+                check_address(address, path, f"record {index}", ip)
                 addresses.append(address)
                 writes.append(True)
                 pcs.append(ip)

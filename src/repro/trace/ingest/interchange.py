@@ -1,7 +1,11 @@
 """The library's own interchange formats (npz binary, gzipped text).
 
 Two formats, both lossless for every :class:`~repro.trace.access.Trace`
-field including ``address_space``:
+field including ``address_space`` (a trace's addresses, PCs and gaps
+lie in ``[0, 2**63)``, which the npz archive's int64 columns hold; both
+loaders build the trace through its checked constructors, so a file
+holding a value outside that range raises ``ValueError`` naming the
+column and index):
 
 * a compact binary ``.npz`` (numpy) archive for bulk experiment traces;
 * a line-oriented gzip text format (``address is_write pc instr_gap``
@@ -31,16 +35,11 @@ _TEXT_HEADER = "# repro-trace v1: address is_write pc instr_gap\n"
 def save_npz(trace: Trace, path: str | Path) -> None:
     """Write a trace as a compressed numpy archive.
 
-    Writes the trace's own arrays, so an array-resident trace builds no
-    Python list.  A trace with a value past int64 has no arrays; its
-    lists are converted instead, which raises ``OverflowError``.
+    Writes the trace's own int64/uint8 arrays, which hold every value a
+    trace accepts, so saving builds no Python list and cannot fail on a
+    value's range.
     """
-    addresses, is_write, pcs, instr_gaps = trace.arrays() or (
-        np.asarray(trace.addresses, dtype=np.int64),
-        np.asarray(trace.is_write, dtype=np.uint8),
-        np.asarray(trace.pcs, dtype=np.int64),
-        np.asarray(trace.instr_gaps, dtype=np.int64),
-    )
+    addresses, is_write, pcs, instr_gaps = trace.arrays()
     np.savez_compressed(
         Path(path),
         addresses=addresses,

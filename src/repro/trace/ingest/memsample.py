@@ -16,11 +16,13 @@ the common family rather than one rigid schema:
 
 Sample logs carry no retire counts, so instruction gaps default to 1
 unless the log has a ``gap``/``instrs`` column.  Rows the parser cannot
-understand (truncated lines, unknown op tokens, null-page addresses)
-are counted and skipped -- a sampling log with a few mangled lines is
-the common case -- unless ``strict=True``, which raises naming the
-offending line.  Rows without a PC get ``pc=0`` (PC-indexed predictors
-treat them as one anonymous instruction).
+understand or a trace cannot hold (truncated lines, unknown op tokens,
+null-page addresses, an address, PC or gap outside ``[0, 2**63)``, such
+as a kernel-half ``0xffff...`` sample) are counted and skipped -- a sampling
+log with a few mangled lines is the common case -- unless
+``strict=True``, which raises naming the offending line.  Rows without
+a PC get ``pc=0`` (PC-indexed predictors treat them as one anonymous
+instruction).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.trace.access import Trace
-from repro.trace.ingest.base import NULL_PAGE_BYTES, TraceSource
+from repro.trace.ingest.base import TraceSource, _address_problem
 
 _READ_TOKENS = frozenset({"ld", "l", "r", "rd", "load", "read", "0"})
 _WRITE_TOKENS = frozenset({"st", "s", "w", "wr", "store", "write", "1"})
@@ -115,11 +117,9 @@ def scan_memsample(
             saw_rows = True
             try:
                 pc, address, is_write, gap = _parse_row(fields, columns)
-                if 0 < address < NULL_PAGE_BYTES:
-                    raise ValueError(
-                        f"address {address:#x} falls inside the reserved "
-                        f"null page (< {NULL_PAGE_BYTES:#x})"
-                    )
+                problem = _address_problem(address, pc)
+                if problem is not None:
+                    raise ValueError(problem)
             except (ValueError, IndexError) as exc:
                 if strict:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
@@ -151,6 +151,8 @@ def _parse_row(
             )
         pc = _parse_int(values["pc"]) if "pc" in values else 0
         gap = int(values["gap"]) if "gap" in values else 1
+        if not 0 <= gap < 1 << 63:
+            raise ValueError(f"gap {gap} is outside [0, 2**63)")
         return pc, _parse_int(values["address"]), _parse_op(values["op"]), gap
     if len(fields) < 2:
         raise ValueError(f"expected at least 2 fields, got {len(fields)}")

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import struct
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -345,6 +347,70 @@ class TestWorkloadCli:
         log.write_text("0x4000 0x10000 LD\nmangled row\n")
         assert main(["ingest", str(log), "--strict"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @staticmethod
+    def _champsim(path, records):
+        """Raw ChampSim records, one load ``(ip, address)`` each."""
+        layout = struct.Struct("<QBB2B4B2Q4Q")
+        with open(path, "wb") as handle:
+            for ip, address in records:
+                handle.write(layout.pack(ip, *[0] * 10, address, 0, 0, 0))
+        return path
+
+    @pytest.mark.parametrize(
+        "record,named",
+        (
+            ((0x400004, 0xFFFF800000001000), "address 0xffff800000001000"),
+            ((0xFFFFFFFF81000000, 0x10040), "pc 0xffffffff81000000"),
+        ),
+        ids=("address", "pc"),
+    )
+    def test_ingest_champsim_past_int64_exits_2(
+        self, capsys, tmp_path, record, named
+    ):
+        path = self._champsim(
+            tmp_path / "capture.champsim", [(0x400000, 0x10000), record]
+        )
+        assert main(["ingest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"capture.champsim: record 1: {named} is outside" in err
+        assert not (tmp_path / "capture.champsim.npz").exists()
+
+    def test_ingest_memsample_past_int64_is_skipped(self, capsys, tmp_path):
+        log = tmp_path / "capture.txt"
+        log.write_text(
+            "0x4000 0x10000 LD\n"
+            "0x4004 0xffff800000001000 LD\n"
+            "0x4008 0x10040 ST\n"
+        )
+        out_path = tmp_path / "capture.npz"
+        assert main(["ingest", str(log), "-o", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "records   : 2" in out
+        assert "skipped   : 1" in out
+        assert main(["ingest", str(log), "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert "capture.txt:2: address 0xffff800000001000 is outside" in err
+        gaps = tmp_path / "gaps.txt"
+        gaps.write_text("addr op gap\n0x10000 LD 1\n0x10040 LD -5\n")
+        assert main(["ingest", str(gaps)]) == 0
+        assert "skipped   : 1" in capsys.readouterr().out
+
+    def test_ingest_champsim_round_trip_runs(self, capsys, tmp_path):
+        records = [
+            (0x400000 + 4 * (i % 50), 0x10000 + 64 * (i * 7 % 700))
+            for i in range(3000)
+        ]
+        path = self._champsim(tmp_path / "loop.champsim", records)
+        out_path = tmp_path / "loop.npz"
+        assert main(["ingest", str(path), "-o", str(out_path)]) == 0
+        assert "records   : 3,000" in capsys.readouterr().out
+        args = ["run", "--workload", f"interchange:{out_path}", "-p", "rwp",
+                *FAST, "--no-store"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "ipc" in out
 
     def test_unreadable_store_list_still_works(self, capsys, tmp_path,
                                                monkeypatch):

@@ -60,6 +60,65 @@ class TestMakeLLCPolicy:
     def test_plain_policies_from_registry(self):
         assert make_llc_policy("drrip").name == "DRRIPPolicy"
 
+    #: every registered name -> the class it builds
+    CLASSES = {
+        "bip": "BIPPolicy",
+        "brrip": "BRRIPPolicy",
+        "dip": "DIPPolicy",
+        "drrip": "DRRIPPolicy",
+        "lfu": "LFUPolicy",
+        "lip": "MRUInsertLRUPolicy",
+        "lru": "LRUPolicy",
+        "nru": "NRUPolicy",
+        "pipp": "PIPPPolicy",
+        "random": "RandomPolicy",
+        "rrp": "RRPPolicy",
+        "rwp": "RWPPolicy",
+        "rwp-bypass": "RWPBypassPolicy",
+        "rwp-core": "CoreAwareRWPPolicy",
+        "rwp-srrip": "RWPSRRIPPolicy",
+        "ship": "SHiPPolicy",
+        "srrip": "SRRIPPolicy",
+        "tadrrip": "TADRRIPPolicy",
+        "ucp": "UCPPolicy",
+    }
+
+    @pytest.mark.parametrize("llc_lines", (256, 65536))
+    @pytest.mark.parametrize("num_cores", (1, 4))
+    def test_scale_defaults_per_registered_name(
+        self, llc_lines, num_cores, monkeypatch
+    ):
+        # The registry builds every policy; make_llc_policy only adds
+        # the epoch (RWP family) and core count (per-core policies),
+        # which spec kwargs override.
+        from repro.cache.policy import POLICY_REGISTRY, policy_names
+
+        assert policy_names() == sorted(self.CLASSES)
+        received = {}
+
+        def recording(name, factory):
+            def build(**kwargs):
+                received[name] = kwargs
+                return factory(**kwargs)
+
+            return build
+
+        for name, factory in list(POLICY_REGISTRY.items()):
+            monkeypatch.setitem(POLICY_REGISTRY, name, recording(name, factory))
+        epoch = max(4000, 2 * llc_lines)
+        for name, cls in self.CLASSES.items():
+            policy = make_llc_policy(name, llc_lines, num_cores)
+            assert type(policy).__name__ == cls
+            expected = {}
+            if name in ("rwp", "rwp-core", "rwp-srrip", "rwp-bypass"):
+                expected["epoch"] = epoch
+            if name in ("rwp-core", "ucp", "tadrrip", "pipp"):
+                expected["num_cores"] = num_cores
+            assert received[name] == expected, name
+        override = make_llc_policy("rwp-core:epoch=64", llc_lines, num_cores)
+        assert override._epoch == 64
+        assert received["rwp-core"] == {"epoch": 64, "num_cores": num_cores}
+
 
 class TestRunBenchmark:
     def test_result_shape(self):

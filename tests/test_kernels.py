@@ -8,8 +8,8 @@ including stamps and read/write-seen bits), lookup tables (as key sets
 -- insertion order is driver-dependent and not semantically
 observable), and downstream writeback streams.  And for every
 *unsupported* configuration -- a policy outside the kernel matrix, a
-missing compiler, a value past int64 -- the kernel layer must fall back,
-name why, and change nothing.
+missing compiler, a resident block past int64 -- the kernel layer must
+fall back, name why, and change nothing.
 
 Runs under the tier-1 suite at modest Hypothesis example counts and
 under the deep-conformance CI job (``REPRO_DEEP_TESTS=1``) at many
@@ -17,6 +17,8 @@ more.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -117,13 +119,30 @@ def _trace_from(num_sets, set_indices, tags, writes) -> Trace:
     return Trace(addresses, list(writes), pcs)
 
 
-def _max_width_trace(num_sets: int, length: int = 1024) -> Trace:
-    """Tags within 11 of the widest int64 tag, every third access a write."""
-    return _trace_from(
-        num_sets,
-        [i % num_sets for i in range(length)],
-        [MAX_TAG - (7 * i) % 11 for i in range(length)],
-        [i % 3 == 0 for i in range(length)],
+def _wide_records(num_sets: int, length: int = 1024) -> list:
+    """``(set, tag, write, pc)`` records with tags within 11 of the widest
+    int64 tag, every third access a write."""
+    return [
+        (i % num_sets, MAX_TAG - (7 * i) % 11, i % 3 == 0, 4 * (i % 97))
+        for i in range(length)
+    ]
+
+
+def _wide_fill(target, records, config) -> None:
+    """Replay ``records`` through scalar ``access()`` on a cache or a
+    hierarchy: their byte addresses are past int64, so no trace can
+    hold them, but resident state can."""
+    shift = config.offset_bits + config.index_bits
+    for si, tag, w, pc in records:
+        target.access((tag << shift) | (si << config.offset_bits), w, pc)
+
+
+def _wide_decode(records, config) -> DecodedTrace:
+    """``records`` as a hand-built decode: the tags fit its int64 streams."""
+    sets, tags, writes, pcs = (list(column) for column in zip(*records))
+    return DecodedTrace(
+        sets, tags, writes, pcs, [1] * len(records),
+        config.offset_bits, config.index_bits,
     )
 
 
@@ -255,14 +274,23 @@ class TestKernelConformance:
     @needs_native
     @pytest.mark.parametrize("policy", SINGLE_POLICIES)
     def test_max_width_tags(self, policy):
-        num_sets, ways = 4, 4
-        config = _config(num_sets, ways)
-        trace = _max_width_trace(num_sets)
-        kern = _run(policy, trace, config, kernel="native")
-        assert kern.kernel.fallback_reason is None
-        ref = _run(policy, trace, config)
-        scalar = _scalar(policy, trace, config)
-        assert_field_for_field(kern, ref, scalar)
+        # Scalar access() fills the cache at tags near 2^63; the kernel
+        # then gathers, hits, evicts and writes back those lines from a
+        # decode whose tag stream holds the same widths.
+        config = _config(4, 4)
+        records = _wide_records(4)
+        caches = []
+        for side in ("native", "dict", "scalar"):
+            cache = make_sut_cache(policy, config)
+            _wide_fill(cache, records[:512], config)
+            if side == "scalar":
+                _wide_fill(cache, records[512:], config)
+            else:
+                attach_kernel(cache, side)
+                cache.run_trace(_wide_decode(records[512:], config))
+            caches.append(cache)
+        assert caches[0].kernel.fallback_reason is None
+        assert_field_for_field(*caches)
 
     @needs_native
     @pytest.mark.parametrize("policy", SINGLE_POLICIES)
@@ -270,19 +298,23 @@ class TestKernelConformance:
         # A dirty line's block address is past int64 at these tags;
         # the timed replay must still count and time its writeback.
         num_sets, ways = 4, 4
-        trace = _max_width_trace(num_sets)
         config = default_hierarchy(
             llc_size=num_sets * ways * LINE_SIZE, llc_ways=ways
         )
+        trace = fuzz_trace("dirty_storm", 1203, num_sets, ways, 1024)
         results = []
-        for kernel in ("native", "dict"):
+        for kernel in ("native", "dict", "scalar"):
             runner = LLCRunner(config, make_sut_policy(policy))
+            _wide_fill(runner.llc, _wide_records(num_sets, 64), config.llc)
+            if kernel == "scalar":
+                results.append(runner._run_scalar(trace, 0))
+                continue
             attach_kernel(runner.llc, kernel)
-            results.append(runner.run(trace, warmup=128))
+            results.append(runner.run(trace, warmup=0))
             if kernel == "native":
                 assert runner.llc.kernel.fallback_reason is None
-        kern, ref = results
-        assert kern == ref
+        kern, ref, scalar = results
+        assert kern == ref == scalar
         assert ref.extra["writebuffer"]["writebuffer.writes"] > 0
 
     @needs_native
@@ -291,13 +323,14 @@ class TestKernelConformance:
         # A filter stage or an attributed LLC replay emits block
         # addresses; past int64 they decline, naming the overflow.
         num_sets, ways = 4, 4
-        trace = _max_width_trace(num_sets)
         config = small_hierarchy(((4, 2), (8, 2), (num_sets, ways)))
+        trace = fuzz_trace("dirty_storm", 1207, num_sets, ways, 1024)
         results = []
         for kernel in ("native", "dict"):
             runner = HierarchyRunner(config, make_policy(policy))
+            _wide_fill(runner.hierarchy, _wide_records(num_sets, 64), config.llc)
             attach_kernel(runner.hierarchy, kernel)
-            results.append(runner.run(trace, warmup=128))
+            results.append(runner.run(trace, warmup=0))
             if kernel == "native":
                 assert runner.hierarchy.llc.kernel.fallback_reason == (
                     "a block address overflows the int64 kernel ABI"
@@ -516,41 +549,6 @@ class TestKernelFallback:
             "DIPPolicy runs natively only through run_trace: the multicore "
             "interleave carries no PC stream or bypass attribution"
         )
-
-    @needs_native
-    def test_tag_overflow_declines(self):
-        # One tag past int64: the single-cache replay and the multicore
-        # interleave both decline, name the overflow, and match dict.
-        reason = "a tag or instruction gap overflows the int64 kernel ABI"
-        num_sets, ways = 4, 4
-        config = _config(num_sets, ways)
-        length = 512
-        trace = _trace_from(
-            num_sets,
-            [i % num_sets for i in range(length)],
-            [MAX_TAG + 1 - (7 * i) % 11 for i in range(length)],
-            [i % 3 == 0 for i in range(length)],
-        )
-        kern = _run("lru", trace, config, kernel="native")
-        assert kern.kernel.fallback_reason == reason
-        assert_field_for_field(kern, _run("lru", trace, config))
-
-        shared = [
-            Trace(trace.addresses, trace.is_write, trace.pcs,
-                  address_space="global")
-            for _ in range(2)
-        ]
-        hierarchy = default_hierarchy(
-            llc_size=num_sets * ways * LINE_SIZE, llc_ways=ways
-        )
-        systems = []
-        for kernel in ("native", "dict"):
-            system = SharedLLCSystem(hierarchy, 2, make_llc_policy("lru", 16, 2))
-            attach_kernel(system, kernel)
-            systems.append(system)
-        got, want = [system.run(shared, warmup=64) for system in systems]
-        assert systems[0].llc.kernel.fallback_reason == reason
-        assert got == want
 
     @pytest.mark.parametrize("kernel", ("native",))
     def test_forced_fallback_without_native(self, kernel, monkeypatch):
@@ -1099,46 +1097,18 @@ class TestArrayResidentTraces:
         for array in (view_tags, view.kernel_pcs(), cycles, sets):
             assert not array.flags.writeable
 
-    def test_view_past_the_offset_guard_keeps_lists(self):
-        # Tags near the int64 ceiling: the offset sum takes the exact
-        # list path, and the kernel cannot hold the view's tags.
-        from repro.multicore.shared import CORE_ADDRESS_STRIDE
+    def test_view_past_the_offset_guard_raises(self):
+        # PCs near the int64 ceiling: the per-core PC offset could wrap,
+        # so the view refuses, naming the stream.
+        from repro.multicore.shared import CORE_ADDRESS_STRIDE, CORE_PC_STRIDE
 
-        num_sets = 4
-        trace = _max_width_trace(num_sets, length=64)
-        base = trace.decoded(_config(num_sets, 4))
-        view = base.with_core_offset(1, CORE_ADDRESS_STRIDE, 0)
-        tag_offset = CORE_ADDRESS_STRIDE >> (6 + 2)
-        assert view.tags == [tag + tag_offset for tag in base.tags]
-        assert max(view.tags) > MAX_TAG
-        assert view.set_indices is base.set_indices
-        assert view.kernel_streams() is None
-
-    def test_past_int64_trace_stays_list_only(self):
-        # The address does not fit int64 but its tag does: the exact
-        # list decode still hands the kernel its streams.
-        trace = Trace([64, 1 << 64], [False, True])
-        assert trace.arrays() is None
-        decoded = trace.decoded(_config(4, 4))
-        assert decoded.tags == [0, (1 << 64) >> 8]
-        assert decoded.kernel_streams()[1].tolist() == decoded.tags
-
-    def test_gap_past_int64_keeps_python_arithmetic(self):
-        # No int64 gap array: the cycle products and the gap sums fall
-        # back to Python, with the values the vector paths would give,
-        # and the kernel gets no streams.
-        gaps = [3, 1 << 64, 5, 7]
-        trace = Trace([64, 128, 192, 256], [False, True, False, True],
-                      instr_gaps=gaps)
-        decoded = trace.decoded(_config(4, 4))
-        assert decoded.kernel_streams() is None
-        products = [gap * 0.5 for gap in gaps]
-        assert decoded.kernel_cycles(0.5).tolist() == products
-        assert decoded.cycle_gaps(0.5) == products
-        assert _python_values(decoded.cycle_gaps(0.5), float)
-        assert decoded.gap_total(0, 4) == 15 + gaps[1]
-        assert type(decoded.gap_total(0, 4)) is int
-        assert decoded.gap_total(1, 3) == gaps[1] + 5
+        trace = Trace([64, 128], [False, True], [0, (1 << 63) - 1])
+        base = trace.decoded(_config(4, 4))
+        assert base.with_core_offset(1, CORE_ADDRESS_STRIDE, 0).tags == [
+            tag + (CORE_ADDRESS_STRIDE >> 8) for tag in base.tags
+        ]
+        with pytest.raises(ValueError, match="per-core PC offset of 0x40000000"):
+            base.with_core_offset(1, CORE_ADDRESS_STRIDE, CORE_PC_STRIDE)
 
     @pytest.mark.parametrize("kernel", (None, "native"))
     def test_from_arrays_normalizes_any_layout(self, kernel):
@@ -1242,6 +1212,135 @@ class TestArrayResidentTraces:
         part = trace.slice(100, 400)
         assert len(part) == 300 and _built_lists(part) == []
         assert list(part) == list(trace)[100:400]
+
+
+#: the top of the accepted range
+_TOP_ADDRESS = (1 << 63) - LINE_SIZE
+_TOP_PC = (1 << 63) - 1
+
+
+def _top_trace(num_sets: int, ways: int, seed: int) -> Trace:
+    """A fuzz trace moved to the top of the range a trace accepts:
+    addresses up to 2^63 - 64, PCs up to 2^63 - 1."""
+    base = fuzz_trace("mixed", seed, num_sets, ways, 1024)
+    low_address = min(base.addresses)
+    low_pc = min(base.pcs)
+    return Trace(
+        [_TOP_ADDRESS - (address - low_address) for address in base.addresses],
+        base.is_write,
+        [_TOP_PC - (pc - low_pc) for pc in base.pcs],
+        base.instr_gaps,
+        name=f"top-{seed}",
+    )
+
+
+class TestTraceDoor:
+    """Both Trace constructors check every column once, at construction,
+    and every trace they accept replays equal on every driver."""
+
+    #: case -> (column, values, how the refusal names them)
+    REFUSED = {
+        "negative-address": ("addresses", [64, -64], "addresses[1] = -64 "),
+        "address-2**63": ("addresses", [64, 1 << 63], f"addresses[1] = {1 << 63} "),
+        "uint64-address": (
+            "addresses",
+            np.array([64, (1 << 63) + 64], dtype=np.uint64),
+            f"addresses[1] = {(1 << 63) + 64} ",
+        ),
+        "float-address": ("addresses", np.array([64.0, 128.0]), "addresses[0] = 64.0 "),
+        "pc-2**63": ("pcs", [0, 1 << 63], f"pcs[1] = {1 << 63} "),
+        "gap-2**63": ("instr_gaps", [1, 1 << 63], f"instr_gaps[1] = {1 << 63} "),
+    }
+
+    @pytest.mark.parametrize("build", ("Trace", "from_arrays"))
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_refuses_values_a_trace_cannot_hold(self, case, build):
+        column, values, named = self.REFUSED[case]
+        columns = {
+            "addresses": [64, 128],
+            "is_write": [False, True],
+            "pcs": [0, 4],
+            "instr_gaps": [1, 1],
+            column: values,
+        }
+        if build == "Trace":
+            construct = Trace
+        else:
+            construct = Trace.from_arrays
+            # uint64 holds 2^63; numpy would make a float column of it
+            columns = {
+                name: np.asarray(v, np.uint64 if max(v) >= 1 << 63 else None)
+                for name, v in columns.items()
+            }
+        with pytest.raises(
+            ValueError, match=re.escape(named + "is not an integer in [0, 2**63)")
+        ):
+            construct(**columns)
+
+    def test_top_of_the_range_decodes_exactly(self):
+        trace = _top_trace(16, 4, 3)
+        config = _config(16, 4)
+        decoded = trace.decoded(config)
+        assert max(trace.addresses) == _TOP_ADDRESS
+        assert max(trace.pcs) == _TOP_PC
+        assert decoded.tags == [a >> 10 for a in trace.addresses]
+        assert decoded.set_indices == [(a >> 6) & 15 for a in trace.addresses]
+        assert decoded.kernel_pcs().tolist() == trace.pcs
+
+    @needs_native
+    @pytest.mark.parametrize("policy", ("rwp", "ship"))
+    def test_top_of_the_range_llc_runner(self, policy):
+        config = default_hierarchy(llc_size=64 * LINE_SIZE, llc_ways=4)
+        trace = _top_trace(16, 4, 5)
+        results = []
+        for side in ("native", "dict", "scalar"):
+            runner = LLCRunner(config, make_sut_policy(policy))
+            if side == "scalar":
+                results.append(runner._run_scalar(trace, 128))
+                continue
+            attach_kernel(runner.llc, side)
+            results.append(runner.run(trace, warmup=128))
+            if side == "native":
+                assert runner.llc.kernel.fallback_reason is None
+        assert results[0] == results[1] == results[2]
+
+    @needs_native
+    def test_top_of_the_range_hierarchy_runner(self, monkeypatch):
+        config = small_hierarchy(((4, 2), (8, 2), (16, 4)))
+        trace = _top_trace(16, 4, 7)
+
+        def run(kernel):
+            runner = HierarchyRunner(config, make_sut_policy("rwp"))
+            attach_kernel(runner.hierarchy, kernel)
+            return runner.run(trace, warmup=128), runner.hierarchy.llc.kernel
+
+        native, runtime = run("native")
+        assert runtime.fallback_reason is None
+        reference, _ = run("dict")
+        monkeypatch.setattr(MemoryHierarchy, "_batch_supported", lambda *_: False)
+        scalar, _ = run("dict")
+        assert native == reference == scalar
+
+    @needs_native
+    def test_top_of_the_range_shared_system(self):
+        # Core 1's PCs plus its PC stride pass the per-core view guard:
+        # run() records why and replays the scalar interleave.
+        traces = [_top_trace(16, 4, 11 + core) for core in range(2)]
+        config = default_hierarchy(llc_size=64 * LINE_SIZE, llc_ways=4)
+        results = []
+        for side in ("native", "dict", "scalar"):
+            system = SharedLLCSystem(config, 2, make_llc_policy("rwp-core", 64, 2))
+            if side == "scalar":
+                results.append(system.run_scalar(traces, warmup=64))
+                continue
+            attach_kernel(system, side)
+            results.append(system.run(traces, warmup=64))
+            if side == "native":
+                assert system.llc.kernel.fallback_reason == (
+                    "a per-core PC offset of 0x40000000 would carry the PC "
+                    "stream past the int64 guard (2**62)"
+                )
+        assert results[0] == results[1] == results[2]
 
 
 class TestInstructionOverflow:
@@ -1421,6 +1520,60 @@ class TestWarmupWindow:
                 timing.write_buffer.snapshot(),
             ))
         assert outcomes[0] == outcomes[1]
+
+
+    @needs_native
+    @pytest.mark.parametrize("timed", (False, True), ids=("untimed", "timed"))
+    @pytest.mark.parametrize("warmup", (None, 700), ids=("whole", "warmup"))
+    @pytest.mark.parametrize("raising", (1, 3), ids=("first", "third"))
+    def test_epoch_exception_leaves_what_scalar_leaves(
+        self, raising, warmup, timed
+    ):
+        # The epoch hook raises at the given epoch: every driver leaves
+        # the access it raised in counted in tick, its gap and its
+        # cycles, and nowhere in the statistics.
+        config = _WARM_CONFIG
+        decoded = _WARM_TRACE.decoded(config.llc)
+        outcomes = []
+        for side in ("native", "dict", "scalar"):
+            runner = _warm_runner("rwp", None if side == "scalar" else side)
+            llc = runner.llc
+            calls = []
+
+            def repartition():
+                calls.append(None)
+                if len(calls) == raising:
+                    raise RuntimeError("boom")
+
+            llc.policy._repartition = repartition
+            with pytest.raises(RuntimeError, match="boom"):
+                if side == "native" or side == "dict":
+                    llc.run_trace(
+                        decoded, timing=runner.timing if timed else None,
+                        warmup=warmup,
+                    )
+                elif timed:
+                    runner._run_scalar(_WARM_TRACE, warmup or 0)
+                else:
+                    for position, (address, w, pc, _) in enumerate(_WARM_TRACE):
+                        if position == warmup:
+                            llc.reset_stats()
+                        llc.access(address, w, pc)
+            if side == "native":
+                assert llc.kernel.fallback_reason is None
+            timing = runner.timing
+            outcomes.append((
+                _stats(llc), llc.tick, llc._epoch_left, _clock(llc),
+                _full_line_state(llc),
+                (timing.cycles, timing.instructions, timing.read_stall_cycles,
+                 timing.write_stall_cycles, timing.write_buffer.snapshot()),
+            ))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        stats, tick = outcomes[1][:2]
+        assert tick == raising * VERIFY_RWP_EPOCH
+        counted = stats["read_hits"] + stats["read_misses"] + stats[
+            "write_hits"] + stats["write_misses"]
+        assert counted == tick - 1 - (0 if warmup is None or tick < warmup else warmup)
 
 
 class TestCounterTableBuffer:
@@ -1864,12 +2017,11 @@ class TestDeclinedLLC:
 
     @needs_native
     def test_llc_block_overflow_declines_only_the_llc(self):
-        # Lines from an earlier replay at tags near 2^63 survive only in
-        # the LLC: its attributed lane would build writeback blocks past
-        # int64, so the Python LLC stage takes the residue while L1 and
-        # L2 still filter in C.
+        # Lines that scalar access() filled at tags near 2^63 survive
+        # only in the LLC: its attributed lane would build writeback
+        # blocks past int64, so the Python LLC stage takes the residue
+        # while L1 and L2 still filter in C.
         config = small_hierarchy(((4, 2), (8, 2), (16, 8)))
-        wide = _max_width_trace(16, length=256)
         # Lines of LLC sets 0-7 only: every L1 and L2 set, half the LLC.
         flush = Trace([(16 * k + s) * 64 for k in range(8) for s in range(8)],
                       [False] * 64)
@@ -1877,8 +2029,8 @@ class TestDeclinedLLC:
         outputs = []
         for kernel in ("native", "dict"):
             stack = MemoryHierarchy(config, make_sut_policy("rwp"))
+            _wide_fill(stack, _wide_records(16, 256), config.llc)
             attach_kernel(stack, kernel)
-            stack.run_trace(wide)
             stack.run_trace(flush)
             stack.memory.write_log = []
             got = stack.run_trace(narrow, collect=True)
@@ -1891,3 +2043,29 @@ class TestDeclinedLLC:
         assert outputs[0] == outputs[1]
         # A surviving wide line was written back, block and all.
         assert max(outputs[0][1]) >> 6 > MAX_TAG
+
+    @needs_native
+    @pytest.mark.parametrize("policy", ("lru", "rwp"))
+    def test_untimed_block_overflow_walks_the_residue(self, policy):
+        # L1 and L2 write back lines filled at tags near 2^63: no decode
+        # holds those blocks, so an untimed LLC stage walks the residue
+        # access by access instead of replaying it through run_trace.
+        config = small_hierarchy(((4, 2), (8, 2), (16, 8)))
+        narrow = fuzz_trace("dirty_storm", 79, 16, 8, 1024)
+        outputs = {}
+        for side in ("native", "dict", "scalar"):
+            stack = MemoryHierarchy(config, make_sut_policy(policy))
+            _wide_fill(stack, _wide_records(16, 256), config.llc)
+            stack.memory.write_log = []
+            if side == "scalar":
+                got = stack._run_trace_scalar(narrow, 0, 0, len(narrow), False)
+            else:
+                attach_kernel(stack, side)
+                got = stack.run_trace(narrow)
+            if side == "native":
+                assert stack.llc.kernel.fallback_reason == (
+                    "a block address overflows the int64 kernel ABI"
+                )
+            outputs[side] = (got, stack.memory.write_log, _stack_state(stack))
+        assert outputs["native"] == outputs["dict"] == outputs["scalar"]
+        assert max(outputs["dict"][1]) >> 6 > MAX_TAG
