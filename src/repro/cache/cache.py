@@ -408,11 +408,13 @@ class SetAssociativeCache:
         recency-stamped policy's clock live in loop locals and are
         flushed on every exit -- policy hooks fired mid-run (``on_epoch``
         and friends) must not read them from the cache.  No shipped
-        policy does.  An exception from a pre-lookup hook (the epoch,
-        sampling or access-listener hook) propagates after that flush
-        and leaves what :meth:`access` leaves: the access it raised in
-        counts in ``tick``, its gap and its cycles, not in the
-        statistics.
+        policy does.  An exception from any policy hook propagates after
+        that flush and leaves what :meth:`access` leaves: the access it
+        raised in counts in ``tick``, its gap and its cycles, and in the
+        statistics only when the hook runs after its hit/miss counter
+        moved (victim, bypass, evict, fill and hit hooks and the
+        eviction listener; not the epoch, sampling or access-listener
+        hooks).
         """
         n = len(decoded)
         if stop is None:
@@ -534,8 +536,9 @@ class SetAssociativeCache:
             cycle_stream = None
             cycles = 0.0
 
-        # Every completed access counts once in these four, so on an
-        # exception their sum gives the position without per-access work.
+        # Every access counts once in these four as soon as its lookup
+        # is done, so on an exception their sum gives the position
+        # without per-access work (a try costs nothing until it raises).
         counted = read_hits + write_hits + read_misses + write_misses
         pos = start
         try:
@@ -550,23 +553,29 @@ class SetAssociativeCache:
                 )
                 pos = end
                 for si, tag, w, pc, cgap in chunk:
-                    if timed:
-                        cycles += cgap
-                    if pre_active:
-                        if access_listener is not None:
-                            access_listener(si, tag, w, pc, core)
-                        if observe is not None:
-                            observe(si, tag, w, pc, core)
-                        else:
-                            if stride and not si % stride:
-                                on_sample(si, tag, w, pc, core)
-                            if period:
-                                epoch_left -= 1
-                                if not epoch_left:
-                                    epoch_left = period
-                                    self._on_epoch()
-                    lookup = lookups[si]
-                    line = lookup.get(tag)
+                    try:
+                        if timed:
+                            cycles += cgap
+                        if pre_active:
+                            if access_listener is not None:
+                                access_listener(si, tag, w, pc, core)
+                            if observe is not None:
+                                observe(si, tag, w, pc, core)
+                            else:
+                                if stride and not si % stride:
+                                    on_sample(si, tag, w, pc, core)
+                                if period:
+                                    epoch_left -= 1
+                                    if not epoch_left:
+                                        epoch_left = period
+                                        self._on_epoch()
+                        lookup = lookups[si]
+                        line = lookup.get(tag)
+                    except BaseException:
+                        # Raised before this access's hit/miss counter
+                        # moved: it is one past what the counters show.
+                        counted -= 1
+                        raise
                     if line is not None:
                         if prefetch_active and line.prefetched:
                             prefetch_useful += 1
@@ -701,10 +710,10 @@ class SetAssociativeCache:
                             wb_append(wb_server_free)
                             wb_writes += 1
         except BaseException:
-            # As in access(), the access a pre-lookup hook raised in
-            # counts in tick, its gap and its cycles (already added),
-            # not in the statistics.
-            stop = start + 1 + (
+            # As in access(), the access a hook raised in counts in tick,
+            # its gap and its cycles (already added), and in the
+            # statistics only if its hit/miss counter had moved.
+            stop = start + (
                 read_hits + write_hits + read_misses + write_misses - counted
             )
             raise

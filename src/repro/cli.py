@@ -291,12 +291,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     # keys on -- so `run` output names reusable workload references.
     workload = WorkloadSpec.coerce(workload).store_key()
     scale = _scale_from(args)
-    from repro.experiments.runner import _run_benchmark_cached
-    from repro.sim.spec import last_kernel_info
+    from repro.sim.spec import last_kernel_info, simulate_cached
 
     # Only a memo miss simulates; a store or memo hit replays nothing,
     # so the kernel record then belongs to some earlier run.
-    replays = _run_benchmark_cached.cache_info().misses
+    replays = simulate_cached.cache_info().misses
     store = _store_from(args)
     result = run_benchmark(
         workload,
@@ -311,7 +310,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"mode      : {args.mode}")
     print(f"policy    : {result.policy}")
     print(f"memory    : {args.memory}")
-    if _run_benchmark_cached.cache_info().misses == replays:
+    if simulate_cached.cache_info().misses == replays:
         source = "the store" if store is not None else "memory"
         print(f"kernel    : {args.kernel} (no replay ran: result from {source})")
     else:
@@ -529,29 +528,20 @@ def _sweep_spec_from(args: argparse.Namespace):
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a (benchmark x policy) grid through the engine or a queue."""
-    from repro.engine import ProgressReporter, run_jobs
-    from repro.service import QueueSpec
+    from repro.service import QueueSpec, run_local_sweep
 
     spec = _sweep_spec_from(args)
     store = _store_from(args)
     backend = QueueSpec.coerce(args.backend)
 
     if backend.is_local:
-        # The pre-service path, unchanged: same pool, same journal id,
-        # same store writes -- bit-identical to every earlier sweep.
-        job_list = spec.jobs()
-        journal = args.journal
-        if journal is None and store is not None:
-            # One journal per sweep definition: same grid -> same file,
-            # so an interrupted invocation resumes automatically.
-            journal = store.journals_dir / spec.journal_name()
-        outcome = run_jobs(
-            job_list,
-            max_workers=args.jobs,
-            store=store,
-            journal=journal,
+        outcome = run_local_sweep(
+            spec,
+            store,
+            jobs=args.jobs,
             timeout=args.timeout,
-            progress=ProgressReporter(len(job_list), enabled=not args.quiet),
+            journal=args.journal,
+            progress=not args.quiet,
         )
     else:
         from repro.service import queue_from_spec, submit_sweep, wait_for_sweep
@@ -648,10 +638,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import SweepService, queue_from_spec, serve_forever
 
     store = ResultStore(args.store) if args.store else ResultStore()
-    queue = queue_from_spec(
-        args.backend, jobs=args.jobs, timeout=args.timeout
+    service = SweepService(
+        store, queue_from_spec(args.backend), jobs=args.jobs,
+        timeout=args.timeout,
     )
-    serve_forever(SweepService(store, queue), args.host, args.port)
+    serve_forever(service, args.host, args.port)
     return 0
 
 

@@ -147,8 +147,8 @@ class RunJob:
                 scale=self.scale,
                 llc_lines=self.llc_lines,
                 ways=self.ways,
-                memory=BackendSpec.coerce(self.memory),
-                kernel=KernelSpec.coerce(self.kernel),
+                memory=self.memory,
+                kernel=self.kernel,
             )
         )
 
@@ -244,7 +244,7 @@ class MixJob:
             self.per_core,
             self.num_cores,
             memory=self.memory,
-            kernel=KernelSpec.coerce(self.kernel),
+            kernel=self.kernel,
         )
 
     @staticmethod

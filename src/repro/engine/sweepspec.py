@@ -6,7 +6,9 @@ mixes) x policies at one :class:`~repro.experiments.runner
 replaces the ad-hoc kwargs the ``repro sweep`` command used to thread
 around.  The same object is the wire format of the sweep service's
 ``POST /sweep`` endpoint (``to_dict``/``from_dict`` round-trip exactly)
-and the unit a :class:`~repro.service.queue.JobQueue` transports.
+and the unit both sweep backends run: the in-process
+:func:`~repro.service.run.run_local_sweep` and the shared
+:class:`~repro.service.queue.DirQueue`.
 
 Identity: :meth:`journal_payload` reproduces, byte for byte, the
 payload the pre-SweepSpec CLI built inline, so :meth:`sweep_id` (and

@@ -15,7 +15,6 @@ mix's core count):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from repro.cache.policyspec import PolicySpec
@@ -89,7 +88,6 @@ def _shared_scale(per_core: ExperimentScale, num_cores: int) -> ExperimentScale:
     )
 
 
-@lru_cache(maxsize=64)
 def _alone_ipc(
     benchmark: str,
     per_core: ExperimentScale,
@@ -102,7 +100,9 @@ def _alone_ipc(
     An ``llc``-mode spec with the shared capacity as a geometry override:
     the per-core trace does not change because the cache grew.  The
     memory backend matches the shared run's, so the weighted-speedup
-    denominators see the same write costs.
+    denominators see the same write costs.  Memoized by
+    :func:`~repro.sim.simulate_cached`, so every policy of a mix shares
+    one alone run per benchmark.
     """
     from repro.sim import SimulationSpec, simulate_cached
 
@@ -139,12 +139,7 @@ def run_mix(
     if num_cores is None:
         num_cores = spec.core_count
     shared = _shared_scale(per_core, num_cores)
-    from repro.kernels.spec import KernelSpec
-    from repro.mem.spec import BackendSpec
     from repro.sim import SimulationSpec, simulate
-
-    memory_spec = BackendSpec.coerce(memory)
-    kernel_spec = KernelSpec.coerce(kernel)
 
     result: SharedRunResult = simulate(
         SimulationSpec(
@@ -153,14 +148,14 @@ def run_mix(
             mode="multicore",
             scale=per_core,
             num_cores=num_cores,
-            memory=memory_spec,
-            kernel=kernel_spec,
+            memory=memory,
+            kernel=kernel,
         )
     )
 
     shared_ipcs = result.ipcs()
     alone_ipcs = [
-        _alone_ipc(bench, per_core, shared.llc_lines, memory_spec, kernel_spec)
+        _alone_ipc(bench, per_core, shared.llc_lines, memory, kernel)
         for bench in benchmarks
     ]
     return MixResult(

@@ -150,25 +150,6 @@ def make_llc_policy(
     )
 
 
-@lru_cache(maxsize=4096)
-def _run_benchmark_cached(
-    benchmark: str,
-    policy: str,
-    scale: ExperimentScale,
-    mode: str = "llc",
-    memory: str = "dram",
-    kernel: str = DEFAULT_KERNEL,
-) -> RunResult:
-    from repro.sim import SimulationSpec, simulate
-
-    return simulate(
-        SimulationSpec(
-            benchmark, policy, mode=mode, scale=scale, memory=memory,
-            kernel=kernel,
-        )
-    )
-
-
 def run_benchmark(
     benchmark: str,
     policy: str,
@@ -186,30 +167,26 @@ def run_benchmark(
     writes); ``kernel`` the batch-replay driver (``"native"`` default,
     ``"dict"`` for the dict-driven drivers); all go through the
     :class:`~repro.sim.SimulationSpec` front-end.  Runs are
-    deterministic, so results are memoized:
+    deterministic, so results are memoized (by
+    :func:`~repro.sim.simulate_cached`, the one in-process memo):
     harnesses that share a baseline (every figure normalizes to LRU)
     never re-simulate it.  With a ``store`` (a
     :class:`~repro.engine.store.ResultStore` or a path), results also
     persist across processes: a warm key is decoded from disk instead of
     simulated, and fresh runs are written through.
     """
-    scale = scale or ExperimentScale()
-    if store is None:
-        return _run_benchmark_cached(
-            benchmark, policy, scale, mode, memory, kernel
-        )
     from repro.engine import RunJob, coerce_store
 
+    job = RunJob(benchmark, policy, scale or ExperimentScale(), mode=mode,
+                 memory=memory, kernel=kernel)
+    if store is None:
+        return job.execute()
     store = coerce_store(store)
-    job = RunJob(benchmark, policy, scale, mode=mode, memory=memory,
-                 kernel=kernel)
     key = job.key()
     record = store.get(key)
     if record is not None:
         return job.decode(record["result"])
-    result = _run_benchmark_cached(
-        benchmark, policy, scale, mode, memory, kernel
-    )
+    result = job.execute()
     store.put(key, job.kind, job.encode(result))
     return result
 

@@ -82,7 +82,14 @@ def run_sharing_point(
     ws_lines: int = 1024,
     per_core: ExperimentScale | None = None,
 ) -> SharingPoint:
-    """Run one policy at one shared fraction; fresh system, cached traces."""
+    """Run one policy at one shared fraction; fresh system, cached traces.
+
+    The per-fraction traces are no registered mix, so this harness
+    builds its own system, and attaches the default kernel as
+    :func:`~repro.sim.simulate` does.
+    """
+    from repro.kernels import attach_kernel
+    from repro.kernels.spec import DEFAULT_KERNEL
     from repro.multicore.shared import SharedLLCSystem
 
     per_core = per_core or ExperimentScale()
@@ -104,6 +111,7 @@ def run_sharing_point(
     system = SharedLLCSystem(
         config, num_cores, make_llc_policy(policy, shared_lines, num_cores)
     )
+    attach_kernel(system, DEFAULT_KERNEL)
     result = system.run(traces, warmup=per_core.warmup)
     ipcs = result.ipcs()
     return SharingPoint(

@@ -4,43 +4,51 @@ Sweeps re-scale the *cache* while holding the *workload* fixed at the
 reference scale, which is what the paper's sensitivity studies do: the
 program does not change when the machine does.
 
-The size and associativity sweeps fan their (geometry, benchmark,
-policy) grids out through the execution engine, so they accept the same
-``jobs``/``store``/``journal`` knobs as ``run_grid``.
+All three fan their (geometry, benchmark, policy) grids out through the
+execution engine, so every cell runs on the default kernel and through
+the :func:`~repro.sim.simulate_cached` memo.  The size and
+associativity sweeps accept the same ``jobs``/``store``/``journal``
+knobs as ``run_grid``; the A1 ablation's cells are parameterized
+``rwp`` policy specs at the reference geometry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
-from repro.core.rwp import RWPPolicy
-from repro.cpu.core import LLCRunner, RunResult
-from repro.experiments.runner import (
-    ExperimentScale,
-    cached_trace,
-    run_with_geometry,
-)
+from repro.cache.policyspec import PolicySpec
+from repro.experiments.runner import ExperimentScale
 from repro.multicore.metrics import geometric_mean
 
 
-def _geometry_grid(
+def _geomean_grid(
     benchmarks: Sequence[str],
-    policies: Sequence[str],
-    geometries: Sequence[Tuple[int, int]],
+    cells: Dict[Hashable, Tuple[int, int, "str | PolicySpec"]],
     reference: ExperimentScale,
-    jobs: int,
-    store,
-    journal,
-    progress: bool,
-) -> Dict[Tuple[int, int, str, str], RunResult]:
-    """Run every (geometry, benchmark, policy) cell through the engine."""
+    jobs: int = 1,
+    store=None,
+    journal=None,
+    progress: bool = False,
+) -> Dict[Hashable, float]:
+    """Geomean speedup over LRU of every cell, in one engine run.
+
+    ``cells`` maps each result key to its ``(llc_lines, ways, policy)``;
+    every (geometry, benchmark, policy) run, the LRU baselines
+    included, fans out through the engine.
+    """
     from repro.engine import RunJob, run_jobs
 
+    geometries = dict.fromkeys(
+        (lines, ways) for lines, ways, _ in cells.values()
+    )
+    policies = dict.fromkeys(  # baseline first
+        ["lru", *(policy for _, _, policy in cells.values())]
+    )
     job_list = [
         RunJob(bench, policy, reference, llc_lines=lines, ways=ways)
         for (lines, ways) in geometries
         for bench in benchmarks
-        for policy in dict.fromkeys(["lru", *policies])  # baseline first
+        for policy in policies
     ]
     outcome = run_jobs(
         job_list,
@@ -49,9 +57,18 @@ def _geometry_grid(
         journal=journal,
         progress=progress,
     )
-    return {
+    runs = {
         (job.geometry_lines, job.geometry_ways, job.benchmark, job.policy): res
         for job, res in outcome.results.items()
+    }
+    return {
+        key: geometric_mean([
+            runs[(lines, ways, bench, policy)].speedup_over(
+                runs[(lines, ways, bench, "lru")]
+            )
+            for bench in benchmarks
+        ])
+        for key, (lines, ways, policy) in cells.items()
     }
 
 
@@ -71,31 +88,17 @@ def size_sweep(
     reference scale (the paper's 2 MB point).
     """
     reference = reference or ExperimentScale()
-    lines_for = {
-        factor: max(reference.ways, int(reference.llc_lines * factor))
+    ways = reference.ways
+    cells = {
+        (factor, policy): (
+            max(ways, int(reference.llc_lines * factor)), ways, policy
+        )
         for factor in size_factors
+        for policy in policies
     }
-    grid = _geometry_grid(
-        benchmarks,
-        policies,
-        [(lines, reference.ways) for lines in lines_for.values()],
-        reference,
-        jobs,
-        store,
-        journal,
-        progress,
+    return _geomean_grid(
+        benchmarks, cells, reference, jobs, store, journal, progress
     )
-    results: Dict[Tuple[float, str], float] = {}
-    for factor, lines in lines_for.items():
-        for policy in policies:
-            speedups = [
-                grid[(lines, reference.ways, bench, policy)].speedup_over(
-                    grid[(lines, reference.ways, bench, "lru")]
-                )
-                for bench in benchmarks
-            ]
-            results[(factor, policy)] = geometric_mean(speedups)
-    return results
 
 
 def associativity_sweep(
@@ -110,27 +113,14 @@ def associativity_sweep(
 ) -> Dict[Tuple[int, str], float]:
     """Geomean speedup over LRU at each associativity (capacity fixed)."""
     reference = reference or ExperimentScale()
-    grid = _geometry_grid(
-        benchmarks,
-        policies,
-        [(reference.llc_lines, ways) for ways in ways_list],
-        reference,
-        jobs,
-        store,
-        journal,
-        progress,
+    cells = {
+        (ways, policy): (reference.llc_lines, ways, policy)
+        for ways in ways_list
+        for policy in policies
+    }
+    return _geomean_grid(
+        benchmarks, cells, reference, jobs, store, journal, progress
     )
-    results: Dict[Tuple[int, str], float] = {}
-    for ways in ways_list:
-        for policy in policies:
-            speedups = [
-                grid[(reference.llc_lines, ways, bench, policy)].speedup_over(
-                    grid[(reference.llc_lines, ways, bench, "lru")]
-                )
-                for bench in benchmarks
-            ]
-            results[(ways, policy)] = geometric_mean(speedups)
-    return results
 
 
 def rwp_parameter_sweep(
@@ -141,33 +131,17 @@ def rwp_parameter_sweep(
 ) -> Dict[Tuple[int, int], float]:
     """A1 ablation: geomean RWP speedup over LRU per (epoch, sampling).
 
-    Stays on the serial path: the ablation instantiates parameterized
-    ``RWPPolicy`` objects that have no stable policy-name key.
+    Each cell is an ``rwp:epoch=E:sampling=S`` policy spec at the
+    reference geometry.
     """
     reference = reference or ExperimentScale()
-    hierarchy = reference.hierarchy()
-    baselines: Dict[str, RunResult] = {
-        bench: run_with_geometry(
-            bench, "lru", reference.llc_lines, reference.ways, reference
+    cells = {
+        (epoch, sampling): (
+            reference.llc_lines,
+            reference.ways,
+            PolicySpec.make("rwp", epoch=epoch, sampling=sampling),
         )
-        for bench in benchmarks
+        for epoch in epochs
+        for sampling in samplings
     }
-
-    results: Dict[Tuple[int, int], float] = {}
-    for epoch in epochs:
-        for sampling in samplings:
-            speedups: List[float] = []
-            for bench in benchmarks:
-                trace = cached_trace(
-                    bench,
-                    reference.llc_lines,
-                    reference.total_accesses,
-                    reference.seed,
-                )
-                runner = LLCRunner(
-                    hierarchy, RWPPolicy(epoch=epoch, sampling=sampling)
-                )
-                run = runner.run(trace, warmup=reference.warmup)
-                speedups.append(run.speedup_over(baselines[bench]))
-            results[(epoch, sampling)] = geometric_mean(speedups)
-    return results
+    return _geomean_grid(benchmarks, cells, reference)

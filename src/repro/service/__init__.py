@@ -1,10 +1,11 @@
 """Distributed sweep service: queue backends, workers, HTTP front-end.
 
 The service layer turns the content-addressed result store into shared
-infrastructure: sweeps submit jobs to a :class:`JobQueue` (in-process
-``local`` or shared-filesystem ``dir``), any number of :class:`Worker`
-processes on any host drain the queue, and ``repro serve`` exposes the
-store and sweep progress over HTTP.  Everything here is orchestration;
+infrastructure: a sweep runs in-process (the ``local`` backend,
+:func:`run_local_sweep`) or is submitted to a shared-filesystem
+:class:`DirQueue` (``dir``) that any number of :class:`Worker`
+processes on any host drain, and ``repro serve`` exposes the store and
+sweep progress over HTTP.  Everything here is orchestration;
 the simulation semantics (job keys, store payloads, journal lines) are
 owned by :mod:`repro.engine` and are byte-identical however a job
 reaches its executor.
@@ -12,15 +13,13 @@ reaches its executor.
 
 from repro.service.queue import (
     DirQueue,
-    JobQueue,
     Lease,
-    LocalQueue,
     QueueCounts,
     SubmitReceipt,
     default_worker_id,
     queue_from_spec,
 )
-from repro.service.run import submit_sweep, wait_for_sweep
+from repro.service.run import run_local_sweep, submit_sweep, wait_for_sweep
 from repro.service.server import SweepService, make_server, serve_forever
 from repro.service.spec import (
     DEFAULT_LEASE_TTL,
@@ -36,9 +35,7 @@ __all__ = [
     "DEFAULT_POLL",
     "DEFAULT_QUEUE",
     "DirQueue",
-    "JobQueue",
     "Lease",
-    "LocalQueue",
     "QUEUE_NAMES",
     "QueueCounts",
     "QueueSpec",
@@ -49,6 +46,7 @@ __all__ = [
     "default_worker_id",
     "make_server",
     "queue_from_spec",
+    "run_local_sweep",
     "serve_forever",
     "submit_sweep",
     "wait_for_sweep",

@@ -1,42 +1,37 @@
-"""Job queues: how a sweep's jobs reach their executors.
+"""The shared-filesystem job queue: how a sweep's jobs reach remote workers.
 
-Two backends implement the :class:`JobQueue` ABC:
+:class:`DirQueue` is the ``dir`` backend.  Any worker on any host that
+mounts the queue root can claim jobs; claims are atomic, leases expire,
+and crashed workers' jobs are requeued.  Layout under the root::
 
-:class:`LocalQueue`
-    The in-process path.  ``drain`` hands the submitted jobs straight
-    to :func:`repro.engine.run_jobs` -- the exact ProcessPool/serial
-    code every sweep has always used, so a ``--backend local`` sweep is
-    bit-identical to a pre-service sweep.
+    jobs/<key>.json      job descriptions (RunJob/MixJob.to_dict)
+    pending/<key>        claimable markers (empty files)
+    leases/<key>         claimed markers (renamed from pending/)
+    leases/<key>.json    lease metadata: worker, heartbeat, ttl
+    done/<key>.json      terminal records for ok/hit jobs
+    failed/<key>.json    terminal records for failed jobs
+    sweeps/<id>.json     sweep registry (spec + job keys)
+    journal.jsonl        shared run journal (one line per job,
+                         ``worker`` field names who ran it)
 
-:class:`DirQueue`
-    A shared-filesystem queue.  Any worker on any host that mounts the
-    queue root can claim jobs; claims are atomic, leases expire, and
-    crashed workers' jobs are requeued.  Layout under the root::
+Jobs are content-addressed by their engine key, so resubmitting a grid
+is idempotent: finished keys are skipped, pending keys are left alone,
+and two sweeps sharing a (workload, policy) point enqueue it once.
 
-        jobs/<key>.json      job descriptions (RunJob/MixJob.to_dict)
-        pending/<key>        claimable markers (empty files)
-        leases/<key>         claimed markers (renamed from pending/)
-        leases/<key>.json    lease metadata: worker, heartbeat, ttl
-        done/<key>.json      terminal records for ok/hit jobs
-        failed/<key>.json    terminal records for failed jobs
-        sweeps/<id>.json     sweep registry (spec + job keys)
-        journal.jsonl        shared run journal (one line per job,
-                             ``worker`` field names who ran it)
+Claim semantics: a worker claims by ``os.rename``-ing the pending
+marker into ``leases/`` -- atomic on POSIX, and exactly one of N
+concurrent renamers wins (the rest get ``FileNotFoundError`` and move
+on).  The claimer then writes lease metadata and heartbeats it while
+executing.  ``requeue_expired`` renames markers whose heartbeat is
+older than the lease TTL back into ``pending/`` -- again atomic, so a
+live worker and a requeuer can race safely: the worst case is a job
+simulated twice, and the content-addressed store makes the second write
+a harmless no-op.
 
-    Jobs are content-addressed by their engine key, so resubmitting a
-    grid is idempotent: finished keys are skipped, pending keys are
-    left alone, and two sweeps sharing a (workload, policy) point
-    enqueue it once.
-
-    Claim semantics: a worker claims by ``os.rename``-ing the pending
-    marker into ``leases/`` -- atomic on POSIX, and exactly one of N
-    concurrent renamers wins (the rest get ``FileNotFoundError`` and
-    move on).  The claimer then writes lease metadata and heartbeats it
-    while executing.  ``requeue_expired`` renames markers whose
-    heartbeat is older than the lease TTL back into ``pending/`` --
-    again atomic, so a live worker and a requeuer can race safely: the
-    worst case is a job simulated twice, and the content-addressed
-    store makes the second write a harmless no-op.
+The ``local`` backend has no queue object: :func:`queue_from_spec`
+returns ``None`` for it, and ``repro sweep`` and ``repro serve`` run
+its jobs through :func:`repro.service.run.run_local_sweep`, the
+engine's ordinary in-process path.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ import os
 import socket
 import tempfile
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -92,7 +86,7 @@ def _read_json(path: Path) -> Optional[Dict[str, object]]:
 
 @dataclass
 class SubmitReceipt:
-    """What happened to each job handed to :meth:`JobQueue.submit`."""
+    """What happened to each job handed to :meth:`DirQueue.submit`."""
 
     enqueued: List[str] = field(default_factory=list)  # newly queued keys
     warm: List[str] = field(default_factory=list)  # already in the store
@@ -128,106 +122,7 @@ class Lease:
     ttl: float
 
 
-class JobQueue(ABC):
-    """Where sweep jobs wait between submission and execution."""
-
-    spec: QueueSpec
-
-    @abstractmethod
-    def submit(
-        self, jobs: Sequence[Job], store: Optional[ResultStore] = None
-    ) -> SubmitReceipt:
-        """Enqueue jobs (idempotently); warm store keys are skipped."""
-
-    @abstractmethod
-    def counts(self) -> QueueCounts:
-        """How many jobs are pending / leased / done / failed."""
-
-    @abstractmethod
-    def failures(self) -> Dict[str, str]:
-        """Terminal failures: job key -> error text."""
-
-
-class LocalQueue(JobQueue):
-    """The in-process backend: a thin veneer over ``run_jobs``.
-
-    ``submit`` remembers the job list; ``drain`` executes it through
-    the engine exactly as a pre-service sweep would (same pool, same
-    store writes, same journal lines, bit-identical results).
-    """
-
-    def __init__(self, jobs: int = 1, timeout: Optional[float] = None) -> None:
-        self.spec = QueueSpec.make("local")
-        self.max_workers = jobs
-        self.timeout = timeout
-        self._pending: List[Job] = []
-        self._done: Dict[str, str] = {}  # key -> status
-        self._failures: Dict[str, str] = {}
-
-    def submit(self, jobs, store=None):
-        receipt = SubmitReceipt()
-        for job in jobs:
-            key = job.key()
-            if self._done.get(key):
-                receipt.done.append(key)
-                continue
-            if store is not None and store.get(key) is not None:
-                receipt.warm.append(key)
-                self._done[key] = "hit"
-                continue
-            if any(pending.key() == key for pending in self._pending):
-                receipt.pending.append(key)
-                continue
-            self._pending.append(job)
-            receipt.enqueued.append(key)
-        return receipt
-
-    def drain(
-        self,
-        store: Optional[ResultStore] = None,
-        journal: "RunJournal | str | None" = None,
-        progress=False,
-    ):
-        """Run everything submitted so far; returns the SweepOutcome."""
-        from repro.engine.executor import SweepError, run_jobs
-
-        job_list, self._pending = self._pending, []
-        try:
-            outcome = run_jobs(
-                job_list,
-                max_workers=self.max_workers,
-                store=store,
-                journal=journal,
-                timeout=self.timeout,
-                progress=progress,
-            )
-        except SweepError:
-            for job in job_list:
-                key = job.key()
-                if store is None or store.get(key) is None:
-                    self._failures[key] = "job failed (see sweep output)"
-                    self._done[key] = "error"
-                else:
-                    self._done[key] = "ok"
-            raise
-        for job in job_list:
-            self._done[job.key()] = "ok"
-        return outcome
-
-    def counts(self):
-        done = sum(1 for status in self._done.values() if status != "error")
-        return QueueCounts(
-            pending=len(self._pending),
-            leased=0,
-            done=done,
-            failed=len(self._failures),
-        )
-
-    def failures(self):
-        return dict(self._failures)
-
-
-class DirQueue(JobQueue):
+class DirQueue:
     """Shared-filesystem queue with atomic leases and expiry/requeue."""
 
     def __init__(
@@ -292,7 +187,10 @@ class DirQueue(JobQueue):
         )
 
     # -- producer side -----------------------------------------------------
-    def submit(self, jobs, store=None):
+    def submit(
+        self, jobs: Sequence[Job], store: Optional[ResultStore] = None
+    ) -> SubmitReceipt:
+        """Enqueue jobs (idempotently); warm store keys are skipped."""
         self.ensure_layout()
         receipt = SubmitReceipt()
         for job in jobs:
@@ -474,7 +372,8 @@ class DirQueue(JobQueue):
             and (suffix or not name.endswith(".json"))
         )
 
-    def counts(self):
+    def counts(self) -> QueueCounts:
+        """How many jobs are pending / leased / done / failed."""
         return QueueCounts(
             pending=self._count_dir(self.pending_dir),
             leased=self._count_dir(self.leases_dir),
@@ -482,7 +381,8 @@ class DirQueue(JobQueue):
             failed=self._count_dir(self.failed_dir, ".json"),
         )
 
-    def failures(self):
+    def failures(self) -> Dict[str, str]:
+        """Terminal failures: job key -> error text."""
         failures: Dict[str, str] = {}
         if not self.failed_dir.is_dir():
             return failures
@@ -501,13 +401,9 @@ class DirQueue(JobQueue):
             return key[:12]
 
 
-def queue_from_spec(
-    spec: "QueueSpec | str",
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-) -> JobQueue:
-    """Build the backend a :class:`QueueSpec` names."""
+def queue_from_spec(spec: "QueueSpec | str") -> Optional[DirQueue]:
+    """The queue a :class:`QueueSpec` names; ``None`` for ``local``."""
     spec = QueueSpec.coerce(spec)
     if spec.is_local:
-        return LocalQueue(jobs=jobs, timeout=timeout)
+        return None
     return DirQueue(spec.path, lease_ttl=spec.lease_ttl, spec=spec)

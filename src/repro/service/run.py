@@ -1,8 +1,12 @@
-"""Routing a sweep through a queue backend.
+"""Routing a sweep to its executors.
 
-``repro sweep --backend local`` never reaches this module: the CLI
-calls the engine directly, exactly as before the service existed.
-``--backend dir:<root>`` lands here: the grid is submitted to the
+``--backend local`` (the default) lands in :func:`run_local_sweep`, the
+one in-process runner that ``repro sweep`` and ``repro serve`` share:
+it journals the sweep under its definition's name in the store (same
+grid -> same file, so an interrupted invocation resumes) and calls
+:func:`repro.engine.run_jobs`, the same pool and store writes as any
+harness.  ``--backend dir:<root>`` goes through :func:`submit_sweep`
+and :func:`wait_for_sweep`: the grid is submitted to the
 shared-filesystem queue (idempotently -- warm and already-queued keys
 are skipped), the sweep is recorded in the queue's registry so any
 ``repro serve`` front-end can report it, and -- unless detached -- the
@@ -17,10 +21,41 @@ import sys
 import time
 from typing import Optional
 
-from repro.engine.executor import SweepError, SweepOutcome, SweepStats
+from repro.engine.executor import (
+    SweepError,
+    SweepOutcome,
+    SweepStats,
+    run_jobs,
+)
 from repro.engine.store import ResultStore
 from repro.engine.sweepspec import SweepSpec
 from repro.service.queue import DirQueue, SubmitReceipt
+
+
+def run_local_sweep(
+    spec: SweepSpec,
+    store: Optional[ResultStore],
+    jobs: int = 1,
+    timeout: Optional[float] = None,
+    journal=None,
+    progress=False,
+) -> SweepOutcome:
+    """Run a sweep in-process through the engine; returns its outcome.
+
+    Without an explicit ``journal``, a stored sweep journals to
+    ``store.journals_dir / spec.journal_name()``: one journal per sweep
+    definition, so re-running the same grid resumes it.
+    """
+    if journal is None and store is not None:
+        journal = store.journals_dir / spec.journal_name()
+    return run_jobs(
+        spec.jobs(),
+        max_workers=jobs,
+        store=store,
+        journal=journal,
+        timeout=timeout,
+        progress=progress,
+    )
 
 
 def submit_sweep(

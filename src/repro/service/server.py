@@ -5,7 +5,9 @@ machinery over plain HTTP -- stdlib only (``http.server`` threaded per
 request), no new dependencies:
 
 ``GET /healthz``
-    liveness + queue/store identity + the service counters.
+    liveness + queue/store identity + the service counters; a ``dir``
+    service also reports its queue's ``queue_counts`` (the ``local``
+    backend has no queue to count).
 ``GET /result/<key>``
     one stored record, straight off disk; 404 on a miss.  Every hit
     bumps ``results_served`` -- repeat queries never re-simulate.
@@ -13,8 +15,9 @@ request), no new dependencies:
     body = :meth:`~repro.engine.sweepspec.SweepSpec.to_dict` JSON.
     Submits the grid and returns ``{"sweep": <id>, ...}``.  With a
     ``dir`` queue the jobs go to the shared queue for remote workers;
-    with the ``local`` backend the server executes them in a
-    background thread through the ordinary engine path.  Submission is
+    with the ``local`` backend the server runs them in a background
+    thread through :func:`~repro.service.run.run_local_sweep`, the
+    same runner as ``repro sweep``.  Submission is
     idempotent: the sweep id is content-addressed, and warm keys are
     never re-enqueued.
 ``GET /sweep/<id>``
@@ -29,12 +32,14 @@ from __future__ import annotations
 import json
 import re
 import threading
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from repro.engine.store import ResultStore
 from repro.engine.sweepspec import SweepSpec
-from repro.service.queue import DirQueue, JobQueue
+from repro.service.queue import DirQueue
+from repro.service.run import run_local_sweep, submit_sweep
 
 #: job keys are 64-hex engine keys; sweep ids are 16-hex prefixes.
 _RESULT_RE = re.compile(r"^/result/([0-9a-f]{64})$")
@@ -42,11 +47,24 @@ _SWEEP_RE = re.compile(r"^/sweep/([0-9a-f]{16})$")
 
 
 class SweepService:
-    """The state behind the HTTP handlers (and directly testable)."""
+    """The state behind the HTTP handlers (and directly testable).
 
-    def __init__(self, store: ResultStore, queue: JobQueue) -> None:
+    ``queue`` is the ``dir`` backend's :class:`DirQueue`, or ``None``
+    for the ``local`` backend, whose sweeps run in this process with
+    ``jobs`` workers and a per-job ``timeout``.
+    """
+
+    def __init__(
+        self,
+        store: ResultStore,
+        queue: Optional[DirQueue] = None,
+        jobs: int = 1,
+        timeout: Optional[float] = None,
+    ) -> None:
         self.store = store
         self.queue = queue
+        self.jobs = jobs
+        self.timeout = timeout
         self.counters: Dict[str, int] = {
             "results_served": 0,
             "result_misses": 0,
@@ -68,23 +86,24 @@ class SweepService:
         with self._lock:
             self.counters[counter] += by
 
+    @property
+    def backend(self) -> str:
+        """The queue spec string: the dir queue's, or ``local``."""
+        return "local" if self.queue is None else str(self.queue.spec)
+
     # -- endpoints ---------------------------------------------------------
     def health(self) -> Dict[str, object]:
-        counts = self.queue.counts()
         with self._lock:
             counters = dict(self.counters)
-        return {
+        health: Dict[str, object] = {
             "status": "ok",
-            "queue": str(self.queue.spec),
+            "queue": self.backend,
             "store": str(self.store.root),
-            "queue_counts": {
-                "pending": counts.pending,
-                "leased": counts.leased,
-                "done": counts.done,
-                "failed": counts.failed,
-            },
-            "counters": counters,
         }
+        if self.queue is not None:
+            health["queue_counts"] = asdict(self.queue.counts())
+        health["counters"] = counters
+        return health
 
     def result(self, key: str) -> Optional[Dict[str, object]]:
         record = self.store.get(key)
@@ -98,9 +117,8 @@ class SweepService:
         spec = SweepSpec.from_dict(payload)
         jobs = spec.jobs()
         sweep_id = spec.sweep_id()
-        if isinstance(self.queue, DirQueue):
-            receipt = self.queue.submit(jobs, store=self.store)
-            self.queue.record_sweep(spec)
+        if self.queue is not None:
+            receipt = submit_sweep(spec, self.queue, self.store)
             enqueued, warm = len(receipt.enqueued), len(receipt.warm)
         else:
             with self._lock:
@@ -135,15 +153,9 @@ class SweepService:
         """Run a local-backend sweep in the background via the engine."""
 
         def execute() -> None:
-            from repro.engine.executor import run_jobs
-
             try:
-                run_jobs(
-                    spec.jobs(),
-                    max_workers=getattr(self.queue, "max_workers", 1),
-                    store=self.store,
-                    journal=self.store.journals_dir / spec.journal_name(),
-                    timeout=getattr(self.queue, "timeout", None),
+                run_local_sweep(
+                    spec, self.store, jobs=self.jobs, timeout=self.timeout
                 )
             except Exception as error:  # noqa: BLE001 - served via status
                 with self._lock:
@@ -154,7 +166,7 @@ class SweepService:
         thread.start()
 
     def _sweep_record(self, sweep_id: str) -> Optional[Dict[str, object]]:
-        if isinstance(self.queue, DirQueue):
+        if self.queue is not None:
             return self.queue.sweep_record(sweep_id)
         with self._lock:
             return self._local_sweeps.get(sweep_id)
@@ -171,7 +183,7 @@ class SweepService:
         }
         self._bump("table_store_reads", len(keys))
         done = sum(1 for rec in stored.values() if rec is not None)
-        failures = self.queue.failures()
+        failures = self.queue.failures() if self.queue is not None else {}
         with self._lock:
             local_error = self._local_errors.get(sweep_id)
         failed = {
@@ -282,7 +294,7 @@ def serve_forever(
     server, bound_port = make_server(service, host, port)
     announce(
         f"repro serve: http://{host}:{bound_port} "
-        f"(queue: {service.queue.spec}, store: {service.store.root})"
+        f"(queue: {service.backend}, store: {service.store.root})"
     )
     announce(
         "endpoints: GET /healthz | GET /result/<key> | "

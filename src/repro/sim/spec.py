@@ -5,9 +5,11 @@ of one run -- which **mode** (LLC-level replay, full L1/L2/LLC
 hierarchy, or the shared-LLC multicore system), which workload, which
 policy, at which :class:`~repro.experiments.runner.ExperimentScale` and
 geometry.  :func:`simulate` executes it; :func:`simulate_cached`
-memoizes it.  Every harness in ``repro.experiments`` and every engine
-job routes through here, so there is exactly one place that knows how
-to turn a spec into traces, caches, runners, and results.
+memoizes it.  Every engine job and every policy-comparison harness in
+``repro.experiments`` routes through here, so there is exactly one
+place that knows how to turn a spec into traces, caches, runners, and
+results; F12's shared-fraction sweep, whose traces are no registered
+mix, builds its own system.
 
 Modes
 -----
@@ -81,6 +83,15 @@ class SimulationSpec:
     ``"dict"`` batch loops; the scalar interleave for a multicore run)
     on unsupported shapes, and all are bit-identical, so the kernel is
     an execution choice that stays out of :attr:`label`.
+
+    The spec holds the coerced forms: ``policy``, ``memory`` and
+    ``kernel`` become their spec objects and, outside multicore mode,
+    ``workload`` its :class:`~repro.trace.workload.WorkloadSpec`, so
+    equal runs are equal (and equally hashed) specs whichever spelling
+    or entry point built them -- the one key of the
+    :func:`simulate_cached` memo.  The kernel stays in that key, so a
+    ``"dict"`` rerun of a cell (the conformance checks do this) never
+    reads the native run's memo entry.
     """
 
     workload: Union[str, WorkloadSpec]
@@ -99,15 +110,18 @@ class SimulationSpec:
                 f"unknown simulation mode {self.mode!r}; "
                 f"known: {', '.join(SIMULATION_MODES)}"
             )
-        # Validate the backend/kernel specs up front, so a bad --memory
-        # or --kernel string fails at spec construction, not deep inside
-        # a run.
-        BackendSpec.coerce(self.memory)
-        KernelSpec.coerce(self.kernel)
-        # Multicore workloads are mix names (their own registry); every
+        # Hold the coerced specs, so a bad --memory or --kernel string
+        # fails at spec construction, not deep inside a run, and equal
+        # runs are equal memo keys however their fields were spelled.
+        # Multicore workloads stay mix names (their own registry); every
         # other mode's workload must parse as a WorkloadSpec reference.
+        object.__setattr__(self, "policy", PolicySpec.coerce(self.policy))
+        object.__setattr__(self, "memory", BackendSpec.coerce(self.memory))
+        object.__setattr__(self, "kernel", KernelSpec.coerce(self.kernel))
         if self.mode != "multicore":
-            WorkloadSpec.coerce(self.workload)
+            object.__setattr__(
+                self, "workload", WorkloadSpec.coerce(self.workload)
+            )
 
     @property
     def core_count(self) -> int:
@@ -141,35 +155,27 @@ class SimulationSpec:
         historical form); multicore mix names pass through untouched.
         """
         if self.mode == "multicore":
-            return str(self.workload)
-        return WorkloadSpec.coerce(self.workload).store_key()
+            return self.workload
+        return self.workload.store_key()
 
     @property
     def policy_key(self) -> str:
         """Canonical string form of the policy (store/label friendly)."""
-        return PolicySpec.coerce(self.policy).key()
-
-    @property
-    def memory_spec(self) -> BackendSpec:
-        return BackendSpec.coerce(self.memory)
+        return self.policy.key()
 
     @property
     def memory_key(self) -> str:
         """Canonical string form of the memory backend."""
-        return self.memory_spec.key()
+        return self.memory.key()
 
     @property
     def uses_default_memory(self) -> bool:
-        return self.memory_spec.is_default
-
-    @property
-    def kernel_spec(self) -> KernelSpec:
-        return KernelSpec.coerce(self.kernel)
+        return self.memory.is_default
 
     @property
     def kernel_key(self) -> str:
         """Canonical string form of the batch kernel."""
-        return self.kernel_spec.key()
+        return self.kernel.key()
 
     @property
     def label(self) -> str:
@@ -211,7 +217,7 @@ def simulate(spec: SimulationSpec):
     if not spec.uses_default_memory:
         from repro.mem import make_backend
 
-        backend = make_backend(spec.memory_spec, config)
+        backend = make_backend(spec.memory, config)
     if spec.mode == "hierarchy":
         from repro.cpu.core import HierarchyRunner
 
@@ -224,7 +230,7 @@ def simulate(spec: SimulationSpec):
 
         runner = LLCRunner(config, policy, backend=backend)
         target = runner.llc
-    attach_kernel(target, spec.kernel_spec)
+    attach_kernel(target, spec.kernel)
     result = runner.run(trace, warmup=scale.warmup)
     _record_kernel(target, spec)
     return result
@@ -310,7 +316,7 @@ def _simulate_multicore(spec: SimulationSpec):
         # One backend instance per core, matching the per-core write
         # buffers of the flat model (no shared-channel contention yet).
         backends = [
-            make_backend(spec.memory_spec, config) for _ in range(num_cores)
+            make_backend(spec.memory, config) for _ in range(num_cores)
         ]
     system = SharedLLCSystem(
         config,
@@ -318,7 +324,7 @@ def _simulate_multicore(spec: SimulationSpec):
         make_llc_policy(spec.policy, spec.geometry_lines, num_cores),
         backends=backends,
     )
-    attach_kernel(system, spec.kernel_spec)
+    attach_kernel(system, spec.kernel)
     result = system.run(traces, warmup=scale.warmup)
     _record_kernel(system, spec)
     return result
@@ -328,8 +334,11 @@ def _simulate_multicore(spec: SimulationSpec):
 def simulate_cached(spec: SimulationSpec):
     """Memoized :func:`simulate` for single-result modes.
 
-    Runs are deterministic, so harnesses that share a baseline (every
-    figure normalizes to LRU) never re-simulate it.  Multicore specs are
+    The one in-process memo of simulation results: ``RunJob.execute``,
+    ``run_benchmark``, the multicore alone runs and every harness reach
+    it with the same canonical spec.  Runs are deterministic, so
+    harnesses that share a baseline (every figure normalizes to LRU)
+    never re-simulate it.  Multicore specs are
     excluded: a ``SharedRunResult`` carries per-core mutable state and
     the mix harness caches at the :class:`~repro.engine.MixJob` level
     instead.

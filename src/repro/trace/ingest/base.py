@@ -28,6 +28,17 @@ from repro.trace.access import Trace
 NULL_PAGE_BYTES = 4096
 
 
+def _range_problem(**values: int) -> Optional[str]:
+    """Why a trace cannot hold one of these named values, or None."""
+    for field, value in values.items():
+        if not 0 <= value < 1 << 63:
+            return (
+                f"{field} {value:#x} is outside the [0, 2**63) range a "
+                "trace holds"
+            )
+    return None
+
+
 def _address_problem(address: int, pc: int) -> Optional[str]:
     """Why a record with this address and PC cannot be ingested, or None."""
     if 0 < address < NULL_PAGE_BYTES:
@@ -36,13 +47,7 @@ def _address_problem(address: int, pc: int) -> Optional[str]:
             f"(< {NULL_PAGE_BYTES:#x}); the record is corrupt or the trace "
             "was captured with a null-pointer bug"
         )
-    for field, value in (("address", address), ("pc", pc)):
-        if not 0 <= value < 1 << 63:
-            return (
-                f"{field} {value:#x} is outside the [0, 2**63) range a "
-                "trace holds"
-            )
-    return None
+    return _range_problem(address=address, pc=pc)
 
 
 def check_address(address: int, path: Path, where: str, pc: int = 0) -> None:

@@ -2,10 +2,10 @@
 
 Two formats, both lossless for every :class:`~repro.trace.access.Trace`
 field including ``address_space`` (a trace's addresses, PCs and gaps
-lie in ``[0, 2**63)``, which the npz archive's int64 columns hold; both
-loaders build the trace through its checked constructors, so a file
-holding a value outside that range raises ``ValueError`` naming the
-column and index):
+lie in ``[0, 2**63)``, which the npz archive's int64 columns hold; the
+text loader checks that range per line and names the file and line of
+a value outside it, and the npz loader builds the trace through its
+checked constructor, whose ``ValueError`` names the column and index):
 
 * a compact binary ``.npz`` (numpy) archive for bulk experiment traces;
 * a line-oriented gzip text format (``address is_write pc instr_gap``
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.trace.access import Trace
-from repro.trace.ingest.base import TraceSource
+from repro.trace.ingest.base import TraceSource, _range_problem
 
 _TEXT_HEADER = "# repro-trace v1: address is_write pc instr_gap\n"
 
@@ -82,8 +82,9 @@ def save_text(trace: Trace, path: str | Path) -> None:
 def load_text(path: str | Path, name: str | None = None) -> Trace:
     """Read a trace written by :func:`save_text`.
 
-    Unknown header versions and malformed lines raise ``ValueError`` with
-    the offending line number, rather than silently producing a bad trace.
+    Unknown header versions, malformed lines, and an address, PC or gap
+    outside ``[0, 2**63)`` raise ``ValueError`` naming the file and the
+    offending line, rather than silently producing a bad trace.
     """
     path = Path(path)
     addresses, writes, pcs, gaps = [], [], [], []
@@ -105,12 +106,17 @@ def load_text(path: str | Path, name: str | None = None) -> Trace:
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
             try:
-                addresses.append(int(fields[0], 0))
+                address, pc = int(fields[0], 0), int(fields[2], 0)
                 writes.append(bool(int(fields[1])))
-                pcs.append(int(fields[2], 0))
-                gaps.append(int(fields[3]))
+                gap = int(fields[3])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            problem = _range_problem(address=address, pc=pc, gap=gap)
+            if problem is not None:
+                raise ValueError(f"{path}:{lineno}: {problem}")
+            addresses.append(address)
+            pcs.append(pc)
+            gaps.append(gap)
     return Trace(
         addresses, writes, pcs, gaps,
         name=name or path.stem,

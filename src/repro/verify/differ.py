@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.policy import ReplacementPolicy, make_policy
+from repro.cache.policyspec import PolicySpec
 from repro.common.config import CacheConfig
 from repro.trace.access import Trace
 from repro.verify.oracle import OracleCache, make_oracle_policy
@@ -90,19 +91,21 @@ class Divergence:
         }
 
 
-def make_sut_policy(name: str) -> ReplacementPolicy:
-    """The production policy under verification, by registry name."""
-    if name == "rwp":
-        from repro.core.rwp import RWPPolicy
+def make_sut_policy(name: str, num_cores: int = 1) -> ReplacementPolicy:
+    """The production policy under verification, by registry name.
 
-        return RWPPolicy(epoch=VERIFY_RWP_EPOCH)
-    if name == "rwp-core":
-        from repro.core.rwp import CoreAwareRWPPolicy
-
-        # A single-cache replay issues everything from core 0, so the
-        # conformance run pins the one-core configuration.
-        return CoreAwareRWPPolicy(num_cores=1, epoch=VERIFY_RWP_EPOCH)
-    return make_policy(name)
+    Supplies the short :data:`VERIFY_RWP_EPOCH` to ``rwp``/``rwp-core``
+    and ``num_cores`` to the per-core policies (``rwp-core``, ``ucp``,
+    ``tadrrip``, ``pipp``), then builds through the registry.  A
+    single-cache replay runs every access as core 0, so the default
+    pins the one-core configuration; a shared-LLC run passes its count.
+    """
+    kwargs = {}
+    if name in ("rwp", "rwp-core"):
+        kwargs["epoch"] = VERIFY_RWP_EPOCH
+    if name in ("rwp-core", "ucp", "tadrrip", "pipp"):
+        kwargs["num_cores"] = num_cores
+    return make_policy(PolicySpec.make(name, **kwargs))
 
 
 def make_sut_cache(policy: str, config: CacheConfig) -> SetAssociativeCache:

@@ -30,6 +30,7 @@ from repro.verify.differ import (
     check_drivers,
     end_record,
     make_sut_cache,
+    make_sut_policy,
     state_digest,
 )
 from repro.verify.fuzzer import fuzz_trace
@@ -191,7 +192,6 @@ def system_golden_record(
     from repro.verify.system import (
         HIERARCHY_GEOMETRIES,
         MULTICORE_GEOMETRIES,
-        _system_policy,
         diff_hierarchy,
         diff_multicore,
         small_hierarchy,
@@ -211,7 +211,7 @@ def system_golden_record(
             divergence = diff_hierarchy(policy, trace, config)
             if divergence is not None:
                 raise AssertionError(divergence.describe())
-        hierarchy = MemoryHierarchy(config, _system_policy(policy))
+        hierarchy = MemoryHierarchy(config, make_sut_policy(policy))
         counts = hierarchy.run_trace(trace)
         blob = json.dumps(
             {
@@ -267,7 +267,9 @@ def system_golden_record(
         divergence = diff_multicore(policy, traces, config, num_cores, warmup)
         if divergence is not None:
             raise AssertionError(divergence.describe())
-    system = SharedLLCSystem(config, num_cores, _system_policy(policy, num_cores))
+    system = SharedLLCSystem(
+        config, num_cores, make_sut_policy(policy, num_cores)
+    )
     result = system.run(traces, warmup=warmup)
     record = {
         "geometry": [num_cores, llc_sets, ways],
@@ -302,11 +304,7 @@ def pcm_golden_record(policy: str, spec: SystemGoldenSpec) -> Dict[str, object]:
     """
     from repro.cpu.core import HierarchyRunner
     from repro.mem import make_backend
-    from repro.verify.system import (
-        HIERARCHY_GEOMETRIES,
-        _system_policy,
-        small_hierarchy,
-    )
+    from repro.verify.system import HIERARCHY_GEOMETRIES, small_hierarchy
 
     geometry = HIERARCHY_GEOMETRIES[spec.geometry]
     config = small_hierarchy(geometry)
@@ -316,7 +314,7 @@ def pcm_golden_record(policy: str, spec: SystemGoldenSpec) -> Dict[str, object]:
     )
     runner = HierarchyRunner(
         config,
-        _system_policy(policy),
+        make_sut_policy(policy),
         backend=make_backend(PCM_GOLDEN_SPEC, config),
     )
     result = runner.run(trace, warmup=spec.length // 4)

@@ -36,7 +36,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import CacheConfig, HierarchyConfig
 from repro.engine.keys import job_key
-from repro.verify.differ import VERIFY_RWP_EPOCH
+from repro.verify.differ import make_sut_policy
 from repro.verify.fuzzer import SCENARIOS, fuzz_trace
 
 #: LLC policies exercised by hierarchy system fuzzing (oracle-backed
@@ -176,33 +176,6 @@ def _as_global(trace):
     )
 
 
-def _system_policy(name: str, num_cores: int = 1):
-    """A fresh LLC policy for one system run (short RWP epoch)."""
-    from repro.cache.policy import make_policy
-
-    if name == "rwp":
-        from repro.core.rwp import RWPPolicy
-
-        return RWPPolicy(epoch=VERIFY_RWP_EPOCH)
-    if name == "rwp-core":
-        from repro.core.rwp import CoreAwareRWPPolicy
-
-        return CoreAwareRWPPolicy(num_cores=num_cores, epoch=VERIFY_RWP_EPOCH)
-    if name == "ucp":
-        from repro.cache.ucp import UCPPolicy
-
-        return UCPPolicy(num_cores=num_cores)
-    if name == "tadrrip":
-        from repro.cache.rrip import TADRRIPPolicy
-
-        return TADRRIPPolicy(num_cores=num_cores)
-    if name == "pipp":
-        from repro.cache.pipp import PIPPPolicy
-
-        return PIPPPolicy(num_cores=num_cores)
-    return make_policy(name)
-
-
 def _cache_state(cache) -> List[List[Tuple[int, bool]]]:
     return [
         sorted((line.tag, bool(line.dirty)) for line in s.lines if line.valid)
@@ -261,7 +234,7 @@ def _check_hierarchy(policy: str, trace, config: HierarchyConfig) -> SystemCheck
 
     served = list(KERNEL_NAMES)
     for collect in (False, True):
-        scalar = MemoryHierarchy(config, _system_policy(policy))
+        scalar = MemoryHierarchy(config, make_sut_policy(policy))
         if not scalar._batch_supported(0):
             # The staged replay would fall back to the scalar walk;
             # comparing scalar to scalar proves nothing.
@@ -271,7 +244,7 @@ def _check_hierarchy(policy: str, trace, config: HierarchyConfig) -> SystemCheck
         )
         want_snap = _hierarchy_snapshot(scalar)
         for driver in KERNEL_NAMES:
-            batched = MemoryHierarchy(config, _system_policy(policy))
+            batched = MemoryHierarchy(config, make_sut_policy(policy))
             attach_kernel(batched, driver)
             got = batched.run_trace(trace, collect=collect)
             if not _served(batched) and driver in served:
@@ -351,11 +324,11 @@ def _check_multicore(
     from repro.multicore.shared import SharedLLCSystem
 
     batched_system = SharedLLCSystem(
-        config, num_cores, _system_policy(policy, num_cores)
+        config, num_cores, make_sut_policy(policy, num_cores)
     )
     attach_kernel(batched_system, "native")
     scalar_system = SharedLLCSystem(
-        config, num_cores, _system_policy(policy, num_cores)
+        config, num_cores, make_sut_policy(policy, num_cores)
     )
     got = batched_system.run(traces, warmup=warmup)
     want = scalar_system.run_scalar(traces, warmup=warmup)

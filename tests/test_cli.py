@@ -46,10 +46,10 @@ class TestCommands:
     def test_run_names_scalar_fallback(self, capsys):
         # A memory backend sends LLCRunner to its scalar loop; the
         # fallback line gives the reason as recorded.
-        from repro.experiments.runner import _run_benchmark_cached
+        from repro.sim import simulate_cached
 
         # A memo hit simulates nothing, so it would record no reason.
-        _run_benchmark_cached.cache_clear()
+        simulate_cached.cache_clear()
         argv = ["run", "mcf", "-p", "rwp", "--memory", "pcm:write_mult=10"]
         assert main([*argv, *FAST]) == 0
         out = capsys.readouterr().out
@@ -57,9 +57,9 @@ class TestCommands:
 
     def test_run_served_from_the_store_says_no_replay_ran(self, capsys, tmp_path):
         argv = ["run", "micro_fit", "-p", "lru", *FAST, "--store", str(tmp_path)]
-        from repro.experiments.runner import _run_benchmark_cached
+        from repro.sim import simulate_cached
 
-        _run_benchmark_cached.cache_clear()
+        simulate_cached.cache_clear()
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "no replay ran" not in first
@@ -376,6 +376,32 @@ class TestWorkloadCli:
         assert err.startswith("error: ")
         assert f"capture.champsim: record 1: {named} is outside" in err
         assert not (tmp_path / "capture.champsim.npz").exists()
+
+    @pytest.mark.parametrize(
+        "line,named",
+        (
+            ("0xffff800000001000 0 0x400 1", "address 0xffff800000001000"),
+            ("0x10040 1 0x8000000000000000 1", "pc 0x8000000000000000"),
+            ("0x10040 0 0x400 9223372036854775808", "gap 0x8000000000000000"),
+        ),
+        ids=("address", "pc", "gap"),
+    )
+    def test_ingest_text_past_int64_names_the_line(
+        self, capsys, tmp_path, line, named
+    ):
+        import gzip
+
+        path = tmp_path / "big.trace.gz"
+        with gzip.open(path, "wt") as handle:
+            handle.write(
+                "# repro-trace v1: address is_write pc instr_gap\n"
+                "0x10000 0 0x400 1\n"
+                f"{line}\n"
+            )
+        assert main(["ingest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"big.trace.gz:3: {named} is outside the [0, 2**63)" in err
 
     def test_ingest_memsample_past_int64_is_skipped(self, capsys, tmp_path):
         log = tmp_path / "capture.txt"

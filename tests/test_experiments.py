@@ -222,6 +222,40 @@ class TestSweeps:
         )
         assert set(results) == {(1000, 4), (4000, 4)}
 
+    def test_rwp_ablation_equals_hand_built_runners(self):
+        # Each cell is the RWPPolicy(epoch=E, sampling=S) a hand-built
+        # LLCRunner loop replays (no kernel), geomean over the same LRU
+        # baselines, float for float.
+        from repro.core.rwp import RWPPolicy
+        from repro.cpu.core import LLCRunner
+        from repro.experiments.runner import run_with_geometry
+        from repro.multicore.metrics import geometric_mean
+
+        benches = ["mcf", "soplex"]
+        epochs, samplings = (500, 2000), (4, 16)
+        results = rwp_parameter_sweep(benches, epochs, samplings, TINY)
+        baselines = {
+            bench: run_with_geometry(
+                bench, "lru", TINY.llc_lines, TINY.ways, TINY
+            )
+            for bench in benches
+        }
+        by_hand = {}
+        for epoch in epochs:
+            for sampling in samplings:
+                speedups = []
+                for bench in benches:
+                    trace = cached_trace(
+                        bench, TINY.llc_lines, TINY.total_accesses, TINY.seed
+                    )
+                    run = LLCRunner(
+                        TINY.hierarchy(),
+                        RWPPolicy(epoch=epoch, sampling=sampling),
+                    ).run(trace, warmup=TINY.warmup)
+                    speedups.append(run.speedup_over(baselines[bench]))
+                by_hand[(epoch, sampling)] = geometric_mean(speedups)
+        assert results == by_hand
+
 
 class TestMulticoreExperiment:
     def test_run_mix_metrics_sane(self):

@@ -75,7 +75,7 @@ from repro.verify.differ import (
     make_sut_policy,
 )
 from repro.verify.fuzzer import FUZZ_GEOMETRIES, fuzz_trace
-from repro.verify.system import _system_policy, small_hierarchy
+from repro.verify.system import small_hierarchy
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -1575,6 +1575,74 @@ class TestWarmupWindow:
             "write_hits"] + stats["write_misses"]
         assert counted == tick - 1 - (0 if warmup is None or tick < warmup else warmup)
 
+    #: (policy, hook) pairs whose dict plan calls a hook after the
+    #: access's hit/miss counter moved
+    POST_COUNT_HOOKS = (
+        ("lru", "_victim"),
+        ("srrip", "_on_hit"),
+        ("srrip", "_on_fill"),
+        ("rrp", "_should_bypass"),
+        ("ship", "_on_evict"),
+        ("lru", "eviction_listener"),
+    )
+
+    @pytest.mark.parametrize("timed", (False, True), ids=("untimed", "timed"))
+    @pytest.mark.parametrize("warmup", (None, 700), ids=("whole", "warmup"))
+    @pytest.mark.parametrize("raising", (5, 400))
+    @pytest.mark.parametrize(
+        "policy,hook", POST_COUNT_HOOKS,
+        ids=[f"{p}-{h.lstrip('_')}" for p, h in POST_COUNT_HOOKS],
+    )
+    def test_post_count_hook_exception_leaves_what_scalar_leaves(
+        self, policy, hook, raising, warmup, timed
+    ):
+        # The hook raises at its given call, after the access it raised
+        # in was counted: the dict loop leaves that access counted in
+        # tick, its gap, its cycles and the statistics, as access() does.
+        config = _WARM_CONFIG
+        decoded = _WARM_TRACE.decoded(config.llc)
+        outcomes = []
+        for side in ("dict", "scalar"):
+            runner = _warm_runner(policy)
+            llc = runner.llc
+            real = getattr(llc, hook)
+            calls = []
+
+            def hooked(*args, real=real, calls=calls):
+                calls.append(None)
+                if len(calls) == raising:
+                    raise RuntimeError("boom")
+                return None if real is None else real(*args)
+
+            setattr(llc, hook, hooked)
+            with pytest.raises(RuntimeError, match="boom"):
+                if side == "dict":
+                    llc.run_trace(
+                        decoded, timing=runner.timing if timed else None,
+                        warmup=warmup,
+                    )
+                elif timed:
+                    runner._run_scalar(_WARM_TRACE, warmup or 0)
+                else:
+                    for position, (address, w, pc, _) in enumerate(_WARM_TRACE):
+                        if position == warmup:
+                            llc.reset_stats()
+                        llc.access(address, w, pc)
+            timing = runner.timing
+            outcomes.append((
+                _stats(llc), llc.tick, _clock(llc), _full_line_state(llc),
+                _policy_state(llc),
+                (timing.cycles, timing.instructions, timing.read_stall_cycles,
+                 timing.write_stall_cycles, timing.write_buffer.snapshot()),
+            ))
+        assert outcomes[0] == outcomes[1]
+        stats, tick = outcomes[0][:2]
+        counted = stats["read_hits"] + stats["read_misses"] + stats[
+            "write_hits"] + stats["write_misses"]
+        assert counted == tick - (
+            warmup if warmup is not None and tick > warmup else 0
+        )
+
 
 class TestCounterTableBuffer:
     """SHiP's SHCT and RRP's predictor are int64 buffers the kernel
@@ -1941,7 +2009,7 @@ DECLINED_LLC_POLICIES = ("srrip", "drrip", "rrp", "ucp")
 
 def _stage_decline(policy: str) -> str:
     """The reason the stage replay records for ``policy``'s LLC."""
-    name = type(_system_policy(policy)).__name__
+    name = type(make_sut_policy(policy)).__name__
     if policy in COMPARATOR_POLICIES:
         return (
             f"{name} runs natively only through run_trace: the hierarchy "
@@ -1960,7 +2028,7 @@ class TestDeclinedLLC:
         trace = fuzz_trace("dirty_storm", 4242, 16, 4, 2048)
         outputs = {}
         for side in ("native", "dict", "scalar"):
-            stack = MemoryHierarchy(_STACK, _system_policy(policy))
+            stack = MemoryHierarchy(_STACK, make_sut_policy(policy))
             if side == "scalar":
                 got = stack._run_trace_scalar(
                     trace, 0, 0, len(trace), collect
@@ -1997,7 +2065,7 @@ class TestDeclinedLLC:
         for kernel in ("native", "dict"):
             runner = HierarchyRunner(
                 _WALK_CONFIG,
-                _system_policy(policy),
+                make_sut_policy(policy),
                 backend=make_backend("pcm:write_mult=4", _WALK_CONFIG),
             )
             attach_kernel(runner.hierarchy, kernel)

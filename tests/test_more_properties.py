@@ -98,17 +98,19 @@ class TestPipelineDeterminism:
     def test_full_experiment_is_bit_stable(self):
         from repro.experiments.runner import (
             ExperimentScale,
-            _run_benchmark_cached,
             cached_trace,
+            run_benchmark,
         )
+        from repro.sim import simulate_cached
 
         scale = ExperimentScale(llc_lines=512, warmup_factor=4, measure_factor=8)
-        _run_benchmark_cached.cache_clear()
+        simulate_cached.cache_clear()
         cached_trace.cache_clear()
-        first = _run_benchmark_cached("mcf", "rwp", scale)
-        _run_benchmark_cached.cache_clear()
+        first = run_benchmark("mcf", "rwp", scale)
+        simulate_cached.cache_clear()
         cached_trace.cache_clear()
-        second = _run_benchmark_cached("mcf", "rwp", scale)
+        second = run_benchmark("mcf", "rwp", scale)
+        assert first is not second
         assert first.cycles == second.cycles
         assert first.llc_read_misses == second.llc_read_misses
 

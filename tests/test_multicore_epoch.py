@@ -16,7 +16,8 @@ from repro.mem import make_backend
 from repro.multicore.shared import SharedLLCSystem
 from repro.trace.access import Trace
 from repro.verify.fuzzer import SCENARIOS, fuzz_trace
-from repro.verify.system import _cache_state, _system_policy
+from repro.verify.differ import make_sut_policy
+from repro.verify.system import _cache_state
 
 try:
     from hypothesis import given, strategies as st
@@ -34,9 +35,9 @@ needs_native = pytest.mark.skipif(
 
 
 def run_both_ways(policy, traces, num_cores, warmup=0):
-    batched = SharedLLCSystem(CONFIG, num_cores, _system_policy(policy, num_cores))
+    batched = SharedLLCSystem(CONFIG, num_cores, make_sut_policy(policy, num_cores))
     attach_kernel(batched, "native")
-    scalar = SharedLLCSystem(CONFIG, num_cores, _system_policy(policy, num_cores))
+    scalar = SharedLLCSystem(CONFIG, num_cores, make_sut_policy(policy, num_cores))
     got = batched.run(traces, warmup=warmup)
     want = scalar.run_scalar(traces, warmup=warmup)
     return batched, scalar, got, want
@@ -115,7 +116,7 @@ def test_memory_backends_decline_to_scalar():
     # the scalar interleave, and the runtime says why.
     def system():
         backends = [make_backend("pcm:write_mult=4", CONFIG) for _ in range(4)]
-        return SharedLLCSystem(CONFIG, 4, _system_policy("rwp", 4), backends)
+        return SharedLLCSystem(CONFIG, 4, make_sut_policy("rwp", 4), backends)
 
     traces = core_traces(4, 2106, 768)
     batched, scalar = system(), system()

@@ -27,12 +27,12 @@ from repro.engine.journal import RunJournal
 from repro.experiments.runner import ExperimentScale
 from repro.service import (
     DirQueue,
-    LocalQueue,
     QueueSpec,
     SweepService,
     Worker,
     make_server,
     queue_from_spec,
+    run_local_sweep,
     submit_sweep,
     wait_for_sweep,
 )
@@ -50,9 +50,9 @@ def tiny_spec() -> SweepSpec:
 
 class TestQueueFactory:
     def test_local(self):
-        queue = queue_from_spec("local", jobs=3)
-        assert isinstance(queue, LocalQueue)
-        assert queue.max_workers == 3
+        # The local backend runs in-process: there is no queue object.
+        assert queue_from_spec("local") is None
+        assert queue_from_spec(QueueSpec.make("local")) is None
 
     def test_dir(self, tmp_path):
         queue = queue_from_spec(f"dir:{tmp_path / 'q'}:ttl=7")
@@ -386,11 +386,37 @@ class TestSweepRouting:
             wait_for_sweep(spec, queue, store, poll=0.01, timeout=5)
 
 
+class TestLocalSweep:
+    def test_journals_under_the_sweep_name_and_matches_run_jobs(
+        self, tmp_path
+    ):
+        spec = tiny_spec()
+        store = ResultStore(tmp_path / "store")
+        outcome = run_local_sweep(spec, store)
+        journal = RunJournal(store.journals_dir / spec.journal_name())
+        assert sorted(entry.key for entry in journal.entries()) == sorted(
+            job.key() for job in spec.jobs()
+        )
+        serial = run_jobs(spec.jobs())
+        assert spec.table(spec.grid(outcome.results)) == spec.table(
+            spec.grid(serial.results)
+        )
+        # A second run of the same grid is served from the store.
+        again = run_local_sweep(spec, store)
+        assert again.stats.cache_hits == len(spec.jobs())
+
+    def test_explicit_journal_and_no_store(self, tmp_path):
+        spec = tiny_spec()
+        path = tmp_path / "mine.jsonl"
+        run_local_sweep(spec, None, journal=path)
+        assert len(RunJournal(path).entries()) == len(spec.jobs())
+
+
 @pytest.fixture
 def http_service(tmp_path):
     """A threaded server over a local-backend service; yields (base, svc)."""
     store = ResultStore(tmp_path / "store")
-    service = SweepService(store, LocalQueue(jobs=1))
+    service = SweepService(store, jobs=1)
     server, port = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -423,6 +449,7 @@ class TestHTTP:
         assert status == 200
         assert body["status"] == "ok"
         assert body["queue"] == "local"
+        assert "queue_counts" not in body
         assert "results_served" in body["counters"]
 
     def test_sweep_lifecycle_and_result_endpoint(self, http_service):
@@ -455,6 +482,21 @@ class TestHTTP:
         assert status == 200
         assert record["key"] == key
         assert record["kind"] == "run"
+
+        # The local backend has no queue to count, before or after a
+        # sweep; the sweep ran through the same runner as `repro
+        # sweep`: one journal line per job under its own journal name.
+        _, health = _get(base + "/healthz")
+        assert health["queue"] == "local"
+        assert "queue_counts" not in health
+        journal = RunJournal(
+            service.store.journals_dir / spec.journal_name()
+        )
+        for _ in range(100):  # the last line lands just after the store
+            if len(journal.entries()) == len(spec.jobs()):
+                break
+            time.sleep(0.05)
+        assert len(journal.entries()) == len(spec.jobs())
 
     def test_resubmission_is_all_warm_no_resimulation(self, http_service):
         base, service = http_service
@@ -524,17 +566,26 @@ class TestHTTP:
         queue = DirQueue(tmp_path / "q")
         service = SweepService(store, queue)
         spec = tiny_spec()
+        total = len(spec.jobs())
 
         receipt = service.submit_sweep(spec.to_dict())
-        assert receipt["enqueued"] == len(spec.jobs())
+        assert receipt["enqueued"] == total
         progress = service.sweep_status(spec.sweep_id())
         assert progress["complete"] is False
         assert progress["stored"] == 0
+        health = service.health()
+        assert health["queue"] == str(queue.spec)
+        assert health["queue_counts"] == {
+            "pending": total, "leased": 0, "done": 0, "failed": 0,
+        }
 
         Worker(queue, store, worker_id="w0", poll_interval=0.01).run(
             drain=True
         )
         progress = service.sweep_status(spec.sweep_id())
         assert progress["complete"] is True
-        assert progress["stored"] == len(spec.jobs())
+        assert progress["stored"] == total
         assert progress["table"]["columns"] == ["benchmark", "lru", "rwp"]
+        assert service.health()["queue_counts"] == {
+            "pending": 0, "leased": 0, "done": total, "failed": 0,
+        }

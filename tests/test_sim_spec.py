@@ -39,6 +39,52 @@ class TestSpecBasics:
         spec = SimulationSpec("mix01_all_sensitive", mode="multicore", scale=SCALE)
         assert spec.geometry_lines == 4 * SCALE.llc_lines
 
+    def test_fields_hold_the_coerced_specs(self):
+        from repro.cache.policyspec import PolicySpec
+        from repro.kernels.spec import KernelSpec
+        from repro.mem.spec import BackendSpec
+        from repro.trace.workload import WorkloadSpec
+
+        spec = SimulationSpec("mcf", "rwp", scale=SCALE, memory="dram")
+        assert spec.workload == WorkloadSpec.coerce("mcf")
+        assert spec.policy == PolicySpec.make("rwp")
+        assert spec.memory == BackendSpec.make("dram")
+        assert spec.kernel == KernelSpec.make("native")
+        assert spec == SimulationSpec(
+            "model:mcf", PolicySpec.make("rwp"), scale=SCALE,
+            memory=BackendSpec.make("dram"), kernel="native",
+        )
+        # Multicore workloads stay mix names.
+        mix = SimulationSpec("mix01_all_sensitive", mode="multicore")
+        assert mix.workload == "mix01_all_sensitive"
+
+    def test_one_memo_entry_per_cell_whatever_the_entry_point(self):
+        # The same (mcf, lru) cell through four entry points costs one
+        # simulate_cached miss; the kernel stays in the memo key, so a
+        # dict-driver spec of the cell is a second entry.
+        from repro.experiments.motivation import (
+            _read_potential_cached,
+            read_potential,
+        )
+
+        simulate_cached.cache_clear()
+        _read_potential_cached.cache_clear()  # so its LRU leg runs here
+        first = RunJob("mcf", "lru", SCALE).execute()
+        assert simulate_cached(
+            SimulationSpec("mcf", "lru", scale=SCALE)
+        ) is first
+        assert run_benchmark("mcf", "lru", SCALE) is first
+        potential = read_potential("mcf", SCALE)
+        assert potential.lru_read_misses == first.llc_read_misses
+        info = simulate_cached.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        dict_run = simulate_cached(
+            SimulationSpec("mcf", "lru", scale=SCALE, kernel="dict")
+        )
+        assert simulate_cached.cache_info().currsize == 2
+        assert dict_run is not first
+        assert dict_run.to_dict() == first.to_dict()
+
     def test_multicore_specs_not_memoized(self):
         spec = SimulationSpec("mix01_all_sensitive", mode="multicore", scale=SCALE)
         with pytest.raises(ValueError, match="not memoized"):

@@ -79,6 +79,68 @@ class TestFuzzer:
         assert sut.bypasses > 0
 
 
+class TestSutPolicyFactory:
+    #: every name the single-cache and multicore verifiers build -> class
+    CLASSES = {
+        "bip": "BIPPolicy",
+        "brrip": "BRRIPPolicy",
+        "dip": "DIPPolicy",
+        "drrip": "DRRIPPolicy",
+        "lfu": "LFUPolicy",
+        "lru": "LRUPolicy",
+        "nru": "NRUPolicy",
+        "pipp": "PIPPPolicy",
+        "random": "RandomPolicy",
+        "rrp": "RRPPolicy",
+        "rwp": "RWPPolicy",
+        "rwp-core": "CoreAwareRWPPolicy",
+        "ship": "SHiPPolicy",
+        "srrip": "SRRIPPolicy",
+        "tadrrip": "TADRRIPPolicy",
+        "ucp": "UCPPolicy",
+    }
+
+    @pytest.mark.parametrize("num_cores", (1, 4))
+    def test_every_verified_name(self, num_cores, monkeypatch):
+        # The registry builds every policy; make_sut_policy only adds
+        # the short verification epoch (rwp, rwp-core) and the core
+        # count (per-core policies).
+        from repro.cache.policy import POLICY_REGISTRY, policy_names
+        from repro.verify import (
+            MULTICORE_VERIFY_POLICIES,
+            VERIFY_RWP_EPOCH,
+        )
+        from repro.verify.differ import make_sut_policy
+
+        names = set(VERIFY_POLICIES) | set(MULTICORE_VERIFY_POLICIES)
+        assert names == set(self.CLASSES)
+        assert names <= set(policy_names())  # loads the whole registry
+        received = {}
+
+        def recording(name, factory):
+            def build(**kwargs):
+                received[name] = kwargs
+                return factory(**kwargs)
+
+            return build
+
+        for name, factory in list(POLICY_REGISTRY.items()):
+            monkeypatch.setitem(POLICY_REGISTRY, name, recording(name, factory))
+        for name, cls in self.CLASSES.items():
+            policy = make_sut_policy(name, num_cores)
+            assert type(policy).__name__ == cls
+            expected = {}
+            if name in ("rwp", "rwp-core"):
+                expected["epoch"] = VERIFY_RWP_EPOCH
+            if name in ("rwp-core", "ucp", "tadrrip", "pipp"):
+                expected["num_cores"] = num_cores
+            assert received[name] == expected, name
+            if "num_cores" in expected:
+                assert policy.num_cores == num_cores
+        # The single-cache default pins one core.
+        assert make_sut_policy("rwp-core").num_cores == 1
+
+
 class TestOracleCache:
     def test_tracks_production_on_simple_trace(self):
         config = _config(8, 2)

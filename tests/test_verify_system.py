@@ -61,14 +61,14 @@ class TestDiffers:
     def test_hierarchy_detects_seeded_divergence(self, monkeypatch):
         # Hand the batched and scalar sides *different* policies: the
         # differ must notice, otherwise it is comparing nothing.
-        real = vs._system_policy
+        real = vs.make_sut_policy
         calls = []
 
         def skewed(name, num_cores=1):
             calls.append(name)
             return real("ship" if len(calls) % 2 else name, num_cores)
 
-        monkeypatch.setattr(vs, "_system_policy", skewed)
+        monkeypatch.setattr(vs, "make_sut_policy", skewed)
         geometry = HIERARCHY_GEOMETRIES[0]
         trace = fuzz_trace("conflict", 7, geometry[2][0], geometry[2][1], LENGTH)
         divergence = diff_hierarchy("lru", trace, fuzz_hierarchy_config(geometry))
@@ -78,14 +78,14 @@ class TestDiffers:
         assert divergence.to_dict()["policy"] == "lru"
 
     def test_multicore_detects_seeded_divergence(self, monkeypatch):
-        real = vs._system_policy
+        real = vs.make_sut_policy
         calls = []
 
         def skewed(name, num_cores=1):
             calls.append(name)
             return real("drrip" if len(calls) % 2 else name, num_cores)
 
-        monkeypatch.setattr(vs, "_system_policy", skewed)
+        monkeypatch.setattr(vs, "make_sut_policy", skewed)
         num_cores, llc_sets, ways = MULTICORE_GEOMETRIES[1]
         config = fuzz_hierarchy_config(((4, 2), (8, 4), (llc_sets, ways)))
         traces = [
